@@ -4,27 +4,12 @@ reciprocal-lattice route.  check_identity runs both sides with certified
 bounds and passes iff the observed gap fits inside the combined budget.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError
 from .special import Tolerance
-from .closed import (
-    even_arg_moment_combination,
-    kappa_alt_combination,
-    kappa_combination,
-    moment_alt_combination,
-    moment_combination,
-    shifted_alt_combination,
-    shifted_combination,
-)
-from .sums import Family, Sign, StopRule, SumSpec, eval_direct
-from .transforms import (
-    corollary_b_equals_a,
-    kappa_ab_alt_transformed,
-    kappa_ab_transformed,
-    s_pm_transformed,
-)
+from .sums import _RULES, Family, Sign, StopRule, SumSpec, eval_direct, _closed_route
+from .transforms import _run_transformed
 
 DEFAULT_IDENTITY_TOL = Tolerance(1e-10)
 
@@ -88,16 +73,7 @@ class IdentityReport:
     passed: bool
 
     def to_json_dict(self):
-        return {
-            "identity": self.identity,
-            "params": dict(self.params),
-            "lhs_value": self.lhs_value,
-            "rhs_value": self.rhs_value,
-            "abs_diff": self.abs_diff,
-            "rel_diff": self.rel_diff,
-            "budget": self.budget,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 _LADDER = (1.0, 4.0, 16.0, 64.0, 256.0)
@@ -117,65 +93,16 @@ def _with_ladder(run, tol_abs):
     raise last
 
 
-def _rhs_closed(builder):
-    def run(key, p, tol):
-        combo = builder(p)
-        value, bound = combo.evaluate_with_bound(p["s"], tol)
-        return value, bound
-
-    return run
-
-
-def _rhs_transformed(fn):
-    def run(key, p, tol):
-        r = fn(p, tol)
-        return r.value, r.tail_bound
-
-    return run
-
-
-_RHS = {
-    "2.1": _rhs_closed(lambda p: kappa_combination()),
-    "2.2": _rhs_closed(lambda p: kappa_alt_combination()),
-    "2.3": _rhs_closed(lambda p: shifted_combination(p["a"])),
-    "2.4": _rhs_closed(lambda p: shifted_alt_combination(p["a"])),
-    "3.1": _rhs_closed(lambda p: moment_combination(1)),
-    "3.2": _rhs_closed(lambda p: moment_combination(2)),
-    "3.3": _rhs_closed(lambda p: moment_combination(3)),
-    "3.7": _rhs_closed(lambda p: moment_alt_combination(1)),
-    "3.8": _rhs_closed(lambda p: moment_alt_combination(2)),
-    "even-m1": _rhs_closed(lambda p: even_arg_moment_combination(1)),
-    "even-m2": _rhs_closed(lambda p: even_arg_moment_combination(2)),
-    "4.2": _rhs_transformed(lambda p, tol: kappa_ab_transformed(p["s"], p["a"], p["b"], tol)),
-    "4.3": _rhs_transformed(lambda p, tol: kappa_ab_alt_transformed(p["s"], p["a"], p["b"], tol)),
-    "4.4": _rhs_transformed(
-        lambda p, tol: s_pm_transformed(p["s"], p["a"], p["b"], p["c"], p["sign"], tol)
-    ),
-    "corollary": _rhs_transformed(
-        lambda p, tol: corollary_b_equals_a(p["s"], p["a"], p["sign"], tol)
-    ),
-}
-
-
-def _lhs_spec(key, p, tol):
+def _spec(key, p, tol):
+    """The SumSpec of the identity's sum at the parameters p."""
     family, m, _ = _CATALOG[key]
-    kwargs = {"family": family, "s": p["s"], "m": m, "tol": tol}
-    if key in ("2.3", "2.4"):
-        kwargs["a"] = p["a"]
-    elif key in ("4.2", "4.3"):
-        kwargs["a"] = p["a"]
-        kwargs["b"] = p["b"]
-    elif key == "4.4":
-        kwargs["a"] = p["a"]
-        kwargs["b"] = p["b"]
-        kwargs["c"] = p["c"]
-        kwargs["sign"] = p["sign"]
-    elif key == "corollary":
-        if p["sign"] is Sign.MINUS:
-            kwargs["family"] = Family.GENERAL_AB_ALT
-        kwargs["a"] = p["a"]
-        kwargs["b"] = p["a"]
-    return SumSpec(**kwargs)
+    kwargs = {k: v for k, v in p.items() if k != "s"}
+    if key == "corollary":
+        # b = a, on the plain or alternating lattice as the sign says
+        if kwargs.pop("sign") is Sign.MINUS:
+            family = Family.GENERAL_AB_ALT
+        kwargs["b"] = kwargs["a"]
+    return SumSpec(family=family, s=p["s"], m=m, tol=tol, **kwargs)
 
 
 def check_identity(name, *, s, a=None, b=None, c=None, sign=None, tol=None):
@@ -206,18 +133,18 @@ def check_identity(name, *, s, a=None, b=None, c=None, sign=None, tol=None):
             raise DomainError(f"identity {key} does not take parameter {pname}")
 
     lhs = _with_ladder(
-        lambda t: eval_direct(_lhs_spec(key, p, t), stop=StopRule.EARLIEST),
+        lambda t: eval_direct(_spec(key, p, t), stop=StopRule.EARLIEST),
         tol.abs_tol,
     )
-    rhs_run = _RHS[key]
-    rhs_value, rhs_bound = _with_ladder(
-        lambda t: rhs_run(key, p, t), tol.abs_tol
-    )
+    # the right-hand side is the closed form where the family has one, else
+    # the reciprocal-lattice transformation
+    rhs_route = _closed_route if _RULES[family].closed else _run_transformed
+    rhs = _with_ladder(lambda t: rhs_route(_spec(key, p, t)), tol.abs_tol)
 
-    abs_diff = abs(lhs.value - rhs_value)
-    scale = max(abs(lhs.value), abs(rhs_value))
+    abs_diff = abs(lhs.value - rhs.value)
+    scale = max(abs(lhs.value), abs(rhs.value))
     rel_diff = abs_diff / scale if scale > 0.0 else 0.0
-    budget = lhs.tail_bound + rhs_bound
+    budget = lhs.tail_bound + rhs.tail_bound
     report_params = {"m": m} if m else {}
     report_params.update(
         (k, (v.value if isinstance(v, Sign) else v)) for k, v in p.items()
@@ -226,7 +153,7 @@ def check_identity(name, *, s, a=None, b=None, c=None, sign=None, tol=None):
         identity=key,
         params=report_params,
         lhs_value=lhs.value,
-        rhs_value=rhs_value,
+        rhs_value=rhs.value,
         abs_diff=abs_diff,
         rel_diff=rel_diff,
         budget=budget,

@@ -8,30 +8,13 @@ benchmark comparison failed, 2 usage or domain error.
 import argparse
 import json
 import sys
-import time
+from dataclasses import asdict
 
 from .errors import DomainError, NoClosedFormError, TermBudgetError, ZetaSumsError
 from .special import Tolerance, bernoulli_fraction
-from .closed import (
-    ZetaCombination,
-    eulerian_polynomial,
-    even_arg_moment_combination,
-    faulhaber_coeffs,
-    kappa_alt_combination,
-    kappa_combination,
-    moment_alt_combination,
-    moment_combination,
-    shifted_alt_combination,
-    shifted_combination,
-)
-from .sums import Family, Method, Sign, StopRule, SumSpec, eval_direct
-from .transforms import (
-    choose_method,
-    compare_methods,
-    kappa_ab_alt_transformed,
-    kappa_ab_transformed,
-    s_pm_transformed,
-)
+from .closed import eulerian_polynomial, faulhaber_coeffs
+from .sums import Family, Method, Sign, StopRule, SumSpec, eval_direct, _closed_route
+from .transforms import _TRANSFORMED, _run_transformed, _timed_compare, choose_method
 from .catalog import IDENTITY_KEYS, check_identity, default_grid, resolve_key
 
 # eval shares the benchmark's accuracy anchor; identity checks run tighter
@@ -54,26 +37,22 @@ def _json_text(payload):
     return json.dumps(payload, sort_keys=True)
 
 
-def _family(value):
-    try:
-        return Family(value)
-    except ValueError:
-        choices = ", ".join(f.value for f in Family)
-        raise argparse.ArgumentTypeError(f"unknown family {value!r}; choose from {choices}")
+def _enum_arg(enum, message):
+    """argparse type for a member of enum; message may use {value!r}."""
+    def convert(value):
+        try:
+            return enum(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(message.format(value=value))
+
+    return convert
 
 
-def _sign(value):
-    try:
-        return Sign(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError("sign must be plus or minus")
-
-
-def _stop(value):
-    try:
-        return StopRule(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError("stop must be earliest or term-floor")
+_family = _enum_arg(
+    Family, "unknown family {value!r}; choose from " + ", ".join(f.value for f in Family)
+)
+_sign = _enum_arg(Sign, "sign must be plus or minus")
+_stop = _enum_arg(StopRule, "stop must be earliest or term-floor")
 
 
 def _positive_float(value):
@@ -98,58 +77,15 @@ def _grid_range(value):
     lo, hi, step = (float(p) for p in parts)
     if step <= 0.0 or hi < lo:
         raise argparse.ArgumentTypeError("grid needs step > 0 and hi >= lo")
-    out = []
-    k = 0
     eps = 1e-9 * max(1.0, abs(hi))
-    while True:
-        v = lo + k * step
-        if v > hi + eps:
-            break
-        out.append(v)
-        k += 1
+    out = []
+    while lo + len(out) * step <= hi + eps:
+        out.append(lo + len(out) * step)
     return out
 
 
 # ---------------------------------------------------------------------------
 # eval
-
-_CLOSED_BUILDERS = {
-    (Family.KAPPA, 0): lambda spec: kappa_combination(),
-    (Family.KAPPA_ALT, 0): lambda spec: kappa_alt_combination(),
-    (Family.SHIFTED, 0): lambda spec: shifted_combination(spec.a),
-    (Family.SHIFTED_ALT, 0): lambda spec: shifted_alt_combination(spec.a),
-}
-
-
-def _closed_combination(spec):
-    """ZetaCombination for the given SumSpec, or NoClosedFormError."""
-    if spec.family is Family.MOMENT:
-        return moment_combination(spec.m)
-    if spec.family is Family.MOMENT_ALT:
-        return moment_alt_combination(spec.m)
-    if spec.family is Family.EVEN_ARG_MOMENT:
-        return even_arg_moment_combination(spec.m)
-    builder = _CLOSED_BUILDERS.get((spec.family, spec.m))
-    if builder is None:
-        raise NoClosedFormError(
-            f"no closed form is available for family {spec.family.value}"
-        )
-    return builder(spec)
-
-
-def _run_transformed(spec, stop):
-    if spec.family is Family.GENERAL_AB:
-        return kappa_ab_transformed(spec.s, spec.a, spec.b, spec.tol, stop=stop)
-    if spec.family is Family.GENERAL_AB_ALT:
-        return kappa_ab_alt_transformed(spec.s, spec.a, spec.b, spec.tol, stop=stop)
-    if spec.family is Family.EXP_WEIGHTED:
-        return s_pm_transformed(
-            spec.s, spec.a, spec.b, spec.c, spec.sign, spec.tol, stop=stop
-        )
-    raise DomainError(
-        f"no transformation is available for family {spec.family.value}"
-    )
-
 
 def cmd_eval(args):
     spec = SumSpec(
@@ -162,46 +98,22 @@ def cmd_eval(args):
         sign=args.sign,
         tol=Tolerance(args.tol),
     )
-    method = args.method
-    if method == "auto":
+    if args.method == "auto":
+        # a closed form where one exists, else the cheaper series route
         try:
-            _closed_combination(spec)
-            method = "closed"
+            r = _closed_route(spec)
         except NoClosedFormError:
-            if spec.family in (Family.GENERAL_AB, Family.GENERAL_AB_ALT, Family.EXP_WEIGHTED):
-                method = (
-                    "transformed"
-                    if choose_method(spec) is Method.TRANSFORMED
-                    else "direct"
-                )
+            if spec.family in _TRANSFORMED and choose_method(spec) is Method.TRANSFORMED:
+                r = _run_transformed(spec, args.stop)
             else:
-                method = "direct"
-
-    if method == "closed":
-        combo = _closed_combination(spec)
-        value, bound = combo.evaluate_with_bound(spec.s, spec.tol)
-        record = {
-            "value": value,
-            "terms_used": len(combo.terms),
-            "tail_bound": bound,
-            "method": Method.CLOSED_FORM.value,
-        }
-    elif method == "transformed":
+                r = eval_direct(spec, stop=args.stop)
+    elif args.method == "closed":
+        r = _closed_route(spec)
+    elif args.method == "transformed":
         r = _run_transformed(spec, args.stop)
-        record = {
-            "value": r.value,
-            "terms_used": r.terms_used,
-            "tail_bound": r.tail_bound,
-            "method": r.method.value,
-        }
     else:
         r = eval_direct(spec, stop=args.stop)
-        record = {
-            "value": r.value,
-            "terms_used": r.terms_used,
-            "tail_bound": r.tail_bound,
-            "method": r.method.value,
-        }
+    record = dict(asdict(r), method=r.method.value)
 
     if args.format == "json":
         _emit(_json_text(record), args.output)
@@ -229,6 +141,17 @@ def _identity_line(rep):
     )
 
 
+def _point(args, **fixed):
+    """check_identity parameters: the --a/--b/--c/--sign given, then fixed."""
+    point = {
+        name: getattr(args, name)
+        for name in ("a", "b", "c", "sign")
+        if getattr(args, name) is not None
+    }
+    point.update(fixed)
+    return point
+
+
 def cmd_identity_check(args):
     tol = Tolerance(args.tol)
     reports = []
@@ -247,14 +170,7 @@ def cmd_identity_check(args):
                 raise DomainError(
                     "identity-check needs --s (or --grid default for the stock sweep)"
                 )
-            point = {"s": args.s}
-            for name in ("a", "b", "c"):
-                val = getattr(args, name)
-                if val is not None:
-                    point[name] = val
-            if args.sign is not None:
-                point["sign"] = args.sign
-            points = [point]
+            points = [_point(args, s=args.s)]
         for point in points:
             reports.append(check_identity(key, tol=tol, **point))
 
@@ -276,37 +192,19 @@ def cmd_identity_check(args):
 def cmd_benchmark(args):
     tol = Tolerance(args.tol)
     rows = []
-    any_fail = False
     for a in args.a_list:
         row = {"a": a}
         try:
-            t0 = time.perf_counter()
-            direct = eval_direct(
-                SumSpec(family=Family.GENERAL_AB, s=args.s, a=a, b=args.b, tol=tol),
-                stop=StopRule.TERM_FLOOR,
+            rep, row["_direct_ms"], row["_trans_ms"] = _timed_compare(
+                args.s, a, args.b, tol, StopRule.TERM_FLOOR
             )
-            t1 = time.perf_counter()
-            trans = kappa_ab_transformed(args.s, a, args.b, tol, stop=StopRule.TERM_FLOOR)
-            t2 = time.perf_counter()
         except TermBudgetError as exc:
             row["status"] = "term-budget-exceeded"
             row["detail"] = str(exc)
             rows.append(row)
             continue
-        agreement = abs(direct.value - trans.value)
-        row["report"] = {
-            "lhs_value": direct.value,
-            "rhs_value": trans.value,
-            "lhs_terms": direct.terms_used,
-            "rhs_terms": trans.terms_used,
-            "agreement": agreement,
-            "speedup_estimate": direct.terms_used / trans.terms_used,
-        }
-        row["status"] = "ok" if agreement <= tol.abs_tol else "disagree"
-        if row["status"] != "ok":
-            any_fail = True
-        row["_direct_ms"] = (t1 - t0) * 1e3
-        row["_trans_ms"] = (t2 - t1) * 1e3
+        row["report"] = rep.to_json_dict()
+        row["status"] = "ok" if rep.agreement <= tol.abs_tol else "disagree"
         rows.append(row)
 
     if args.format == "json":
@@ -344,34 +242,26 @@ def cmd_benchmark(args):
             else:
                 lines.append(f"a={row['a']:g}: {row['status']} ({row['detail']})")
         _emit("\n".join(lines), args.output)
-    return 1 if any_fail else 0
+    return 1 if any(row["status"] == "disagree" for row in rows) else 0
 
 
 # ---------------------------------------------------------------------------
 # table
 
 def _coeff_rows(family, m_max):
-    if family == "eulerian":
-        rows = []
-        for m in range(1, m_max + 1):
-            coeffs = eulerian_polynomial(m)
-            rows.append(
-                {"m": m, "offset": coeffs.offset,
-                 "coefficients": [str(f) for f in coeffs.as_fractions()]}
-            )
-        return rows
-    if family == "faulhaber":
-        rows = []
-        for m in range(0, m_max + 1):
-            coeffs = faulhaber_coeffs(m)
-            rows.append(
-                {"m": m, "offset": coeffs.offset,
-                 "coefficients": [str(f) for f in coeffs.as_fractions()]}
-            )
-        return rows
     if family == "bernoulli":
         return [{"n": n, "value": str(bernoulli_fraction(n))} for n in range(0, m_max + 1)]
-    raise DomainError("table --family must be eulerian, faulhaber, or bernoulli")
+    if family not in ("eulerian", "faulhaber"):
+        raise DomainError("table --family must be eulerian, faulhaber, or bernoulli")
+    build, m_min = (eulerian_polynomial, 1) if family == "eulerian" else (faulhaber_coeffs, 0)
+    rows = []
+    for m in range(m_min, m_max + 1):
+        coeffs = build(m)
+        rows.append(
+            {"m": m, "offset": coeffs.offset,
+             "coefficients": [str(f) for f in coeffs.as_fractions()]}
+        )
+    return rows
 
 
 def cmd_table(args):
@@ -410,31 +300,17 @@ def cmd_table(args):
     if (args.s_grid is None) == (args.c_grid is None):
         raise DomainError("table --identity needs exactly one of --s-grid or --c-grid")
     tol = Tolerance(args.tol)
-    reports = []
     if args.s_grid is not None:
-        sweep_name = "s"
-        for s in args.s_grid:
-            point = {"s": s}
-            for name in ("a", "b", "c"):
-                val = getattr(args, name)
-                if val is not None:
-                    point[name] = val
-            if args.sign is not None:
-                point["sign"] = args.sign
-            reports.append((s, check_identity(key, tol=tol, **point)))
+        sweep_name, grid = "s", args.s_grid
     else:
-        sweep_name = "c"
         if args.s is None:
             raise DomainError("table --c-grid needs a fixed --s")
-        for c in args.c_grid:
-            point = {"s": args.s, "c": c}
-            for name in ("a", "b"):
-                val = getattr(args, name)
-                if val is not None:
-                    point[name] = val
-            if args.sign is not None:
-                point["sign"] = args.sign
-            reports.append((c, check_identity(key, tol=tol, **point)))
+        sweep_name, grid = "c", args.c_grid
+    reports = []
+    for x in grid:
+        point = _point(args, s=args.s)
+        point[sweep_name] = x
+        reports.append((x, check_identity(key, tol=tol, **point)))
 
     any_fail = any(not rep.passed for _, rep in reports)
     if args.format == "json":
@@ -536,10 +412,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except ZetaSumsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ZetaSumsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,9 +21,16 @@ from .special import (
     bernoulli_fraction,
     fp_slop,
     _hurwitz_core,
+    _require_positive,
+    _require_s,
 )
 
 _M_MAX = 12
+
+
+def _require_m(m, name, lo=0):
+    if not isinstance(m, int) or m < lo or m > _M_MAX:
+        raise DomainError(f"{name} requires integer m in [{lo}, {_M_MAX}]")
 
 
 class ZetaKind(Enum):
@@ -132,8 +139,7 @@ def _combo(pairs):
 
 def eulerian_polynomial(m):
     """Eulerian numbers A(m, 0..m-1) as an exact integer coefficient vector."""
-    if not isinstance(m, int) or m < 1 or m > _M_MAX:
-        raise DomainError(f"eulerian_polynomial requires integer m in [1, {_M_MAX}]")
+    _require_m(m, "eulerian_polynomial", lo=1)
     row = [1]
     for k in range(2, m + 1):
         prev = row
@@ -153,8 +159,12 @@ def faulhaber_coeffs(m):
     Leading zero powers are trimmed into the offset, e.g. m = 3 gives
     offset 2 with coefficients (1/4, 1/2, 1/4).
     """
-    if not isinstance(m, int) or m < 0 or m > _M_MAX:
-        raise DomainError(f"faulhaber_coeffs requires integer m in [0, {_M_MAX}]")
+    return RationalCoeffs.from_fractions(_faulhaber_fracs(m), offset=0, trim=True)
+
+
+def _faulhaber_fracs(m):
+    """The same polynomial as a dense list, powers 0 .. m+1."""
+    _require_m(m, "faulhaber_coeffs")
     deg = m + 1
     poly = [Fraction(0)] * (deg + 1)
     for k in range(deg + 1):
@@ -163,23 +173,12 @@ def faulhaber_coeffs(m):
             poly[i] += c * math.comb(deg - k, i)
     # remove the constant so the polynomial vanishes at n = 0
     poly[0] -= sum(Fraction(math.comb(deg, k)) * bernoulli_fraction(k) for k in range(deg + 1))
-    fracs = [c / deg for c in poly]
-    return RationalCoeffs.from_fractions(fracs, offset=0, trim=True)
-
-
-def _faulhaber_fracs(m):
-    rc = faulhaber_coeffs(m)
-    # re-inflate to a dense power->coefficient map starting at power 0
-    dense = [Fraction(0)] * (m + 2)
-    for i, f in enumerate(rc.as_fractions()):
-        dense[rc.offset + i] = f
-    return dense
+    return [c / deg for c in poly]
 
 
 def euler_polynomial_fracs(m):
     """Euler polynomial E_m(x) coefficients, ascending powers, exact."""
-    if not isinstance(m, int) or m < 0 or m > _M_MAX:
-        raise DomainError(f"euler_polynomial requires integer m in [0, {_M_MAX}]")
+    _require_m(m, "euler_polynomial")
     coeffs = [Fraction(1)]
     for k in range(1, m + 1):
         integ = [Fraction(0)] + [c / (i + 1) for i, c in enumerate(coeffs)]
@@ -209,7 +208,7 @@ def kappa_alt_combination():
 
 def shifted_combination(a):
     """sum over k >= 0 of zeta(s, k+a)  ==  zeta(s-1, a) + (1-a) zeta(s, a)."""
-    _require_offset(a, "shifted_combination")
+    _require_positive(a, "shifted_combination", "a")
     terms = [_frac_term(1, 1, ZetaKind.HURWITZ, float(a))]
     lin = Fraction(1) - _exact_fraction(a)
     if lin != 0:
@@ -219,7 +218,7 @@ def shifted_combination(a):
 
 def shifted_alt_combination(a):
     """sum over k >= 0 of (-1)^k zeta(s, k+a)  ==  2^-s zeta(s, a/2)."""
-    _require_offset(a, "shifted_alt_combination")
+    _require_positive(a, "shifted_alt_combination", "a")
     return _combo([_frac_term(1, 0, ZetaKind.HURWITZ, float(a) / 2.0, True)])
 
 
@@ -229,8 +228,7 @@ def moment_combination(m):
     The weight polynomial sum(j^m, j<=n) supplies the coefficients: the k^m
     weighted sum telescopes into sum_d c_d zeta(s-d) over its powers.
     """
-    if not isinstance(m, int) or m < 0 or m > _M_MAX:
-        raise DomainError(f"moment_combination requires integer m in [0, {_M_MAX}]")
+    _require_m(m, "moment_combination")
     dense = _faulhaber_fracs(m)
     terms = []
     for d in range(1, m + 2):
@@ -241,8 +239,7 @@ def moment_combination(m):
 
 def moment_alt_combination(m):
     """Alternating k^m-weighted sum; closed forms exist only for m in {1, 2}."""
-    if not isinstance(m, int) or m < 0 or m > _M_MAX:
-        raise DomainError(f"moment_alt_combination requires integer m in [0, {_M_MAX}]")
+    _require_m(m, "moment_alt_combination")
     if m == 0:
         raise NoClosedFormError(
             "m = 0 alternating sum is the plain alternating family; use kappa_alt_closed"
@@ -267,8 +264,7 @@ def moment_alt_combination(m):
 
 def even_arg_moment_combination(m):
     """k^m-weighted sum over zeta(s, 2k); closed forms for m in {1, 2}."""
-    if not isinstance(m, int) or m < 0 or m > _M_MAX:
-        raise DomainError(f"even_arg_moment_combination requires integer m in [0, {_M_MAX}]")
+    _require_m(m, "even_arg_moment_combination")
     if m == 1:
         return _combo([
             _frac_term(Fraction(1, 8), 1),
@@ -346,16 +342,6 @@ def combination_split(s, m, *, tol=_DEFAULT_CLOSED_TOL):
     via_diff = 2.0 ** (-m - 1) * (plain - alt)
     direct = even_arg_moment_closed(s, m, tol=half)
     return via_diff, direct
-
-
-def _require_s(s, threshold, name):
-    if not math.isfinite(s) or s - threshold <= BOUNDARY_MARGIN:
-        raise DomainError(f"{name} requires s > {threshold:g}")
-
-
-def _require_offset(a, name):
-    if not math.isfinite(a) or a <= BOUNDARY_MARGIN:
-        raise DomainError(f"{name} requires a > 0")
 
 
 def _exact_fraction(x):

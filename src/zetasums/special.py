@@ -140,12 +140,7 @@ def bernoulli_numbers(n_max):
     """B_0 .. B_{n_max} as an exact RationalCoeffs vector (B1 = -1/2)."""
     if not isinstance(n_max, int) or n_max < 0 or n_max > _BERNOULLI_MAX:
         raise DomainError(f"n_max must be an integer in [0, {_BERNOULLI_MAX}]")
-    fracs = _BERN[: n_max + 1]
-    return RationalCoeffs(
-        numerators=tuple(f.numerator for f in fracs),
-        denominators=tuple(f.denominator for f in fracs),
-        offset=0,
-    )
+    return RationalCoeffs.from_fractions(_BERN[: n_max + 1], trim=False)
 
 
 # B_{2r}/(2r)! as floats; index r.  r runs one past the correction cap so the
@@ -182,8 +177,7 @@ _LANCZOS_C = (
 
 def gamma_fn(s):
     """Gamma(s) for real s > 0."""
-    if not math.isfinite(s) or s <= BOUNDARY_MARGIN:
-        raise DomainError("gamma_fn requires s > 0")
+    _require_positive(s, "gamma_fn", "s")
     if s < 0.5:
         # recurrence keeps the kernel evaluation inside its sweet spot
         return gamma_fn(s + 1.0) / s
@@ -204,9 +198,7 @@ def pochhammer(a, n):
         raise DomainError("pochhammer requires integer n >= 0")
     if not math.isfinite(a):
         raise DomainError("pochhammer requires finite a")
-    prod = 1.0
-    for i in range(n):
-        prod *= a + i
+    prod = _poch_raw(a, n)
     if not math.isfinite(prod):
         raise DomainError("pochhammer result exceeds double range")
     return prod
@@ -315,23 +307,15 @@ def _hurwitz_core(s, alpha, target):
 def hurwitz_zeta(s, alpha, tol):
     """Hurwitz zeta sum over (n+alpha)^-s, n >= 0; requires s > 1, alpha > 0."""
     _require_tol(tol)
-    if not math.isfinite(s) or s - 1.0 <= BOUNDARY_MARGIN:
-        raise DomainError("hurwitz_zeta requires s > 1")
-    if not math.isfinite(alpha) or alpha <= BOUNDARY_MARGIN:
-        raise DomainError("hurwitz_zeta requires alpha > 0")
-    value, bound = _hurwitz_core(s, alpha, 0.9 * tol.abs_tol)
-    if bound > tol.abs_tol:
-        raise DomainError(
-            "requested tolerance is unattainable in double precision for these inputs"
-        )
-    return value
+    _require_s(s, 1.0, "hurwitz_zeta")
+    _require_positive(alpha, "hurwitz_zeta")
+    return _certified(*_hurwitz_core(s, alpha, 0.9 * tol.abs_tol), tol)
 
 
 def riemann_zeta(s, tol):
     """zeta(s) for s > 1."""
     _require_tol(tol)
-    if not math.isfinite(s) or s - 1.0 <= BOUNDARY_MARGIN:
-        raise DomainError("riemann_zeta requires s > 1")
+    _require_s(s, 1.0, "riemann_zeta")
     return hurwitz_zeta(s, 1.0, tol)
 
 
@@ -341,25 +325,18 @@ def hurwitz_tail_bound(s, alpha):
     The first term dominates n=0 and the integral dominates the rest, so the
     analytic slack (about half the first term) swamps any rounding here.
     """
-    if not math.isfinite(s) or s - 1.0 <= BOUNDARY_MARGIN:
-        raise DomainError("hurwitz_tail_bound requires s > 1")
-    if not math.isfinite(alpha) or alpha <= BOUNDARY_MARGIN:
-        raise DomainError("hurwitz_tail_bound requires alpha > 0")
+    _require_s(s, 1.0, "hurwitz_tail_bound")
+    _require_positive(alpha, "hurwitz_tail_bound")
     return alpha ** -s + alpha ** (1.0 - s) / (s - 1.0)
 
 
 def dirichlet_eta(s, tol):
     """Alternating zeta (1 - 2^(1-s)) * zeta(s) for s > 1."""
     _require_tol(tol)
-    if not math.isfinite(s) or s - 1.0 <= BOUNDARY_MARGIN:
-        raise DomainError("dirichlet_eta requires s > 1")
+    _require_s(s, 1.0, "dirichlet_eta")
     factor = -math.expm1((1.0 - s) * math.log(2.0))  # 1 - 2^(1-s), stable near s=1
     value, bound = _hurwitz_core(s, 1.0, 0.45 * tol.abs_tol / factor)
-    if factor * bound + EPS * abs(factor * value) > tol.abs_tol:
-        raise DomainError(
-            "requested tolerance is unattainable in double precision for these inputs"
-        )
-    return factor * value
+    return _certified(factor * value, factor * bound + EPS * abs(factor * value), tol)
 
 
 def _lerch_core(z, s, alpha, target):
@@ -401,29 +378,39 @@ def lerch_phi(z, s, alpha, tol):
     _require_tol(tol)
     if not (math.isfinite(z) and math.isfinite(s) and math.isfinite(alpha)):
         raise DomainError("lerch_phi requires finite arguments")
-    if alpha <= BOUNDARY_MARGIN:
-        raise DomainError("lerch_phi requires alpha > 0")
+    _require_positive(alpha, "lerch_phi")
     if abs(z) > 1.0:
         raise DomainError("lerch_phi requires |z| <= 1")
+    if abs(z) == 1.0:
+        _require_s(s, 1.0, f"lerch_phi at z = {z:g}")
     if z == 1.0:
-        if s - 1.0 <= BOUNDARY_MARGIN:
-            raise DomainError("lerch_phi at z = 1 requires s > 1")
         return hurwitz_zeta(s, alpha, tol)
     if z == -1.0:
-        if s - 1.0 <= BOUNDARY_MARGIN:
-            raise DomainError("lerch_phi at z = -1 requires s > 1")
         half = Tolerance(max(0.45 * tol.abs_tol, TOL_FLOOR))
         hi = hurwitz_zeta(s, 0.5 * alpha, half)
         lo = hurwitz_zeta(s, 0.5 * alpha + 0.5, half)
         return 2.0 ** -s * (hi - lo)
     if 1.0 - abs(z) <= BOUNDARY_MARGIN:
         raise DomainError("lerch_phi rejects |z| within 1e-12 of 1 (degenerate input)")
-    value, bound = _lerch_core(z, s, alpha, 0.9 * tol.abs_tol)
+    return _certified(*_lerch_core(z, s, alpha, 0.9 * tol.abs_tol), tol)
+
+
+def _certified(value, bound, tol):
     if bound > tol.abs_tol:
         raise DomainError(
             "requested tolerance is unattainable in double precision for these inputs"
         )
     return value
+
+
+def _require_s(s, threshold, name):
+    if not math.isfinite(s) or s - threshold <= BOUNDARY_MARGIN:
+        raise DomainError(f"{name} requires s > {threshold:g}")
+
+
+def _require_positive(x, name, symbol="alpha"):
+    if not math.isfinite(x) or x <= BOUNDARY_MARGIN:
+        raise DomainError(f"{name} requires {symbol} > 0")
 
 
 def _require_tol(tol):

@@ -8,15 +8,31 @@ pairing consecutive terms and integrating zeta over strips (which keeps every
 intermediate pole-free), and exponentially weighted sums by a geometric
 majorant.  tail_bound on the result is the full certified error: enclosure
 half-width plus accumulated per-term evaluation error plus rounding slop.
+
+_RULES holds one row per family; _run_series is the summation loop shared by
+the direct route and the reciprocal-lattice transformations.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable, Optional
 
-from .closed import euler_polynomial_fracs, eulerian_polynomial, faulhaber_coeffs
-from .errors import DomainError, TermBudgetError
+from .closed import (
+    _faulhaber_fracs,
+    _require_m,
+    euler_polynomial_fracs,
+    eulerian_polynomial,
+    even_arg_moment_combination,
+    kappa_alt_combination,
+    kappa_combination,
+    moment_alt_combination,
+    moment_combination,
+    shifted_alt_combination,
+    shifted_combination,
+)
+from .errors import DomainError, NoClosedFormError, TermBudgetError
 from .special import (
     BOUNDARY_MARGIN,
     EPS,
@@ -30,8 +46,6 @@ from .special import (
     _hurwitz_core,
     _poch_raw,
 )
-
-_M_MAX = 12
 
 # families keep at least this many explicit terms so the direct route never
 # degenerates into the closed form it is meant to cross-check
@@ -71,19 +85,20 @@ class StopRule(Enum):
     TERM_FLOOR = "term-floor"
 
 
+def _unweighted(family, c, sign):
+    """The family itself, or for exp-weighted at c = 0 the plain affine family
+    it equals exactly: the weight collapses to (+-1)^k."""
+    if family is Family.EXP_WEIGHTED and c == 0.0:
+        return Family.GENERAL_AB if sign is Sign.PLUS else Family.GENERAL_AB_ALT
+    return family
+
+
 def convergence_threshold(family, m=0, c=0.0, sign=Sign.PLUS):
     """Exponent below which (or at which) the family diverges: need s > this."""
-    if family in (Family.KAPPA, Family.SHIFTED, Family.GENERAL_AB):
-        return 2.0
-    if family in (Family.KAPPA_ALT, Family.SHIFTED_ALT, Family.GENERAL_AB_ALT):
-        return 1.0
-    if family in (Family.MOMENT, Family.EVEN_ARG_MOMENT):
-        return m + 2.0
-    if family is Family.MOMENT_ALT:
-        return m + 1.0
-    if family is Family.EXP_WEIGHTED:
-        return 2.0 if (c == 0.0 and sign is Sign.PLUS) else 1.0
-    raise DomainError(f"unknown family {family!r}")
+    if not isinstance(family, Family):
+        raise DomainError(f"unknown family {family!r}")
+    rule = _RULES[_unweighted(family, c, sign)]
+    return rule.s_min + m if rule.uses_m else rule.s_min
 
 
 @dataclass(frozen=True)
@@ -104,15 +119,18 @@ class SumSpec:
             raise DomainError("sign must be a Sign")
         if not isinstance(self.tol, Tolerance):
             raise DomainError("tol must be a Tolerance")
-        if not isinstance(self.m, int) or self.m < 0 or self.m > _M_MAX:
-            raise DomainError(f"m must be an integer in [0, {_M_MAX}]")
+        _require_m(self.m, f"family {self.family.value}")
+        if self.m and not _RULES[self.family].uses_m:
+            raise DomainError(
+                f"family {self.family.value} has no k^m weight, got m = {self.m}; use "
+                "moment, moment-alt or even-arg-moment"
+            )
         for name in ("s", "a", "b", "c"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
-        if self.a <= BOUNDARY_MARGIN:
-            raise DomainError("a must be > 0 (and not within 1e-12 of 0)")
-        if self.b <= BOUNDARY_MARGIN:
-            raise DomainError("b must be > 0 (and not within 1e-12 of 0)")
+        for name in ("a", "b"):
+            if getattr(self, name) <= BOUNDARY_MARGIN:
+                raise DomainError(f"{name} must be > 0 (and not within 1e-12 of 0)")
         if self.c < 0.0:
             raise DomainError("c must be >= 0")
         if 0.0 < self.c <= BOUNDARY_MARGIN:
@@ -136,44 +154,38 @@ class SumResult:
 # Tail enclosures.  Each returns (midpoint, halfwidth); halfwidth already
 # includes the inner zeta evaluation errors and local rounding slop.
 
-def _split_eval(s_eff, alpha, weight, budget, n_evals):
-    """One inner zeta eval; weight scales its error contribution."""
-    target = budget / (n_evals * weight) if weight > 0 else budget
-    v, b = _hurwitz_core(s_eff, alpha, 0.8 * target)
-    return v, weight * b
+def _sum_pieces(s, pieces, budget, envelope=0.0):
+    """(midpoint, halfwidth) of sum(coef * zeta(s - shift, alpha)) over the
+    (coef, shift, alpha) pieces, the budget split evenly between them;
+    envelope is a truncation half-width to add to the evaluation errors."""
+    acc = NSum()
+    err = 0.0
+    for coef, shift, alpha in pieces:
+        weight = abs(coef)  # scales the piece's error contribution
+        target = budget / (len(pieces) * weight) if weight > 0 else budget
+        v, b = _hurwitz_core(s - shift, alpha, 0.8 * target)
+        acc.add(coef * v)
+        err += weight * b
+    return acc.total(), envelope + err + fp_slop(acc.gross)
 
 
-def _faulhaber_dense(m):
-    rc = faulhaber_coeffs(m)
-    dense = [Fraction(0)] * (m + 2)
-    for i, f in enumerate(rc.as_fractions()):
-        dense[rc.offset + i] = f
-    return dense
-
-
-def _moment_tail(s, m, K, budget):
+def _moment_tail(spec, K, budget):
     """Exact tail of sum(k^m zeta(s,k), k > K): the k^m weights telescope into
     zeta values at K+1 with power-sum polynomial coefficients."""
-    dense = _faulhaber_dense(m)
+    m = spec.m
+    dense = _faulhaber_fracs(m)
     s_mk = float(sum(f * K ** d for d, f in enumerate(dense)))  # S_m(K), exact then rounded
-    pieces = []  # (coefficient, s_shift, alpha)
-    pieces.append((-s_mk, 0, K + 1.0))
+    pieces = [(-s_mk, 0, K + 1.0)]  # (coefficient, s_shift, alpha)
     for d in range(1, m + 2):
         if dense[d] != 0:
             pieces.append((float(dense[d]), d, K + 1.0))
-    acc = NSum()
-    err = 0.0
-    n = len(pieces)
-    for coef, shift, alpha in pieces:
-        v, e = _split_eval(s - shift, alpha, abs(coef), budget, n)
-        acc.add(coef * v)
-        err += e
-    return acc.total(), err + fp_slop(acc.gross)
+    return _sum_pieces(spec.s, pieces, budget)
 
 
-def _moment_alt_tail(s, m, K, budget):
+def _moment_alt_tail(spec, K, budget):
     """Exact tail of sum((-1)^(k-1) k^m zeta(s,k), k > K) via the alternating
     power-sum polynomial: zeta values on the half-integer lattice at K/2."""
+    s, m = spec.s, spec.m
     e_poly = euler_polynomial_fracs(m)
     # coefficients of E_m(x+1)
     shifted = [Fraction(0)] * (m + 1)
@@ -192,20 +204,14 @@ def _moment_alt_tail(s, m, K, budget):
         pieces.append((-w, d, u_even))
     sign = -1.0 if (K - 1) % 2 == 0 else 1.0  # -(-1)^(K-1)
     pieces.append((0.5 * sign * e_at, 0, K + 1.0))
-    acc = NSum()
-    err = 0.0
-    n = len(pieces)
-    for coef, shift, alpha in pieces:
-        v, e = _split_eval(s - shift, alpha, abs(coef), budget, n)
-        acc.add(coef * v)
-        err += e
-    return acc.total(), err + fp_slop(acc.gross)
+    return _sum_pieces(s, pieces, budget)
 
 
-def _even_arg_tail(s, m, K, budget):
+def _even_arg_tail(spec, K, budget):
     """Exact tail of sum(k^m zeta(s,2k), k > K): rewrite zeta(s,2k) over the
     half lattice and telescope both strands past K."""
-    dense = _faulhaber_dense(m)
+    s, m = spec.s, spec.m
+    dense = _faulhaber_fracs(m)
     s_mk = float(sum(f * K ** d for d, f in enumerate(dense)))
     two = 2.0 ** -s
     pieces = [(-s_mk * two, 0, K + 1.0), (-s_mk * two, 0, K + 1.5)]
@@ -218,22 +224,18 @@ def _even_arg_tail(s, m, K, budget):
             w = cd * math.comb(d, e) * (-0.5) ** (d - e) * two
             if w != 0.0:
                 pieces.append((w, e, K + 1.5))
-    acc = NSum()
-    err = 0.0
-    n = len(pieces)
-    for coef, shift, alpha in pieces:
-        v, e = _split_eval(s - shift, alpha, abs(coef), budget, n)
-        acc.add(coef * v)
-        err += e
-    return acc.total(), err + fp_slop(acc.gross)
+    return _sum_pieces(s, pieces, budget)
 
 
-def _half_lattice_tail(s, arg_half, sign, budget):
-    """Exact alternating-lattice tail sign * 2^-s zeta(s, arg_half): consecutive
-    unit-spaced zeta values collapse pairwise onto the half lattice."""
-    w = 2.0 ** -s
-    v, e = _split_eval(s, arg_half, w, budget, 1)
-    return sign * w * v, e + fp_slop(w * abs(v))
+def _em_order(s, h, bound):
+    """(order, envelope) minimizing the first omitted lattice Euler-Maclaurin
+    correction, from closed-form upper bounds bound(s + 2j + 1)."""
+    best_j, best_env = 0, None
+    for j in range(_EM_MAX_ORDER + 1):
+        env = abs(_EM_C[j + 1]) * h ** (2 * j + 1) * _poch_raw(s, 2 * j + 1) * bound(s + 2 * j + 1)
+        if best_env is None or env < best_env:
+            best_j, best_env = j, env
+    return best_j, best_env
 
 
 def _lattice_tail(s, A, h, budget):
@@ -243,25 +245,41 @@ def _lattice_tail(s, A, h, budget):
     remainder after any correction order is enveloped by the first omitted
     correction; the order is chosen by minimizing a cheap upper bound on it.
     """
-    # order selection from closed-form zeta upper bounds (no inner evals)
-    best_j, best_env = 0, None
-    for j in range(_EM_MAX_ORDER + 1):
-        sigma = s + 2 * j + 1
-        env = abs(_EM_C[j + 1]) * h ** (2 * j + 1) * _poch_raw(s, 2 * j + 1) * hurwitz_tail_bound(sigma, A)
-        if best_env is None or env < best_env:
-            best_j, best_env = j, env
+    best_j, best_env = _em_order(s, h, lambda sigma: hurwitz_tail_bound(sigma, A))
     pieces = [(1.0 / (h * (s - 1.0)), 1, A), (0.5, 0, A)]
     for r in range(1, best_j + 1):
         wr = _EM_C[r] * h ** (2 * r - 1) * _poch_raw(s, 2 * r - 1)
         pieces.append((wr, 1 - 2 * r, A))  # zeta(s + 2r - 1, A)
-    acc = NSum()
-    err = 0.0
-    n = len(pieces)
-    for coef, shift, alpha in pieces:
-        v, e = _split_eval(s - shift, alpha, abs(coef), budget, n)
-        acc.add(coef * v)
-        err += e
-    return acc.total(), best_env + err + fp_slop(acc.gross)
+    return _sum_pieces(s, pieces, budget, best_env)
+
+
+def _affine_tail(spec, K, budget):
+    """Tail of the unit or affine lattice sum past K terms."""
+    h, x0 = _RULES[spec.family].lattice(spec)
+    return _lattice_tail(spec.s, h * K + x0, h, budget)
+
+
+def _alt_affine_tail(spec, K, budget):
+    """Tail of the alternating unit or affine lattice sum past K terms.  For
+    unit spacing it is exactly sign * 2^-s zeta(s, (K + x0)/2): consecutive
+    zeta values collapse pairwise onto the half lattice; otherwise paired
+    strips."""
+    h, x0 = _RULES[spec.family].lattice(spec)
+    sign = 1.0 if K % 2 == 0 else -1.0
+    if h == 1.0:
+        return _sum_pieces(spec.s, [(sign * 2.0 ** -spec.s, 0, (K + x0) / 2.0)], budget)
+    mid, wid = _paired_strip_tail(spec.s, h * K + x0, 2.0 * h, h)
+    return sign * mid, wid
+
+
+def _damped_tail(spec, K, budget):
+    """Geometric majorant of the exp-weighted tail past K terms; one-sided,
+    returned as a centered enclosure."""
+    decay = math.exp(-spec.c)
+    top = decay ** K * hurwitz_tail_bound(spec.s, K * spec.a + spec.b) / (1.0 - decay)
+    if spec.sign is Sign.PLUS:
+        return 0.5 * top, 0.5 * top
+    return 0.0, top
 
 
 # --- strip integrals: D(s, A, h) = integral of zeta(s, x) over [A, A+h] ----
@@ -313,13 +331,9 @@ def _paired_strip_tail(s, A, step, gap):
     i >= 0).  Euler-Maclaurin over the pair-difference function, every piece a
     strip integral; the pair difference is completely monotone so the first
     omitted correction envelopes the remainder."""
-    best_j, best_env = 0, None
-    for j in range(_EM_MAX_ORDER + 1):
-        sigma = s + 2 * j + 1
-        diff_bound = (sigma) * gap * hurwitz_tail_bound(sigma + 1.0, A)
-        env = abs(_EM_C[j + 1]) * step ** (2 * j + 1) * _poch_raw(s, 2 * j + 1) * diff_bound
-        if best_env is None or env < best_env:
-            best_j, best_env = j, env
+    best_j, best_env = _em_order(
+        s, step, lambda sigma: sigma * gap * hurwitz_tail_bound(sigma + 1.0, A)
+    )
     acc = NSum()
     width = best_env
     v, w = _strip_integral(s, A, gap)
@@ -337,85 +351,151 @@ def _paired_strip_tail(s, A, step, gap):
 
 
 # ---------------------------------------------------------------------------
-# Term generators per family: k -> (weight, zeta argument, bare flag arg).
+# One rule row per family.
 
-def _term_layout(spec):
-    fam = spec.family
-    if fam in (Family.KAPPA, Family.MOMENT):
-        return 1, (lambda k: (float(k) ** spec.m if spec.m else 1.0, float(k)))
-    if fam in (Family.KAPPA_ALT, Family.MOMENT_ALT):
-        return 1, (
-            lambda k: (
-                (-1.0 if k % 2 == 0 else 1.0) * (float(k) ** spec.m if spec.m else 1.0),
-                float(k),
-            )
-        )
-    if fam is Family.EVEN_ARG_MOMENT:
-        return 1, (lambda k: (float(k) ** spec.m if spec.m else 1.0, 2.0 * k))
-    if fam is Family.SHIFTED:
-        return 0, (lambda k: (1.0, k + spec.a))
-    if fam is Family.SHIFTED_ALT:
-        return 0, (lambda k: (1.0 if k % 2 == 0 else -1.0, k + spec.a))
-    if fam is Family.GENERAL_AB:
-        return 0, (lambda k: (1.0, k * spec.a + spec.b))
-    if fam is Family.GENERAL_AB_ALT:
-        return 0, (lambda k: (1.0 if k % 2 == 0 else -1.0, k * spec.a + spec.b))
-    if fam is Family.EXP_WEIGHTED:
-        sgn = 1.0 if spec.sign is Sign.PLUS else -1.0
-        return 0, (lambda k: ((sgn ** k) * math.exp(-spec.c * k), k * spec.a + spec.b))
-    raise DomainError(f"unknown family {spec.family!r}")
+def _plain(spec, n):
+    """k^m for k = n + 1 (1 for the families without a moment)."""
+    return float(n + 1) ** spec.m if spec.m else 1.0
 
 
-def _tail_for(spec, n_taken, start, budget):
+def _alternating(spec, n):
+    return (1.0 if n % 2 == 0 else -1.0) * _plain(spec, n)
+
+
+def _damped(spec, n):
+    return (1.0 if spec.sign is Sign.PLUS else -1.0) ** n * math.exp(-spec.c * n)
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """One family.  Term n >= 0 is weight(spec, n) * zeta(s, h*n + x0), with
+    (h, x0) = lattice(spec); tail(spec, n, budget) encloses what follows the
+    first n terms; closed(spec) is the exact ZetaCombination or None.  The
+    sum needs s > s_min, plus m where uses_m; other families take m = 0."""
+
+    s_min: float
+    uses_m: bool
+    weight: Callable
+    lattice: Callable
+    tail: Callable
+    closed: Optional[Callable] = None
+
+
+_RULES = {
+    Family.KAPPA: _Rule(
+        2.0, False, _plain, lambda spec: (1.0, 1.0), _moment_tail,
+        lambda spec: kappa_combination(),
+    ),
+    Family.KAPPA_ALT: _Rule(
+        1.0, False, _alternating, lambda spec: (1.0, 1.0), _moment_alt_tail,
+        lambda spec: kappa_alt_combination(),
+    ),
+    Family.MOMENT: _Rule(
+        2.0, True, _plain, lambda spec: (1.0, 1.0), _moment_tail,
+        lambda spec: moment_combination(spec.m),
+    ),
+    Family.MOMENT_ALT: _Rule(
+        1.0, True, _alternating, lambda spec: (1.0, 1.0), _moment_alt_tail,
+        lambda spec: moment_alt_combination(spec.m),
+    ),
+    Family.EVEN_ARG_MOMENT: _Rule(
+        2.0, True, _plain, lambda spec: (2.0, 2.0), _even_arg_tail,
+        lambda spec: even_arg_moment_combination(spec.m),
+    ),
+    Family.SHIFTED: _Rule(
+        2.0, False, _plain, lambda spec: (1.0, spec.a), _affine_tail,
+        lambda spec: shifted_combination(spec.a),
+    ),
+    Family.SHIFTED_ALT: _Rule(
+        1.0, False, _alternating, lambda spec: (1.0, spec.a), _alt_affine_tail,
+        lambda spec: shifted_alt_combination(spec.a),
+    ),
+    Family.GENERAL_AB: _Rule(2.0, False, _plain, lambda spec: (spec.a, spec.b), _affine_tail),
+    Family.GENERAL_AB_ALT: _Rule(
+        1.0, False, _alternating, lambda spec: (spec.a, spec.b), _alt_affine_tail
+    ),
+    Family.EXP_WEIGHTED: _Rule(1.0, False, _damped, lambda spec: (spec.a, spec.b), _damped_tail),
+}
+
+
+def _tail_for(spec, n_taken, budget):
     """Certified enclosure of everything past the first n_taken terms."""
-    fam, s = spec.family, spec.s
-    if fam in (Family.KAPPA, Family.MOMENT):
-        return _moment_tail(s, spec.m, n_taken, budget)
-    if fam in (Family.KAPPA_ALT, Family.MOMENT_ALT):
-        return _moment_alt_tail(s, spec.m, n_taken, budget)
-    if fam is Family.EVEN_ARG_MOMENT:
-        return _even_arg_tail(s, spec.m, n_taken, budget)
-    if fam is Family.SHIFTED:
-        return _lattice_tail(s, n_taken + spec.a, 1.0, budget)
-    if fam is Family.SHIFTED_ALT:
-        sign = 1.0 if n_taken % 2 == 0 else -1.0
-        return _half_lattice_tail(s, (n_taken + spec.a) / 2.0, sign, budget)
-    if fam is Family.GENERAL_AB:
-        return _lattice_tail(s, n_taken * spec.a + spec.b, spec.a, budget)
-    if fam is Family.GENERAL_AB_ALT:
-        sign = 1.0 if n_taken % 2 == 0 else -1.0
-        if spec.a == 1.0:
-            return _half_lattice_tail(s, (n_taken + spec.b) / 2.0, sign, budget)
-        mid, wid = _paired_strip_tail(s, n_taken * spec.a + spec.b, 2.0 * spec.a, spec.a)
-        return sign * mid, wid
-    if fam is Family.EXP_WEIGHTED:
-        # geometric majorant; one-sided, returned as a centered enclosure
-        decay = math.exp(-spec.c)
-        top = decay ** n_taken * hurwitz_tail_bound(s, n_taken * spec.a + spec.b) / (1.0 - decay)
-        if spec.sign is Sign.PLUS:
-            return 0.5 * top, 0.5 * top
-        return 0.0, top
-    raise DomainError(f"unknown family {spec.family!r}")
+    return _RULES[spec.family].tail(spec, n_taken, budget)
 
+
+def _closed_route(spec):
+    """The family's closed form at spec.s as a SumResult; NoClosedFormError
+    where there is none."""
+    build = _RULES[spec.family].closed
+    if build is None:
+        raise NoClosedFormError(
+            f"no closed form is available for family {spec.family.value}"
+        )
+    combo = build(spec)
+    value, bound = combo.evaluate_with_bound(spec.s, spec.tol)
+    return SumResult(value, len(combo.terms), bound, Method.CLOSED_FORM)
+
+
+# ---------------------------------------------------------------------------
+# The summation loop shared by every series route.
 
 def floor_crossing_arg(s, abs_tol):
     """Argument at which a bare zeta value crosses the 10*abs_tol floor."""
     return ((s - 1.0) * 10.0 * abs_tol) ** (1.0 / (1.0 - s))
 
 
-def _floor_count_model(spec):
-    """Predicted explicit-term count under the TERM_FLOOR policy."""
-    a_star = floor_crossing_arg(spec.s, spec.tol.abs_tol)
-    fam = spec.family
-    if fam in (Family.KAPPA, Family.KAPPA_ALT, Family.MOMENT, Family.MOMENT_ALT):
-        n = int(math.ceil(a_star))
-    elif fam is Family.EVEN_ARG_MOMENT:
-        n = int(math.ceil(a_star / 2.0))
-    elif fam in (Family.SHIFTED, Family.SHIFTED_ALT):
-        n = 1 + int(math.ceil(max(0.0, a_star - spec.a)))
+def _count_to(x, x0, h=1.0):
+    """Number of lattice points h*n + x0, n >= 0, up to the first one >= x.
+    At x = floor_crossing_arg it is the TERM_FLOOR count, a lower bound since
+    zeta(s, x) >= x^(1-s)/(s-1)."""
+    return 1 + int(math.ceil(max(0.0, (x - x0) / h)))
+
+
+def _run_series(term, tail, tol, stop, method, count, over_budget, bare=None):
+    """Sum a series to the certified absolute tolerance tol.
+
+    term(n) -> (contribution, error, probe) for term n >= 0; the probe (or
+    bare(probe)) is the bare zeta value TERM_FLOOR compares with 10 * tol.
+    tail(n) -> (midpoint, halfwidth) of all past the first n terms.  DIRECT
+    checks the tail every _CHUNK terms from MIN_EXPLICIT on, transformations
+    after every term.  count, the predicted floor crossing, fails a TERM_FLOOR
+    request that cannot cross within the budget up front.  over_budget is the
+    TermBudgetError message, formatted with the budget.
+    """
+    budget = term_budget()
+    if method is Method.DIRECT:
+        first, cadence, what = MIN_EXPLICIT, _CHUNK, "sum"
     else:
-        n = 1 + int(math.ceil(max(0.0, (a_star - spec.b) / spec.a)))
-    return max(n, MIN_EXPLICIT)
+        first, cadence, what = 1, 1, "transformation"
+    if stop is StopRule.TERM_FLOOR and count is not None and count > budget + 1:
+        # one term of margin for the rounding in floor_crossing_arg
+        raise TermBudgetError(over_budget.format(budget=budget))
+    floor = 10.0 * tol
+    acc = NSum()
+    term_err = 0.0
+    n = 0
+    next_check = first if stop is StopRule.EARLIEST else None
+    while True:
+        if n >= budget:
+            raise TermBudgetError(over_budget.format(budget=budget))
+        value, err, probe = term(n)
+        acc.add(value)
+        term_err += err
+        n += 1
+        if next_check is None and n >= first and (probe if bare is None else bare(probe)) <= floor:
+            next_check = n
+        if next_check is not None and n >= next_check:
+            mid, wid = tail(n)
+            total = term_err + wid + fp_slop(acc.gross + 2.0 * abs(mid))
+            if total <= tol:
+                acc.add(mid)
+                return SumResult(value=acc.total(), terms_used=n, tail_bound=total, method=method)
+            if term_err + fp_slop(acc.gross) > 0.5 * tol:
+                # per-term error already eats the budget; more terms add gross
+                raise DomainError(
+                    f"requested tolerance is unattainable in double precision for this {what}"
+                )
+            next_check = n + cadence
 
 
 def eval_direct(spec, *, stop=StopRule.EARLIEST):
@@ -431,73 +511,32 @@ def eval_direct(spec, *, stop=StopRule.EARLIEST):
         raise DomainError("spec must be a SumSpec")
     if not isinstance(stop, StopRule):
         raise DomainError("stop must be a StopRule")
-    if spec.family is Family.EXP_WEIGHTED and spec.c == 0.0:
-        # exact reduction: the weight collapses to (+-1)^k
-        reduced = Family.GENERAL_AB if spec.sign is Sign.PLUS else Family.GENERAL_AB_ALT
-        inner = SumSpec(
-            family=reduced, s=spec.s, a=spec.a, b=spec.b, tol=spec.tol
-        )
+    family = _unweighted(spec.family, spec.c, spec.sign)
+    if family is not spec.family:
+        inner = SumSpec(family=family, s=spec.s, a=spec.a, b=spec.b, tol=spec.tol)
         return eval_direct(inner, stop=stop)
 
     tol = spec.tol.abs_tol
-    start, layout = _term_layout(spec)
-    budget = term_budget()
+    rule = _RULES[family]
+    h, x0 = rule.lattice(spec)
+    count = None
+    est = MIN_EXPLICIT + 2 * _CHUNK
     if stop is StopRule.TERM_FLOOR:
-        est = _floor_count_model(spec)
-    else:
-        est = MIN_EXPLICIT + 2 * _CHUNK
+        count = est = max(_count_to(floor_crossing_arg(spec.s, tol), x0, h), MIN_EXPLICIT)
     per_term = _TERMS_FRACTION * tol / est
-    floor = 10.0 * tol
 
-    acc = NSum()
-    term_err = 0.0
-    n_taken = 0
-    k = start
-    # EARLIEST checks from MIN_EXPLICIT on; TERM_FLOOR arms checks only once
-    # the bare term value crosses the floor, then keeps adding terms until
-    # the enclosure actually fits.
-    next_check = MIN_EXPLICIT if stop is StopRule.EARLIEST else None
-
-    def _finish():
-        mid, wid = _tail_for(spec, n_taken, start, _TAIL_FRACTION * tol)
-        slop = fp_slop(acc.gross + 2.0 * abs(mid))
-        total = term_err + wid + slop
-        if total > tol:
-            return None
-        acc.add(mid)
-        return SumResult(
-            value=acc.total(),
-            terms_used=n_taken,
-            tail_bound=total,
-            method=Method.DIRECT,
-        )
-
-    while True:
-        if next_check is not None and n_taken >= next_check:
-            done = _finish()
-            if done is not None:
-                return done
-            if term_err + fp_slop(acc.gross) > 0.5 * tol:
-                # per-term error already eats the budget; more terms add gross
-                raise DomainError(
-                    "requested tolerance is unattainable in double precision "
-                    "for this sum"
-                )
-            next_check = n_taken + _CHUNK
-        if n_taken >= budget:
-            raise TermBudgetError(
-                f"direct evaluation of {spec.family.value} exceeded the term budget "
-                f"({budget}); a transformed or closed route may be cheaper"
-            )
-        w, arg = layout(k)
+    def term(n):
+        w = rule.weight(spec, n)
         inner_target = per_term / abs(w) if w != 0.0 else per_term
-        v, b = _hurwitz_core(spec.s, arg, 0.8 * inner_target)
-        acc.add(w * v)
-        term_err += abs(w) * b
-        n_taken += 1
-        k += 1
-        if next_check is None and n_taken >= MIN_EXPLICIT and v <= floor:
-            next_check = n_taken
+        v, b = _hurwitz_core(spec.s, h * n + x0, 0.8 * inner_target)
+        return w * v, abs(w) * b, v
+
+    return _run_series(
+        term, lambda n: _tail_for(spec, n, _TAIL_FRACTION * tol), tol, stop,
+        Method.DIRECT, count,
+        f"direct evaluation of {family.value} exceeded the term budget "
+        "({budget}); a transformed or closed route may be cheaper",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +549,7 @@ def inner_power_sum(m, x):
     denom = -math.expm1(-x)  # 1 - e^-x, no cancellation for small x
     if m == 0:
         return w / denom
-    cs = eulerian_polynomial(m).numerators
-    num = 0.0
-    for cval in reversed(cs):
-        num = num * w + cval
-    return w * num / denom ** (m + 1)
+    return w * _horner(eulerian_polynomial(m).numerators, w) / denom ** (m + 1)
 
 
 def alternating_inner_power_sum(m, x):
@@ -534,18 +569,19 @@ def alternating_inner_power_sum(m, x):
             bs.append(carry)
         leftover = bs.pop()
         assert leftover == 0  # the division is exact in integers
-        num = 0.0
-        for cval in reversed(bs):
-            num = num * -w + cval
-        return w * -math.expm1(-x) * num / (1.0 + w) ** (m + 1)
+        return w * -math.expm1(-x) * _horner(bs, -w) / (1.0 + w) ** (m + 1)
+    return w * _horner(cs, -w) / (1.0 + w) ** (m + 1)
+
+
+def _horner(coeffs, x):
+    """Polynomial with ascending coefficients coeffs at x."""
     num = 0.0
-    for cval in reversed(cs):
-        num = num * -w + cval
-    return w * num / (1.0 + w) ** (m + 1)
+    for cval in reversed(coeffs):
+        num = num * x + cval
+    return num
 
 
 def _check_inner(m, x):
-    if not isinstance(m, int) or m < 0 or m > _M_MAX:
-        raise DomainError(f"m must be an integer in [0, {_M_MAX}]")
+    _require_m(m, "the inner power sum")
     if not math.isfinite(x) or x <= BOUNDARY_MARGIN:
         raise DomainError("x must be > 0 (and not within 1e-12 of 0)")

@@ -9,7 +9,8 @@ certified tail_bound in the same sense as direct evaluation.
 """
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError, TermBudgetError
 from .special import (
@@ -28,16 +29,21 @@ from .sums import (
     Sign,
     StopRule,
     SumSpec,
-    SumResult,
     eval_direct,
     floor_crossing_arg,
+    _count_to,
     _lattice_tail,
     _pair_gap,
     _paired_strip_tail,
+    _run_series,
 )
 
 _TAIL_FRACTION = 0.7
 _TERMS_FRACTION = 0.2
+_OVER_BUDGET = (
+    "transformed evaluation exceeded the term budget ({budget}); "
+    "direct evaluation may suit these parameters better"
+)
 
 
 def _check_common(s, a, b, tol, s_min):
@@ -52,130 +58,77 @@ def _check_common(s, a, b, tol, s_min):
         raise DomainError("a and b must be > 0 (and not within 1e-12 of 0)")
 
 
-def _check_stop(stop):
+def _prefactor(s, a, b, tol, stop, s_min, spacing, name):
+    """Validate a transformation's inputs; its prefactor spacing^-s."""
+    _check_common(s, a, b, tol, s_min)
     if not isinstance(stop, StopRule):
         raise DomainError("stop must be a StopRule")
+    w = spacing ** -s
+    if not math.isfinite(w) or w == 0.0:
+        raise DomainError(f"prefactor {name}^-s is outside double range")
+    return w
 
 
 def kappa_ab_transformed(s, a, b, tol, *, stop=StopRule.EARLIEST):
     """sum over k >= 0 of zeta(s, ka+b) via the reciprocal lattice:
     a^-s * sum over n >= 0 of zeta(s, (n+b)/a), tail enclosed by
     Euler-Maclaurin on the (b/a, 1/a) lattice.  Requires s > 2."""
-    _check_common(s, a, b, tol, 2.0)
-    _check_stop(stop)
-    w = a ** -s
-    if not math.isfinite(w) or w == 0.0:
-        raise DomainError("prefactor a^-s is outside double range")
+    w = _prefactor(s, a, b, tol, stop, 2.0, a, "a")
     tol_abs = tol.abs_tol
-    budget = term_budget()
+    count = None
+    est = 4
     if stop is StopRule.TERM_FLOOR:
-        est = 1 + int(math.ceil(max(0.0, a * floor_crossing_arg(s, tol_abs) - b)))
-    else:
-        est = 4
+        count = est = _count_to(a * floor_crossing_arg(s, tol_abs), b)
     per_term = _TERMS_FRACTION * tol_abs / est
-    floor = 10.0 * tol_abs
 
-    acc = NSum()
-    term_err = 0.0
-    n_taken = 0
-    floor_crossed = stop is StopRule.EARLIEST
-    next_check = 1
+    def term(n):
+        v, e = _hurwitz_core(s, (n + b) / a, 0.8 * per_term / w)
+        return w * v, w * e, v
 
-    while True:
-        if n_taken >= budget:
-            raise TermBudgetError(
-                f"transformed evaluation exceeded the term budget ({budget}); "
-                "direct evaluation may suit these parameters better"
-            )
-        v, e = _hurwitz_core(s, (n_taken + b) / a, 0.8 * per_term / w)
-        acc.add(w * v)
-        term_err += w * e
-        n_taken += 1
-        if not floor_crossed and v <= floor:
-            floor_crossed = True
-            next_check = n_taken
-        if floor_crossed and n_taken >= next_check:
-            mid, wid = _lattice_tail(s, (n_taken + b) / a, 1.0 / a, _TAIL_FRACTION * tol_abs / w)
-            slop = fp_slop(acc.gross + 2.0 * w * abs(mid))
-            total = term_err + w * wid + slop
-            if total <= tol_abs:
-                acc.add(w * mid)
-                return SumResult(
-                    value=acc.total(),
-                    terms_used=n_taken,
-                    tail_bound=total,
-                    method=Method.TRANSFORMED,
-                )
-            if term_err + fp_slop(acc.gross) > 0.5 * tol_abs:
-                raise DomainError(
-                    "requested tolerance is unattainable in double precision "
-                    "for this transformation"
-                )
-            next_check = n_taken + 1
+    def tail(n):
+        mid, wid = _lattice_tail(s, (n + b) / a, 1.0 / a, _TAIL_FRACTION * tol_abs / w)
+        return w * mid, w * wid
+
+    return _run_series(term, tail, tol_abs, stop, Method.TRANSFORMED, count, _OVER_BUDGET)
 
 
 def kappa_ab_alt_transformed(s, a, b, tol, *, stop=StopRule.EARLIEST):
     """sum over k >= 0 of (-1)^k zeta(s, ka+b) via pair differences on the
     1/(2a) lattice, every piece a pole-free strip integral.  Requires s > 1."""
-    _check_common(s, a, b, tol, 1.0)
-    _check_stop(stop)
-    w = (2.0 * a) ** -s
-    if not math.isfinite(w) or w == 0.0:
-        raise DomainError("prefactor (2a)^-s is outside double range")
+    w = _prefactor(s, a, b, tol, stop, 1.0, 2.0 * a, "(2a)")
     tol_abs = tol.abs_tol
-    budget = term_budget()
     floor = 10.0 * tol_abs
     step = 1.0 / (2.0 * a)
+    count = None
+    if stop is StopRule.TERM_FLOOR:
+        count = _count_to(2.0 * a * floor_crossing_arg(s, tol_abs), b)
 
-    acc = NSum()
-    term_err = 0.0
-    n_taken = 0
-    floor_crossed = stop is StopRule.EARLIEST
-    next_check = 1
-
-    while True:
-        if n_taken >= budget:
-            raise TermBudgetError(
-                f"transformed evaluation exceeded the term budget ({budget}); "
-                "direct evaluation may suit these parameters better"
-            )
-        x = (n_taken + b) * step
+    def term(n):
+        x = (n + b) * step
         v, e = _pair_gap(s, x, 0.5)
-        acc.add(w * v)
-        term_err += w * e
-        n_taken += 1
-        if not floor_crossed:
-            bare, _ = _hurwitz_core(s, x, 0.1 * floor)
-            if bare <= floor:
-                floor_crossed = True
-                next_check = n_taken
-        if floor_crossed and n_taken >= next_check:
-            mid, wid = _paired_strip_tail(s, (n_taken + b) * step, step, 0.5)
-            slop = fp_slop(acc.gross + 2.0 * w * abs(mid))
-            total = term_err + w * wid + slop
-            if total <= tol_abs:
-                acc.add(w * mid)
-                return SumResult(
-                    value=acc.total(),
-                    terms_used=n_taken,
-                    tail_bound=total,
-                    method=Method.TRANSFORMED,
-                )
-            if term_err + fp_slop(acc.gross) > 0.5 * tol_abs:
-                raise DomainError(
-                    "requested tolerance is unattainable in double precision "
-                    "for this transformation"
-                )
-            next_check = n_taken + 1
+        return w * v, w * e, x
+
+    def tail(n):
+        mid, wid = _paired_strip_tail(s, (n + b) * step, step, 0.5)
+        return w * mid, w * wid
+
+    return _run_series(
+        term, tail, tol_abs, stop, Method.TRANSFORMED, count, _OVER_BUDGET,
+        bare=lambda x: _hurwitz_core(s, x, 0.1 * floor)[0],
+    )
 
 
 def corollary_b_equals_a(s, a, sign, tol, *, stop=StopRule.EARLIEST):
     """The b = a specialization of the two affine transformations."""
+    return _unweighted_transformed(s, a, a, sign, tol, stop)
+
+
+def _unweighted_transformed(s, a, b, sign, tol, stop):
     if not isinstance(sign, Sign):
         raise DomainError("sign must be a Sign")
     if sign is Sign.PLUS:
-        return kappa_ab_transformed(s, a, a, tol, stop=stop)
-    return kappa_ab_alt_transformed(s, a, a, tol, stop=stop)
+        return kappa_ab_transformed(s, a, b, tol, stop=stop)
+    return kappa_ab_alt_transformed(s, a, b, tol, stop=stop)
 
 
 def _geo_zeta_tail(z, s, step, start, budget_err):
@@ -221,60 +174,26 @@ def s_pm_transformed(s, a, b, c, sign, tol, *, stop=StopRule.EARLIEST):
     if 0.0 < c <= BOUNDARY_MARGIN:
         raise DomainError("c is within 1e-12 of 0; use c = 0 exactly")
     if c == 0.0:
-        if sign is Sign.PLUS:
-            return kappa_ab_transformed(s, a, b, tol, stop=stop)
-        return kappa_ab_alt_transformed(s, a, b, tol, stop=stop)
-    _check_common(s, a, b, tol, 1.0)
-    _check_stop(stop)
-    w = a ** -s
-    if not math.isfinite(w) or w == 0.0:
-        raise DomainError("prefactor a^-s is outside double range")
+        return _unweighted_transformed(s, a, b, sign, tol, stop)
+    w = _prefactor(s, a, b, tol, stop, 1.0, a, "a")
     z = math.exp(-c) if sign is Sign.PLUS else -math.exp(-c)
     tol_abs = tol.abs_tol
-    budget = term_budget()
+    est = 4
     if stop is StopRule.TERM_FLOOR:
-        est = 1 + int(math.ceil(max(0.0, a * floor_crossing_arg(s, tol_abs) - b)))
-    else:
-        est = 4
+        est = _count_to(a * floor_crossing_arg(s, tol_abs), b)
     per_term = _TERMS_FRACTION * tol_abs / est
-    floor = 10.0 * tol_abs
 
-    acc = NSum()
-    term_err = 0.0
-    n_taken = 0
-    floor_crossed = stop is StopRule.EARLIEST
-    next_check = 1
+    def term(n):
+        v, e = _lerch_core(z, s, (n + b) / a, 0.8 * per_term / w)
+        return w * v, w * e, abs(v)
 
-    while True:
-        if n_taken >= budget:
-            raise TermBudgetError(
-                f"transformed evaluation exceeded the term budget ({budget})"
-            )
-        v, e = _lerch_core(z, s, (n_taken + b) / a, 0.8 * per_term / w)
-        acc.add(w * v)
-        term_err += w * e
-        n_taken += 1
-        if not floor_crossed and abs(v) <= floor:
-            floor_crossed = True
-            next_check = n_taken
-        if floor_crossed and n_taken >= next_check:
-            mid, wid = _geo_zeta_tail(z, s, a, n_taken + b, 0.45 * _TAIL_FRACTION * tol_abs)
-            slop = fp_slop(acc.gross + 2.0 * abs(mid))
-            total = term_err + wid + slop
-            if total <= tol_abs:
-                acc.add(mid)
-                return SumResult(
-                    value=acc.total(),
-                    terms_used=n_taken,
-                    tail_bound=total,
-                    method=Method.TRANSFORMED,
-                )
-            if term_err + fp_slop(acc.gross) > 0.5 * tol_abs:
-                raise DomainError(
-                    "requested tolerance is unattainable in double precision "
-                    "for this transformation"
-                )
-            next_check = n_taken + 1
+    # no up-front budget check: the floor test is on |Phi|, which can fall
+    # below the zeta bound that predicts the crossing
+    return _run_series(
+        term, lambda n: _geo_zeta_tail(z, s, a, n + b, 0.45 * _TAIL_FRACTION * tol_abs),
+        tol_abs, stop, Method.TRANSFORMED, None,
+        "transformed evaluation exceeded the term budget ({budget})",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +204,40 @@ def term_count_estimate(s, a, b, tol, side):
     terms count while the bare zeta value stays above 10 * abs_tol."""
     _check_common(s, a, b, tol, 2.0)
     if side is Method.DIRECT:
-        return 1 + int(math.ceil(max(0.0, (floor_crossing_arg(s, tol.abs_tol) - b) / a)))
+        return _count_to(floor_crossing_arg(s, tol.abs_tol), b, a)
     if side is Method.TRANSFORMED:
-        return 1 + int(math.ceil(max(0.0, a * floor_crossing_arg(s, tol.abs_tol) - b)))
+        return _count_to(a * floor_crossing_arg(s, tol.abs_tol), b)
     raise DomainError("side must be Method.DIRECT or Method.TRANSFORMED")
+
+
+# family -> (runner(spec, stop), spacing of the reciprocal lattice in units of a)
+_TRANSFORMED = {
+    Family.GENERAL_AB: (
+        lambda spec, stop: kappa_ab_transformed(spec.s, spec.a, spec.b, spec.tol, stop=stop),
+        1.0,
+    ),
+    Family.GENERAL_AB_ALT: (
+        lambda spec, stop: kappa_ab_alt_transformed(spec.s, spec.a, spec.b, spec.tol, stop=stop),
+        2.0,
+    ),
+    Family.EXP_WEIGHTED: (
+        lambda spec, stop: s_pm_transformed(
+            spec.s, spec.a, spec.b, spec.c, spec.sign, spec.tol, stop=stop
+        ),
+        1.0,
+    ),
+}
+
+
+def _transformation(family):
+    if family not in _TRANSFORMED:
+        raise DomainError(f"no transformation is available for family {family.value}")
+    return _TRANSFORMED[family]
+
+
+def _run_transformed(spec, stop=StopRule.EARLIEST):
+    """The spec's sum by its reciprocal-lattice route."""
+    return _transformation(spec.family)[0](spec, stop)
 
 
 def choose_method(spec):
@@ -296,18 +245,10 @@ def choose_method(spec):
     counts on both lattices.  Ties go to the transformation."""
     if not isinstance(spec, SumSpec):
         raise DomainError("spec must be a SumSpec")
-    if spec.family not in (
-        Family.GENERAL_AB,
-        Family.GENERAL_AB_ALT,
-        Family.EXP_WEIGHTED,
-    ):
-        raise DomainError(
-            f"no transformation is available for family {spec.family.value}"
-        )
+    spacing = _transformation(spec.family)[1]
     a_star = floor_crossing_arg(spec.s, spec.tol.abs_tol)
-    lattice = 2.0 * spec.a if spec.family is Family.GENERAL_AB_ALT else spec.a
-    n_direct = 1 + int(math.ceil(max(0.0, (a_star - spec.b) / spec.a)))
-    n_trans = 1 + int(math.ceil(max(0.0, lattice * a_star - spec.b)))
+    n_direct = _count_to(a_star, spec.b, spec.a)
+    n_trans = _count_to(spacing * spec.a * a_star, spec.b)
     if spec.family is Family.EXP_WEIGHTED and spec.c > 0.0:
         # geometric damping caps the direct count
         scale = hurwitz_tail_bound(spec.s, spec.b)
@@ -334,23 +275,19 @@ class TransformReport:
             raise DomainError("speedup_estimate must be positive")
 
     def to_json_dict(self):
-        return {
-            "lhs_value": self.lhs_value,
-            "rhs_value": self.rhs_value,
-            "lhs_terms": self.lhs_terms,
-            "rhs_terms": self.rhs_terms,
-            "agreement": self.agreement,
-            "speedup_estimate": self.speedup_estimate,
-        }
+        return asdict(self)
 
 
-def compare_methods(s, a, b, tol, *, stop=StopRule.TERM_FLOOR):
-    """Run both routes of the affine sum and report their agreement."""
+def _timed_compare(s, a, b, tol, stop):
+    """compare_methods plus the wall time of each route in ms."""
+    t0 = time.perf_counter()
     direct = eval_direct(
         SumSpec(family=Family.GENERAL_AB, s=s, a=a, b=b, tol=tol), stop=stop
     )
+    t1 = time.perf_counter()
     trans = kappa_ab_transformed(s, a, b, tol, stop=stop)
-    return TransformReport(
+    t2 = time.perf_counter()
+    report = TransformReport(
         lhs_value=direct.value,
         rhs_value=trans.value,
         lhs_terms=direct.terms_used,
@@ -358,3 +295,9 @@ def compare_methods(s, a, b, tol, *, stop=StopRule.TERM_FLOOR):
         agreement=abs(direct.value - trans.value),
         speedup_estimate=direct.terms_used / trans.terms_used,
     )
+    return report, (t1 - t0) * 1e3, (t2 - t1) * 1e3
+
+
+def compare_methods(s, a, b, tol, *, stop=StopRule.TERM_FLOOR):
+    """Run both routes of the affine sum and report their agreement."""
+    return _timed_compare(s, a, b, tol, stop)[0]

@@ -108,6 +108,28 @@ def _choose_cutoff(s, alpha, target):
     raise QuadratureError("could not place the upper cutoff for these parameters")
 
 
+def _laplace_quad(name, s, s_min, alpha, spec, denom):
+    """Gamma(s)^-1 times the integral of x^(s-1) e^(-alpha x) / denom(x) over
+    (0, inf), as (value, err_estimate)."""
+    if spec is None:
+        spec = QuadratureSpec()
+    if not isinstance(spec, QuadratureSpec):
+        raise DomainError("spec must be a QuadratureSpec")
+    if not (math.isfinite(s) and s >= s_min):
+        raise DomainError(f"{name} requires s >= {s_min}")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise DomainError("alpha must be positive")
+    gam = gamma_fn(s)
+    target_integral = spec.target_abs * gam / 10.0
+    cutoff = spec.upper_cutoff or _choose_cutoff(s, alpha, target_integral)
+
+    def f(x):
+        return x ** (s - 1.0) * math.exp(-alpha * x) / denom(x)
+
+    val, err = _tanh_sinh(f, cutoff, spec.levels, target_integral)
+    return val / gam, (err + target_integral) / gam
+
+
 def quad_hurwitz(s, alpha, spec=None):
     """Hurwitz zeta via its Laplace integral, independent of the series route.
 
@@ -116,23 +138,7 @@ def quad_hurwitz(s, alpha, spec=None):
     target).  Returns (value, err_estimate) where err_estimate reflects the
     final refinement step plus the truncation remainder.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    if not isinstance(spec, QuadratureSpec):
-        raise DomainError("spec must be a QuadratureSpec")
-    if not (math.isfinite(s) and s >= 2.5):
-        raise DomainError("quad_hurwitz requires s >= 2.5")
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError("alpha must be positive")
-    gam = gamma_fn(s)
-    target_integral = spec.target_abs * gam / 10.0
-    cutoff = spec.upper_cutoff or _choose_cutoff(s, alpha, target_integral)
-
-    def f(x):
-        return x ** (s - 1.0) * math.exp(-alpha * x) / -math.expm1(-x)
-
-    val, err = _tanh_sinh(f, cutoff, spec.levels, target_integral)
-    return val / gam, (err + target_integral) / gam
+    return _laplace_quad("quad_hurwitz", s, 2.5, alpha, spec, lambda x: -math.expm1(-x))
 
 
 def quad_eta_split(s, alpha, spec=None):
@@ -140,38 +146,23 @@ def quad_eta_split(s, alpha, spec=None):
     equal to 2^-s * (zeta(s, alpha/2) - zeta(s, (alpha+1)/2)).  Valid for
     s >= 1.5 (the x -> 0 endpoint is x^(s-1)/2, mild).  Returns
     (value, err_estimate)."""
-    if spec is None:
-        spec = QuadratureSpec()
-    if not isinstance(spec, QuadratureSpec):
-        raise DomainError("spec must be a QuadratureSpec")
-    if not (math.isfinite(s) and s >= 1.5):
-        raise DomainError("quad_eta_split requires s >= 1.5")
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError("alpha must be positive")
-    gam = gamma_fn(s)
-    target_integral = spec.target_abs * gam / 10.0
-    cutoff = spec.upper_cutoff or _choose_cutoff(s, alpha, target_integral)
-
-    def f(x):
-        return x ** (s - 1.0) * math.exp(-alpha * x) / (1.0 + math.exp(-x))
-
-    val, err = _tanh_sinh(f, cutoff, spec.levels, target_integral)
-    return val / gam, (err + target_integral) / gam
+    return _laplace_quad("quad_eta_split", s, 1.5, alpha, spec, lambda x: 1.0 + math.exp(-x))
 
 
-def brute_power_sum(m, n):
-    """sum of k^m for k = 1..n, exact integer arithmetic."""
+def _check_power_sum(m, n):
     if not (isinstance(m, int) and isinstance(n, int)):
         raise DomainError("m and n must be integers")
     if m < 0 or n < 0:
         raise DomainError("m and n must be >= 0")
+
+
+def brute_power_sum(m, n):
+    """sum of k^m for k = 1..n, exact integer arithmetic."""
+    _check_power_sum(m, n)
     return sum(k ** m for k in range(1, n + 1))
 
 
 def brute_alt_power_sum(m, n):
     """sum of (-1)^(k-1) k^m for k = 1..n, exact integer arithmetic."""
-    if not (isinstance(m, int) and isinstance(n, int)):
-        raise DomainError("m and n must be integers")
-    if m < 0 or n < 0:
-        raise DomainError("m and n must be >= 0")
+    _check_power_sum(m, n)
     return sum((k ** m if k % 2 else -(k ** m)) for k in range(1, n + 1))

@@ -52,6 +52,33 @@ class TestEval:
         assert err.startswith("error:")
         assert "requires s > 5" in err
 
+    def test_m_on_unweighted_family_exit_two(self, capsys):
+        code, _, err = run(capsys, "eval", "--family", "kappa", "--m", "2", "--s", "3")
+        assert code == 2
+        assert err.startswith("error:") and "moment" in err
+
+    @pytest.mark.parametrize("argv, method", [
+        (("kappa", "--s", "3"), "CLOSED_FORM"),
+        (("kappa-alt", "--s", "1.5"), "CLOSED_FORM"),
+        (("moment", "--m", "3", "--s", "6.5"), "CLOSED_FORM"),
+        (("moment-alt", "--m", "2", "--s", "4"), "CLOSED_FORM"),
+        (("moment-alt", "--m", "3", "--s", "5"), "DIRECT"),
+        (("even-arg-moment", "--m", "1", "--s", "4"), "CLOSED_FORM"),
+        (("even-arg-moment", "--m", "3", "--s", "6"), "DIRECT"),
+        (("shifted", "--s", "3", "--a", "0.5"), "CLOSED_FORM"),
+        (("shifted-alt", "--s", "2", "--a", "0.3"), "CLOSED_FORM"),
+        (("general-ab", "--s", "4", "--a", "0.01"), "TRANSFORMED"),
+        (("general-ab", "--s", "3", "--a", "9"), "DIRECT"),
+        (("general-ab-alt", "--s", "3", "--a", "0.05"), "TRANSFORMED"),
+        (("general-ab-alt", "--s", "3", "--a", "5"), "DIRECT"),
+        (("exp-weighted", "--s", "3", "--a", "0.01", "--c", "0.01"), "TRANSFORMED"),
+        (("exp-weighted", "--s", "3", "--a", "5", "--c", "0.01"), "DIRECT"),
+    ])
+    def test_auto_route(self, capsys, argv, method):
+        code, out, _ = run(capsys, "eval", "--family", *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["method"] == method
+
     def test_closed_unavailable_exit_two(self, capsys):
         code, _, err = run(capsys, "eval", "--family", "general-ab", "--s", "4",
                            "--a", "0.5", "--b", "1", "--method", "closed")

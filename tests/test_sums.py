@@ -1,6 +1,7 @@
 """Direct summation engine: stopping rules, certified bounds, inner kernels."""
 
 import math
+import time
 
 import pytest
 
@@ -58,6 +59,17 @@ class TestSumSpecInvariants:
             spec(Family.MOMENT, 8.0, m=13)
         with pytest.raises(DomainError):
             spec(Family.KAPPA, float("nan"))
+
+    def test_m_only_for_moment_families(self):
+        # kappa-alt at s = 1.5 with m = 2 would be a divergent series
+        with pytest.raises(DomainError, match="moment"):
+            SumSpec(family=Family.KAPPA_ALT, s=1.5, m=2)
+        for fam in (Family.KAPPA, Family.SHIFTED, Family.GENERAL_AB,
+                    Family.GENERAL_AB_ALT, Family.EXP_WEIGHTED):
+            with pytest.raises(DomainError, match="moment"):
+                spec(fam, 8.0, m=1)
+        for fam in (Family.MOMENT, Family.MOMENT_ALT, Family.EVEN_ARG_MOMENT):
+            assert spec(fam, 8.0, m=2).m == 2
 
     def test_tolerance_required(self):
         with pytest.raises(DomainError):
@@ -139,6 +151,20 @@ class TestStoppingRules:
         assert term_budget() == 3
         with pytest.raises(TermBudgetError):
             eval_direct(spec(Family.GENERAL_AB, 2.5, a=0.01, b=1.0, tol=T8))
+
+    def test_floor_count_past_budget_fails_at_once(self, monkeypatch):
+        # the floor sits ~4e14 terms out, so the default budget cannot reach it
+        monkeypatch.delenv("ZS_TERM_BUDGET", raising=False)
+        t0 = time.perf_counter()
+        with pytest.raises(TermBudgetError, match="kappa-alt exceeded the term budget"):
+            eval_direct(spec(Family.KAPPA_ALT, 1.5, tol=T8), stop=StopRule.TERM_FLOOR)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_floor_count_never_refuses_a_finishing_run(self, monkeypatch):
+        sp = spec(Family.GENERAL_AB, 4.0, a=0.1, b=1.0, tol=T8)
+        full = eval_direct(sp, stop=StopRule.TERM_FLOOR)
+        monkeypatch.setenv("ZS_TERM_BUDGET", str(full.terms_used))
+        assert eval_direct(sp, stop=StopRule.TERM_FLOOR) == full
 
     def test_budget_env_override_roundtrip(self, monkeypatch):
         monkeypatch.delenv("ZS_TERM_BUDGET", raising=False)

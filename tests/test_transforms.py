@@ -1,6 +1,7 @@
 """Lattice transformations: small-a acceleration and its bookkeeping."""
 
 import math
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from zetasums import (
     StopRule,
     SumSpec,
     Tolerance,
+    TermBudgetError,
     TransformReport,
     choose_method,
     compare_methods,
@@ -68,6 +70,14 @@ class TestKappaAbAltTransformed:
     def test_domain(self):
         with pytest.raises(DomainError):
             kappa_ab_alt_transformed(1.0, 0.1, 1.0, T8)  # needs s > 1
+
+    def test_floor_count_past_budget_fails_at_once(self, monkeypatch):
+        # the floor on the 1/(2a) lattice sits ~1e7 terms out
+        monkeypatch.setenv("ZS_TERM_BUDGET", "20000")
+        t0 = time.perf_counter()
+        with pytest.raises(TermBudgetError, match=r"term budget \(20000\)"):
+            kappa_ab_alt_transformed(2.0, 0.5, 1.5, T8, stop=StopRule.TERM_FLOOR)
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestCorollary:
