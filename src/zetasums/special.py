@@ -253,46 +253,92 @@ def fp_slop(gross):
 _HURWITZ_N_CAP = 4_000_000
 
 
+# An Euler-Maclaurin order stops once its first omitted term is this small
+# against the head term: past it the envelope no longer shows in the bound.
+_EM_NEGLIGIBLE = EPS * 2.0 ** -20
+# (C_{r+1}/C_r, 2r - 1, 2r) for r = 1 .. _EM_MAX_ORDER: the correction
+# C_r (s)_{2r-1} z^{-s-2r+1} times ratio (s+2r-1)(s+2r)/z^2 is the next one
+_EM_STEPS = tuple(
+    (_EM_C[r + 1] / _EM_C[r], 2.0 * r - 1.0, 2.0 * r) for r in range(1, _EM_MAX_ORDER + 1)
+)
+
+
 def _hurwitz_core(s, alpha, target):
     """zeta(s, alpha) for s > 1, alpha > 0 with a certified absolute bound.
 
     Returns (value, bound).  target is advisory: the split point grows until
     the certified bound drops below it or the cap is hit; the achieved bound
     is always reported honestly.  No domain validation here.
+
+    The first split point N puts z = N + alpha at or past 20 (2 ceil(s) for
+    s >= 10), where the corrections shrink fast; z = alpha when alpha is
+    already there.  The rounding of n + alpha would grow by a factor s in
+    (n + alpha)^-s, so it is compensated to first order: x = fl(n + alpha)
+    misses by d exactly (Fast2Sum), and x^-s (1 - s d/x) is the term.
     """
-    n_terms = 10
-    if s > n_terms:
-        n_terms = int(math.ceil(s))
+    split = 20 if s < 10.0 else 2 * math.ceil(s)
+    n_terms = min(max(0, math.ceil(split - alpha)), _HURWITZ_N_CAP)
+    neg_s = -s
+    # explicit terms so far: Neumaier pair, and the sum of x^-s d/x
+    part_hi = part_lo = drift = 0.0
+    n_done = 0
     best = None
     while True:
+        for n in map(float, range(n_done, n_terms)):
+            x = n + alpha
+            d = alpha - (x - n) if n >= alpha else n - (x - alpha)
+            t = x ** neg_s
+            drift += t * d / x
+            # terms fall with n, so part_hi >= t (or part_hi = 0, where the
+            # sum is exact): Fast2Sum needs no branch
+            hi = part_hi + t
+            part_lo += (part_hi - hi) + t
+            part_hi = hi
+        n_done = n_terms
         z = n_terms + alpha
-        acc = NSum()
-        for n in range(n_terms):
-            acc.add((n + alpha) ** -s)
-        zs = z ** -s
-        acc.add(zs * z / (s - 1.0))
-        acc.add(0.5 * zs)
-        # corrections: C_r * (s)_{2r-1} * z^{-s-2r+1}, enveloping remainder
+        dz = (alpha - (z - n_terms) if n_terms >= alpha else n_terms - (z - alpha)) / z
+        zs = z ** neg_s
+        head = zs * z / (s - 1.0)
+        half = 0.5 * zs
+        lo = part_lo - s * drift - dz * ((s - 1.0) * head + s * half)
+        hi = part_hi + head
+        if part_hi >= head:
+            lo += (part_hi - hi) + head
+        else:
+            lo += (head - hi) + part_hi
+        # from here on hi >= head > half > |every correction| (z >= 20 and
+        # z >= 2s make the first correction < head/48): Fast2Sum needs no branch
+        t = hi + half
+        lo += (hi - t) + half
+        hi = t
+        # every explicit term is positive, so their sum is also their gross
+        gross = part_hi + part_lo + head + half
+        # corrections in order; their magnitudes are log-convex in r, so the
+        # first one that does not shrink is the smallest first omitted term.
+        # The first, z^{-s-1}, carries its first-order factor for the rounding
+        # of z; the later ones, each under 1/100 of it, inherit that factor
+        # through the recurrence, and what it misses, (2r - 2) dz of each,
+        # sits far inside the rounding charge.
         z2 = 1.0 / (z * z)
-        poch = s  # (s)_{2r-1} built incrementally
-        zpow = zs / z  # z^{-s-2r+1} at r=1
-        corr = []
-        for r in range(1, _EM_MAX_ORDER + 2):
-            corr.append(_EM_C[r] * poch * zpow)
-            poch *= (s + 2 * r - 1) * (s + 2 * r)
-            zpow *= z2
-        # choose the order minimizing the first omitted term
-        best_j = 0
-        best_env = abs(corr[0])
-        for j in range(1, _EM_MAX_ORDER + 1):
-            env = abs(corr[j])  # first omitted after using corr[0..j-1]
-            if env < best_env:
-                best_j, best_env = j, env
-        for j in range(best_j):
-            acc.add(corr[j])
-        envelope = best_env
-        value = acc.total()
-        bound = envelope + fp_slop(acc.gross)
+        corr = _EM_C[1] * s * zs / z * (1.0 - (s + 1.0) * dz)
+        env = abs(corr)
+        negligible = _EM_NEGLIGIBLE * head
+        for ratio, k1, k2 in _EM_STEPS:
+            if env <= negligible:
+                break
+            nxt = corr * ratio * (s + k1) * (s + k2) * z2
+            if abs(nxt) >= env:
+                break
+            t = hi + corr
+            lo += (hi - t) + corr
+            hi = t
+            gross += env
+            corr = nxt
+            env = abs(nxt)
+        value = hi + lo
+        # (s EPS)^2 per unit of gross covers the second-order remainder of
+        # every compensated addend
+        bound = env + fp_slop(gross) + (s * EPS) ** 2 * gross
         improved = best is None or bound < 0.5 * best[1]
         if best is None or bound < best[1]:
             best = (value, bound)
@@ -301,7 +347,7 @@ def _hurwitz_core(s, alpha, target):
         if not improved:
             # bound is rounding-floor limited; more terms only add gross
             return best
-        n_terms = min(2 * n_terms, _HURWITZ_N_CAP)
+        n_terms = min(max(2 * n_terms, 1), _HURWITZ_N_CAP)
 
 
 def hurwitz_zeta(s, alpha, tol):

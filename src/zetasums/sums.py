@@ -98,7 +98,7 @@ def convergence_threshold(family, m=0, c=0.0, sign=Sign.PLUS):
     if not isinstance(family, Family):
         raise DomainError(f"unknown family {family!r}")
     rule = _RULES[_unweighted(family, c, sign)]
-    return rule.s_min + m if rule.uses_m else rule.s_min
+    return rule.s_min + m if "m" in rule.params else rule.s_min
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,6 @@ class SumSpec:
         if not isinstance(self.tol, Tolerance):
             raise DomainError("tol must be a Tolerance")
         _require_m(self.m, f"family {self.family.value}")
-        if self.m and not _RULES[self.family].uses_m:
-            raise DomainError(
-                f"family {self.family.value} has no k^m weight, got m = {self.m}; use "
-                "moment, moment-alt or even-arg-moment"
-            )
         for name in ("s", "a", "b", "c"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
@@ -135,6 +130,16 @@ class SumSpec:
             raise DomainError("c must be >= 0")
         if 0.0 < self.c <= BOUNDARY_MARGIN:
             raise DomainError("c is within 1e-12 of 0; use c = 0 exactly")
+        params = _RULES[self.family].params
+        for name in ("m", "a", "b", "c", "sign"):
+            value = getattr(self, name)
+            if name not in params and value != getattr(SumSpec, name):
+                users = [f.value for f, rule in _RULES.items() if name in rule.params]
+                raise DomainError(
+                    f"family {self.family.value} does not take {name}, got {name} = "
+                    f"{value.value if isinstance(value, Sign) else value}; families "
+                    f"that take it: {', '.join(users)}"
+                )
         need = convergence_threshold(self.family, self.m, self.c, self.sign)
         if self.s - need <= BOUNDARY_MARGIN:
             raise DomainError(
@@ -284,18 +289,18 @@ def _damped_tail(spec, K, budget):
 
 # --- strip integrals: D(s, A, h) = integral of zeta(s, x) over [A, A+h] ----
 
-def _powdiff_over(x, y, p):
-    """(x^p - y^p)/p, stable as p -> 0, for 0 < x < y."""
-    L = p * math.log(y / x)
-    if abs(L) < 1e-3:
-        phi = 1.0 + L / 2.0 + L * L / 6.0 + L * L * L / 24.0
-        return -(x ** p) * math.log(y / x) * phi
-    return -(x ** p) * math.expm1(L) / p
-
-
 def _int_power(K, A, h, p):
-    """integral of (K + x)^p over x in [A, A+h]."""
-    return -_powdiff_over(K + A, K + A + h, p + 1.0)
+    """integral of (K + x)^p over x in [A, A+h]: (y^q - x^q)/q with q = p + 1,
+    x = K + A and y = x + h.  log(y/x) is taken as log1p(h/x): from a rounded
+    y / x its relative error would be eps/log(y/x), hundreds of ulps on the
+    thin strips of the alternating tails.  expm1 keeps small q accurate;
+    q = 0 gives the log itself."""
+    x = K + A
+    q = p + 1.0
+    lg = math.log1p(h / x)
+    if q == 0.0:
+        return lg
+    return x ** q * math.expm1(q * lg) / q
 
 
 _STRIP_SPLIT = 24
@@ -371,10 +376,12 @@ class _Rule:
     """One family.  Term n >= 0 is weight(spec, n) * zeta(s, h*n + x0), with
     (h, x0) = lattice(spec); tail(spec, n, budget) encloses what follows the
     first n terms; closed(spec) is the exact ZetaCombination or None.  The
-    sum needs s > s_min, plus m where uses_m; other families take m = 0."""
+    sum needs s > s_min, plus m where it takes m.  params names the SumSpec
+    fields among m, a, b, c and sign that the family reads; the others must
+    keep their defaults."""
 
     s_min: float
-    uses_m: bool
+    params: frozenset
     weight: Callable
     lattice: Callable
     tail: Callable
@@ -383,38 +390,43 @@ class _Rule:
 
 _RULES = {
     Family.KAPPA: _Rule(
-        2.0, False, _plain, lambda spec: (1.0, 1.0), _moment_tail,
+        2.0, frozenset(), _plain, lambda spec: (1.0, 1.0), _moment_tail,
         lambda spec: kappa_combination(),
     ),
     Family.KAPPA_ALT: _Rule(
-        1.0, False, _alternating, lambda spec: (1.0, 1.0), _moment_alt_tail,
+        1.0, frozenset(), _alternating, lambda spec: (1.0, 1.0), _moment_alt_tail,
         lambda spec: kappa_alt_combination(),
     ),
     Family.MOMENT: _Rule(
-        2.0, True, _plain, lambda spec: (1.0, 1.0), _moment_tail,
+        2.0, frozenset({"m"}), _plain, lambda spec: (1.0, 1.0), _moment_tail,
         lambda spec: moment_combination(spec.m),
     ),
     Family.MOMENT_ALT: _Rule(
-        1.0, True, _alternating, lambda spec: (1.0, 1.0), _moment_alt_tail,
+        1.0, frozenset({"m"}), _alternating, lambda spec: (1.0, 1.0), _moment_alt_tail,
         lambda spec: moment_alt_combination(spec.m),
     ),
     Family.EVEN_ARG_MOMENT: _Rule(
-        2.0, True, _plain, lambda spec: (2.0, 2.0), _even_arg_tail,
+        2.0, frozenset({"m"}), _plain, lambda spec: (2.0, 2.0), _even_arg_tail,
         lambda spec: even_arg_moment_combination(spec.m),
     ),
     Family.SHIFTED: _Rule(
-        2.0, False, _plain, lambda spec: (1.0, spec.a), _affine_tail,
+        2.0, frozenset({"a"}), _plain, lambda spec: (1.0, spec.a), _affine_tail,
         lambda spec: shifted_combination(spec.a),
     ),
     Family.SHIFTED_ALT: _Rule(
-        1.0, False, _alternating, lambda spec: (1.0, spec.a), _alt_affine_tail,
+        1.0, frozenset({"a"}), _alternating, lambda spec: (1.0, spec.a), _alt_affine_tail,
         lambda spec: shifted_alt_combination(spec.a),
     ),
-    Family.GENERAL_AB: _Rule(2.0, False, _plain, lambda spec: (spec.a, spec.b), _affine_tail),
-    Family.GENERAL_AB_ALT: _Rule(
-        1.0, False, _alternating, lambda spec: (spec.a, spec.b), _alt_affine_tail
+    Family.GENERAL_AB: _Rule(
+        2.0, frozenset({"a", "b"}), _plain, lambda spec: (spec.a, spec.b), _affine_tail
     ),
-    Family.EXP_WEIGHTED: _Rule(1.0, False, _damped, lambda spec: (spec.a, spec.b), _damped_tail),
+    Family.GENERAL_AB_ALT: _Rule(
+        1.0, frozenset({"a", "b"}), _alternating, lambda spec: (spec.a, spec.b), _alt_affine_tail
+    ),
+    Family.EXP_WEIGHTED: _Rule(
+        1.0, frozenset({"a", "b", "c", "sign"}), _damped,
+        lambda spec: (spec.a, spec.b), _damped_tail,
+    ),
 }
 
 
@@ -440,15 +452,20 @@ def _closed_route(spec):
 # The summation loop shared by every series route.
 
 def floor_crossing_arg(s, abs_tol):
-    """Argument at which a bare zeta value crosses the 10*abs_tol floor."""
-    return ((s - 1.0) * 10.0 * abs_tol) ** (1.0 / (1.0 - s))
+    """Argument at which a bare zeta value crosses the 10*abs_tol floor;
+    math.inf where that lies beyond double range (s close to 1)."""
+    try:
+        return ((s - 1.0) * 10.0 * abs_tol) ** (1.0 / (1.0 - s))
+    except OverflowError:
+        return math.inf
 
 
 def _count_to(x, x0, h=1.0):
-    """Number of lattice points h*n + x0, n >= 0, up to the first one >= x.
-    At x = floor_crossing_arg it is the TERM_FLOOR count, a lower bound since
-    zeta(s, x) >= x^(1-s)/(s-1)."""
-    return 1 + int(math.ceil(max(0.0, (x - x0) / h)))
+    """Number of lattice points h*n + x0, n >= 0, up to the first one >= x;
+    math.inf for x = math.inf.  At x = floor_crossing_arg it is the
+    TERM_FLOOR count, a lower bound since zeta(s, x) >= x^(1-s)/(s-1)."""
+    steps = max(0.0, (x - x0) / h)
+    return 1 + int(math.ceil(steps)) if math.isfinite(steps) else math.inf
 
 
 def _run_series(term, tail, tol, stop, method, count, over_budget, bare=None):

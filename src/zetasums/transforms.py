@@ -242,7 +242,8 @@ def _run_transformed(spec, stop=StopRule.EARLIEST):
 
 def choose_method(spec):
     """Pick the cheaper route for a transformable family by comparing floor
-    counts on both lattices.  Ties go to the transformation."""
+    counts on both lattices; near s = 1 both can be infinite.  Ties go to the
+    transformation."""
     if not isinstance(spec, SumSpec):
         raise DomainError("spec must be a SumSpec")
     spacing = _transformation(spec.family)[1]

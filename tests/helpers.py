@@ -1,15 +1,20 @@
 """Elementary reference brackets used by the tests.
 
 Everything here is deliberately low-tech: partial sums plus convexity
-brackets, and a Laplace-integral route through the package's tanh-sinh
-integrator.  None of it touches the Euler-Maclaurin corrections or the
-Bernoulli table that the library's own evaluators rely on, so agreement is
-a genuine two-route check rather than the same code grading itself.
+brackets, a Laplace-integral route through the package's tanh-sinh
+integrator, and a decimal Euler-Maclaurin sum far past double precision.
+Only the last shares anything with the library's own evaluators, and that is
+the exact Bernoulli fractions (checked against known values in
+test_special); its split point, order and arithmetic are its own, so
+agreement is a genuine two-route check rather than the same code grading
+itself.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 from zetasums import Sign, gamma_fn
+from zetasums.special import _BERN
 from zetasums.verification import _tanh_sinh
 
 
@@ -33,6 +38,33 @@ def sandwich_hurwitz(s, alpha, n=10000):
     pad = 8e-16 * (partial + abs(lo - partial))
     assert lo <= hi + pad
     return lo - pad, hi + pad
+
+
+def decimal_hurwitz(s, alpha, digits=64):
+    """zeta(s, alpha) for the exact binary64 inputs s > 1, alpha > 0, as a
+    Decimal good to about `digits` significant digits.
+
+    Explicit terms run to z = n + alpha >= 2(s + 60), so every Euler-Maclaurin
+    correction ratio (s+2r-1)(s+2r)/(4 pi^2 z^2) through r = 30 stays below
+    1/(16 pi^2) and the 30 corrections shrink the remainder far below
+    10^-digits of the head term.  mpmath.zeta is not used: at large s and
+    alpha it can be off by 1e-11 relative.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits + 12
+        S, A = Decimal(s), Decimal(alpha)
+        n = max(0, math.ceil(2.0 * (s + 60.0) - alpha))
+        acc = sum((A + k) ** -S for k in range(n)) if n else Decimal(0)
+        z = A + n
+        zs = z ** -S
+        acc += zs * z / (S - 1) + zs / 2
+        poch, zpow, z2 = S, zs / z, z * z
+        for r in range(1, 31):
+            b = _BERN[2 * r]
+            acc += Decimal(b.numerator) / Decimal(b.denominator * math.factorial(2 * r)) * poch * zpow
+            poch *= (S + 2 * r - 1) * (S + 2 * r)
+            zpow /= z2
+        return +acc
 
 
 def sandwich_lerch(zv, s, alpha, n=4000):

@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -78,6 +79,41 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--family", *argv, "--format", "json")
         assert code == 0
         assert json.loads(out)["method"] == method
+
+    def test_floor_count_beyond_double_range_is_a_typed_error(self, capsys, monkeypatch):
+        # near s = 1 the floor crossing overflows a double; it counts as past
+        # the budget instead of escaping as an OverflowError
+        monkeypatch.delenv("ZS_TERM_BUDGET", raising=False)
+        start = time.perf_counter()
+        code, _, err = run(capsys, "eval", "--family", "kappa-alt", "--s", "1.001",
+                           "--stop", "term-floor", "--method", "direct")
+        assert code == 2 and err.startswith("error:") and "term budget" in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("argv, method, other", [
+        # two infinite floor counts tie, and ties go to the transformation
+        (("general-ab-alt", "--s", "1.001", "--a", "0.5", "--b", "1"),
+         "TRANSFORMED", "direct"),
+        # the geometric cap keeps the direct count finite
+        (("exp-weighted", "--s", "1.001", "--a", "0.5", "--c", "0.5"),
+         "DIRECT", "transformed"),
+    ])
+    def test_auto_route_with_infinite_floor_count(self, capsys, argv, method, other):
+        code, out, _ = run(capsys, "eval", "--family", *argv, "--format", "json")
+        assert code == 0
+        auto = json.loads(out)
+        assert auto["method"] == method
+        code, out, _ = run(capsys, "eval", "--family", *argv, "--format", "json",
+                           "--method", other)
+        assert code == 0
+        ref = json.loads(out)
+        assert abs(auto["value"] - ref["value"]) <= auto["tail_bound"] + ref["tail_bound"]
+
+    def test_unused_parameter_exit_two(self, capsys):
+        code, _, err = run(capsys, "eval", "--family", "general-ab", "--s", "3",
+                           "--a", "0.5", "--c", "0.7", "--method", "direct")
+        assert code == 2
+        assert err.startswith("error:") and "exp-weighted" in err
 
     def test_closed_unavailable_exit_two(self, capsys):
         code, _, err = run(capsys, "eval", "--family", "general-ab", "--s", "4",

@@ -1,11 +1,12 @@
 """Scalar special-function layer: values, brackets, and domain checks."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from helpers import in_bracket, sandwich_hurwitz, sandwich_lerch
+from helpers import decimal_hurwitz, in_bracket, sandwich_hurwitz, sandwich_lerch
 from zetasums import (
     DomainError,
     Tolerance,
@@ -19,6 +20,7 @@ from zetasums import (
     pochhammer,
     riemann_zeta,
 )
+from zetasums.special import _hurwitz_core
 
 T12 = Tolerance(1e-12)
 
@@ -139,6 +141,20 @@ class TestHurwitzZeta:
     def test_tolerance_type_enforced(self):
         with pytest.raises(DomainError):
             hurwitz_zeta(2.0, 1.0, 1e-12)
+
+    @pytest.mark.parametrize("s, alpha", [
+        (32.74005690148546, 127.04007292137986),
+        (10.363232495351646, 124.88269033387552),
+        (15.35586856418432, 15.657928333502765),
+        (16.901723796238436, 121.55584156320954),
+        (47.19229537714359, 978.523526022704),
+        (21.19903544245385, 237.08465435622966),
+    ])
+    def test_kernel_encloses_at_inexact_split(self, s, alpha):
+        # the rounding of n + alpha and N + alpha grows by a factor s in the
+        # powers; uncompensated it broke the kernel's bound by up to 6x here
+        value, bound = _hurwitz_core(s, alpha, 1e-10)
+        assert abs(Decimal(value) - decimal_hurwitz(s, alpha)) <= Decimal(bound)
 
 
 class TestTailBound:

@@ -2,6 +2,7 @@
 
 import math
 import time
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -23,12 +24,15 @@ from zetasums import (
     floor_crossing_arg,
     hurwitz_tail_bound,
     inner_power_sum,
+    kappa_ab_alt_transformed,
     kappa_closed,
     moment_alt_closed,
     moment_closed,
     shifted_closed,
     term_budget,
 )
+from zetasums.special import EPS
+from zetasums.sums import _int_power
 
 T8 = Tolerance(1e-8)
 T10 = Tolerance(1e-10)
@@ -70,6 +74,23 @@ class TestSumSpecInvariants:
                 spec(fam, 8.0, m=1)
         for fam in (Family.MOMENT, Family.MOMENT_ALT, Family.EVEN_ARG_MOMENT):
             assert spec(fam, 8.0, m=2).m == 2
+
+    def test_unused_parameters_rejected(self):
+        # each family takes only the parameters it reads; the error names
+        # the families that do take the one given
+        cases = [
+            (Family.GENERAL_AB, dict(a=0.5, c=0.7), "exp-weighted"),
+            (Family.GENERAL_AB_ALT, dict(sign=Sign.MINUS), "exp-weighted"),
+            (Family.SHIFTED, dict(a=0.5, b=2.0), "general-ab, general-ab-alt"),
+            (Family.KAPPA, dict(a=0.5), "shifted, shifted-alt"),
+            (Family.MOMENT, dict(m=1, b=0.5), "general-ab"),
+        ]
+        for fam, kw, users in cases:
+            with pytest.raises(DomainError, match=users):
+                spec(fam, 8.0, **kw)
+        # defaults are accepted on every family, and used fields everywhere
+        assert spec(Family.KAPPA, 3.0, a=1.0, b=1.0, c=0.0, sign=Sign.PLUS).a == 1.0
+        assert spec(Family.EXP_WEIGHTED, 3.0, a=0.5, b=2.0, c=0.7, sign=Sign.MINUS).c == 0.7
 
     def test_tolerance_required(self):
         with pytest.raises(DomainError):
@@ -193,6 +214,32 @@ class TestTailBoundHonesty:
                 )
             )
             assert abs(coarse.value - fine.value) <= coarse.tail_bound, sp.family
+
+    def test_thin_strip_power_integral(self):
+        # the strip integrals under the alternating tails take log(y/x) of a
+        # thin strip; formed from a rounded y / x it lost ~700 ulps here
+        K, A, h = 24, 2.282, 0.03742738339950363
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for p in (-1.0289991453508365, -0.0289991453508365, -1.0, -4.03):
+                q = Decimal(p) + 1
+                x = Decimal(K + A)  # the rounded left end is the strip's start
+                exact = ((x + Decimal(h)) ** q - x ** q) / q if q else (1 + Decimal(h) / x).ln()
+                got = _int_power(K, A, h, p)
+                assert abs(Decimal(got) - exact) <= Decimal(4 * EPS) * abs(exact), p
+
+    def test_alternating_affine_tail_encloses_near_pole(self):
+        # identity 4.3 at s - 1 = 0.029: both routes missed the reference by
+        # 1.5-2x their bounds, from the paired strip tail
+        s, a, b = 1.0289991453508365, 0.03742738339950363, 1.6837965462797502
+        # (1/Gamma(s)) * integral of x^(s-1) e^(-bx) / ((1 - e^-x)(1 + e^-ax)),
+        # by mpmath quadrature after x = u^(1/(s-1)), at 30 and 45 digits
+        ref = 17.151455984738707
+        tol = Tolerance(5.568985879011138e-11)
+        direct = eval_direct(spec(Family.GENERAL_AB_ALT, s, a=a, b=b, tol=tol))
+        trans = kappa_ab_alt_transformed(s, a, b, tol)
+        for r in (direct, trans):
+            assert abs(r.value - ref) <= r.tail_bound, r.method
 
 
 class TestInnerPowerSums:
