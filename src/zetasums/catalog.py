@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import DomainError
 from .special import Tolerance
-from .sums import _RULES, Family, Sign, StopRule, SumSpec, eval_direct, _closed_route
+from .sums import _RULES, Family, Sign, StopRule, SumSpec, eval_direct, _affine, _closed_route
 from .transforms import _run_transformed
 
 DEFAULT_IDENTITY_TOL = Tolerance(1e-10)
@@ -99,8 +99,7 @@ def _spec(key, p, tol):
     kwargs = {k: v for k, v in p.items() if k != "s"}
     if key == "corollary":
         # b = a, on the plain or alternating lattice as the sign says
-        if kwargs.pop("sign") is Sign.MINUS:
-            family = Family.GENERAL_AB_ALT
+        family = _affine(kwargs.pop("sign"))
         kwargs["b"] = kwargs["a"]
     return SumSpec(family=family, s=p["s"], m=m, tol=tol, **kwargs)
 

@@ -23,18 +23,22 @@ _IDENTITY_DEFAULT_TOL = 1e-10
 _BENCH_DEFAULT_TOL = 1e-8
 
 
-def _emit(text, output_path):
-    if output_path:
-        with open(output_path, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+def _render(args, rows, csv_header=None, footer=None, payload=None):
+    """Emit rows, each a (json object, csv line, text line) triple, in
+    args.format: a JSON list of the objects (payload in its place when
+    given), the csv header and lines, or the text lines and footer; to
+    args.output when set, else to stdout."""
+    if args.format == "json":
+        text = json.dumps([row[0] for row in rows] if payload is None else payload, sort_keys=True)
+    elif args.format == "csv":
+        text = "\n".join([csv_header] + [row[1] for row in rows])
+    else:
+        text = "\n".join([row[2] for row in rows] + ([] if footer is None else [footer]))
+    if args.output:
+        with open(args.output, "w") as fh:
+            print(text, file=fh)
     else:
         print(text)
-
-
-def _json_text(payload):
-    return json.dumps(payload, sort_keys=True)
 
 
 def _enum_arg(enum, message):
@@ -114,17 +118,13 @@ def cmd_eval(args):
     else:
         r = eval_direct(spec, stop=args.stop)
     record = dict(asdict(r), method=r.method.value)
-
-    if args.format == "json":
-        _emit(_json_text(record), args.output)
-    else:
-        _emit(
-            "value       {value:.10g}\n"
-            "terms_used  {terms_used}\n"
-            "tail_bound  {tail_bound:.10g}\n"
-            "method      {method}".format(**record),
-            args.output,
-        )
+    text = (
+        "value       {value:.10g}\n"
+        "terms_used  {terms_used}\n"
+        "tail_bound  {tail_bound:.10g}\n"
+        "method      {method}".format(**record)
+    )
+    _render(args, [(record, None, text)], payload=record)
     return 0
 
 
@@ -175,14 +175,10 @@ def cmd_identity_check(args):
             reports.append(check_identity(key, tol=tol, **point))
 
     n_fail = sum(1 for r in reports if not r.passed)
-    if args.format == "json":
-        _emit(_json_text([r.to_json_dict() for r in reports]), args.output)
-    else:
-        lines = [_identity_line(r) for r in reports]
-        lines.append(
-            f"{len(reports) - n_fail}/{len(reports)} identities passed"
-        )
-        _emit("\n".join(lines), args.output)
+    _render(
+        args, [(r.to_json_dict(), None, _identity_line(r)) for r in reports],
+        footer=f"{len(reports) - n_fail}/{len(reports)} identities passed",
+    )
     return 1 if n_fail else 0
 
 
@@ -193,75 +189,58 @@ def cmd_benchmark(args):
     tol = Tolerance(args.tol)
     rows = []
     for a in args.a_list:
-        row = {"a": a}
         try:
-            rep, row["_direct_ms"], row["_trans_ms"] = _timed_compare(
+            rep, direct_ms, trans_ms = _timed_compare(
                 args.s, a, args.b, tol, StopRule.TERM_FLOOR
             )
         except TermBudgetError as exc:
-            row["status"] = "term-budget-exceeded"
-            row["detail"] = str(exc)
-            rows.append(row)
+            status = "term-budget-exceeded"
+            rows.append((
+                {"a": a, "status": status, "detail": str(exc)},
+                f"{a!r},,,,,,,{status}",
+                f"a={a:g}: {status} ({exc})",
+            ))
             continue
-        row["report"] = rep.to_json_dict()
-        row["status"] = "ok" if rep.agreement <= tol.abs_tol else "disagree"
-        rows.append(row)
-
-    if args.format == "json":
-        payload = [
-            {k: v for k, v in row.items() if not k.startswith("_")} for row in rows
-        ]
-        _emit(_json_text(payload), args.output)
-    elif args.format == "csv":
-        lines = [
-            "a,direct_terms,transformed_terms,agreement,speedup_estimate,"
-            "direct_ms,transformed_ms,status"
-        ]
-        for row in rows:
-            if "report" in row:
-                rep = row["report"]
-                lines.append(
-                    f"{row['a']!r},{rep['lhs_terms']},{rep['rhs_terms']},"
-                    f"{rep['agreement']!r},{rep['speedup_estimate']!r},"
-                    f"{row['_direct_ms']:.3f},{row['_trans_ms']:.3f},{row['status']}"
-                )
-            else:
-                lines.append(f"{row['a']!r},,,,,,,{row['status']}")
-        _emit("\n".join(lines), args.output)
-    else:
-        lines = []
-        for row in rows:
-            if "report" in row:
-                rep = row["report"]
-                lines.append(
-                    f"a={row['a']:g}: direct {rep['lhs_terms']} terms "
-                    f"({row['_direct_ms']:.2f} ms), transformed {rep['rhs_terms']} terms "
-                    f"({row['_trans_ms']:.2f} ms), agreement {rep['agreement']:.10g}, "
-                    f"speedup {rep['speedup_estimate']:.1f}x [{row['status']}]"
-                )
-            else:
-                lines.append(f"a={row['a']:g}: {row['status']} ({row['detail']})")
-        _emit("\n".join(lines), args.output)
-    return 1 if any(row["status"] == "disagree" for row in rows) else 0
+        status = "ok" if rep.agreement <= tol.abs_tol else "disagree"
+        rows.append((
+            {"a": a, "status": status, "report": rep.to_json_dict()},
+            f"{a!r},{rep.lhs_terms},{rep.rhs_terms},{rep.agreement!r},"
+            f"{rep.speedup_estimate!r},{direct_ms:.3f},{trans_ms:.3f},{status}",
+            f"a={a:g}: direct {rep.lhs_terms} terms ({direct_ms:.2f} ms), transformed "
+            f"{rep.rhs_terms} terms ({trans_ms:.2f} ms), agreement {rep.agreement:.10g}, "
+            f"speedup {rep.speedup_estimate:.1f}x [{status}]",
+        ))
+    _render(
+        args, rows,
+        csv_header="a,direct_terms,transformed_terms,agreement,speedup_estimate,"
+        "direct_ms,transformed_ms,status",
+    )
+    return 1 if any(row[0]["status"] == "disagree" for row in rows) else 0
 
 
 # ---------------------------------------------------------------------------
 # table
 
 def _coeff_rows(family, m_max):
+    """(csv header, rows) of a coefficient table, rows as _render triples."""
     if family == "bernoulli":
-        return [{"n": n, "value": str(bernoulli_fraction(n))} for n in range(0, m_max + 1)]
+        values = [(n, str(bernoulli_fraction(n))) for n in range(0, m_max + 1)]
+        return "n,value", [
+            ({"n": n, "value": v}, f"{n},{v}", f"B_{n} = {v}") for n, v in values
+        ]
     if family not in ("eulerian", "faulhaber"):
         raise DomainError("table --family must be eulerian, faulhaber, or bernoulli")
     build, m_min = (eulerian_polynomial, 1) if family == "eulerian" else (faulhaber_coeffs, 0)
     rows = []
     for m in range(m_min, m_max + 1):
         coeffs = build(m)
-        rows.append(
-            {"m": m, "offset": coeffs.offset,
-             "coefficients": [str(f) for f in coeffs.as_fractions()]}
-        )
-    return rows
+        cs = [str(f) for f in coeffs.as_fractions()]
+        rows.append((
+            {"m": m, "offset": coeffs.offset, "coefficients": cs},
+            f"{m},{coeffs.offset},{' '.join(cs)}",
+            f"m={m} offset={coeffs.offset}: {', '.join(cs)}",
+        ))
+    return "m,offset,coefficients", rows
 
 
 def cmd_table(args):
@@ -269,31 +248,9 @@ def cmd_table(args):
         raise DomainError("table needs exactly one of --identity or --family")
 
     if args.family_table is not None:
-        rows = _coeff_rows(args.family_table, args.m_max)
-        if args.format == "json":
-            _emit(_json_text({"family": args.family_table, "rows": rows}), args.output)
-        elif args.format == "csv":
-            if args.family_table == "bernoulli":
-                lines = ["n,value"] + [f"{r['n']},{r['value']}" for r in rows]
-            else:
-                lines = ["m,offset,coefficients"] + [
-                    "{m},{offset},{c}".format(
-                        m=r["m"], offset=r["offset"], c=" ".join(r["coefficients"])
-                    )
-                    for r in rows
-                ]
-            _emit("\n".join(lines), args.output)
-        else:
-            lines = []
-            for r in rows:
-                if args.family_table == "bernoulli":
-                    lines.append(f"B_{r['n']} = {r['value']}")
-                else:
-                    lines.append(
-                        f"m={r['m']} offset={r['offset']}: "
-                        + ", ".join(r["coefficients"])
-                    )
-            _emit("\n".join(lines), args.output)
+        header, rows = _coeff_rows(args.family_table, args.m_max)
+        payload = {"family": args.family_table, "rows": [row[0] for row in rows]}
+        _render(args, rows, csv_header=header, payload=payload)
         return 0
 
     key = resolve_key(args.identity)
@@ -306,33 +263,20 @@ def cmd_table(args):
         if args.s is None:
             raise DomainError("table --c-grid needs a fixed --s")
         sweep_name, grid = "c", args.c_grid
-    reports = []
+    rows = []
     for x in grid:
         point = _point(args, s=args.s)
         point[sweep_name] = x
-        reports.append((x, check_identity(key, tol=tol, **point)))
-
-    any_fail = any(not rep.passed for _, rep in reports)
-    if args.format == "json":
-        payload = [
+        rep = check_identity(key, tol=tol, **point)
+        rows.append((
             {"identity": rep.identity, sweep_name: x, "lhs": rep.lhs_value,
-             "rhs": rep.rhs_value, "abs_diff": rep.abs_diff,
-             "pass": rep.passed}
-            for x, rep in reports
-        ]
-        _emit(_json_text(payload), args.output)
-    elif args.format == "csv":
-        lines = [f"identity,{sweep_name},lhs,rhs,abs_diff,pass"]
-        for x, rep in reports:
-            lines.append(
-                f"{rep.identity},{x!r},{rep.lhs_value!r},{rep.rhs_value!r},"
-                f"{rep.abs_diff!r},{str(rep.passed).lower()}"
-            )
-        _emit("\n".join(lines), args.output)
-    else:
-        lines = [_identity_line(rep) for _, rep in reports]
-        _emit("\n".join(lines), args.output)
-    return 1 if any_fail else 0
+             "rhs": rep.rhs_value, "abs_diff": rep.abs_diff, "pass": rep.passed},
+            f"{rep.identity},{x!r},{rep.lhs_value!r},{rep.rhs_value!r},"
+            f"{rep.abs_diff!r},{str(rep.passed).lower()}",
+            _identity_line(rep),
+        ))
+    _render(args, rows, csv_header=f"identity,{sweep_name},lhs,rhs,abs_diff,pass")
+    return 1 if any(not row[0]["pass"] for row in rows) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -43,18 +43,15 @@ def term_budget() -> int:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Accuracy request: abs_tol is the certified bound, rel_tol is advisory."""
+    """Accuracy request: abs_tol is the certified absolute bound."""
 
     abs_tol: float
-    rel_tol: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
-            raise DomainError("tolerance fields must be finite")
+        if not math.isfinite(self.abs_tol):
+            raise DomainError("abs_tol must be finite")
         if self.abs_tol < TOL_FLOOR:
             raise DomainError("abs_tol must be at least 2^-52")
-        if self.rel_tol < 0.0:
-            raise DomainError("rel_tol must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -95,18 +92,6 @@ class RationalCoeffs:
 
     def as_fractions(self):
         return tuple(Fraction(n, d) for n, d in zip(self.numerators, self.denominators))
-
-    def eval_fraction(self, n):
-        """Exact value of the represented polynomial at integer/Fraction n."""
-        acc = Fraction(0)
-        power = Fraction(n) ** self.offset
-        for num, den in zip(self.numerators, self.denominators):
-            acc += Fraction(num, den) * power
-            power *= n
-        return acc
-
-    def __len__(self):
-        return len(self.numerators)
 
 
 # ---------------------------------------------------------------------------
@@ -283,71 +268,90 @@ def _hurwitz_core(s, alpha, target):
     part_hi = part_lo = drift = 0.0
     n_done = 0
     best = None
-    while True:
-        for n in map(float, range(n_done, n_terms)):
-            x = n + alpha
-            d = alpha - (x - n) if n >= alpha else n - (x - alpha)
-            t = x ** neg_s
-            drift += t * d / x
-            # terms fall with n, so part_hi >= t (or part_hi = 0, where the
-            # sum is exact): Fast2Sum needs no branch
-            hi = part_hi + t
-            part_lo += (part_hi - hi) + t
-            part_hi = hi
-        n_done = n_terms
-        z = n_terms + alpha
-        dz = (alpha - (z - n_terms) if n_terms >= alpha else n_terms - (z - alpha)) / z
-        zs = z ** neg_s
-        head = zs * z / (s - 1.0)
-        half = 0.5 * zs
-        lo = part_lo - s * drift - dz * ((s - 1.0) * head + s * half)
-        hi = part_hi + head
-        if part_hi >= head:
-            lo += (part_hi - hi) + head
-        else:
-            lo += (head - hi) + part_hi
-        # from here on hi >= head > half > |every correction| (z >= 20 and
-        # z >= 2s make the first correction < head/48): Fast2Sum needs no branch
-        t = hi + half
-        lo += (hi - t) + half
-        hi = t
-        # every explicit term is positive, so their sum is also their gross
-        gross = part_hi + part_lo + head + half
-        # corrections in order; their magnitudes are log-convex in r, so the
-        # first one that does not shrink is the smallest first omitted term.
-        # The first, z^{-s-1}, carries its first-order factor for the rounding
-        # of z; the later ones, each under 1/100 of it, inherit that factor
-        # through the recurrence, and what it misses, (2r - 2) dz of each,
-        # sits far inside the rounding charge.
-        z2 = 1.0 / (z * z)
-        corr = _EM_C[1] * s * zs / z * (1.0 - (s + 1.0) * dz)
-        env = abs(corr)
-        negligible = _EM_NEGLIGIBLE * head
-        for ratio, k1, k2 in _EM_STEPS:
-            if env <= negligible:
-                break
-            nxt = corr * ratio * (s + k1) * (s + k2) * z2
-            if abs(nxt) >= env:
-                break
-            t = hi + corr
-            lo += (hi - t) + corr
+    try:
+        while True:
+            for n in map(float, range(n_done, n_terms)):
+                x = n + alpha
+                d = alpha - (x - n) if n >= alpha else n - (x - alpha)
+                t = x ** neg_s
+                drift += t * d / x
+                # terms fall with n, so part_hi >= t (or part_hi = 0, where the
+                # sum is exact): Fast2Sum needs no branch
+                hi = part_hi + t
+                part_lo += (part_hi - hi) + t
+                part_hi = hi
+            n_done = n_terms
+            z = n_terms + alpha
+            dz = (alpha - (z - n_terms) if n_terms >= alpha else n_terms - (z - alpha)) / z
+            zs = z ** neg_s
+            head = zs * z / (s - 1.0)
+            half = 0.5 * zs
+            lo = part_lo - s * drift - dz * ((s - 1.0) * head + s * half)
+            hi = part_hi + head
+            if part_hi >= head:
+                lo += (part_hi - hi) + head
+            else:
+                lo += (head - hi) + part_hi
+            # from here on hi >= head > half > |every correction| (z >= 20 and
+            # z >= 2s make the first correction < head/48): Fast2Sum needs no branch
+            t = hi + half
+            lo += (hi - t) + half
             hi = t
-            gross += env
-            corr = nxt
-            env = abs(nxt)
-        value = hi + lo
-        # (s EPS)^2 per unit of gross covers the second-order remainder of
-        # every compensated addend
-        bound = env + fp_slop(gross) + (s * EPS) ** 2 * gross
-        improved = best is None or bound < 0.5 * best[1]
-        if best is None or bound < best[1]:
-            best = (value, bound)
-        if bound <= target or n_terms >= _HURWITZ_N_CAP:
-            return best
-        if not improved:
-            # bound is rounding-floor limited; more terms only add gross
-            return best
-        n_terms = min(max(2 * n_terms, 1), _HURWITZ_N_CAP)
+            # every explicit term is positive, so their sum is also their gross
+            gross = part_hi + part_lo + head + half
+            # corrections in order; their magnitudes are log-convex in r, so the
+            # first one that does not shrink is the smallest first omitted term.
+            # The first, z^{-s-1}, carries its first-order factor for the rounding
+            # of z; the later ones, each under 1/100 of it, inherit that factor
+            # through the recurrence, and what it misses, (2r - 2) dz of each,
+            # sits far inside the rounding charge.
+            z2 = 1.0 / (z * z)
+            corr = _EM_C[1] * s * zs / z * (1.0 - (s + 1.0) * dz)
+            env = abs(corr)
+            negligible = _EM_NEGLIGIBLE * head
+            for ratio, k1, k2 in _EM_STEPS:
+                if env <= negligible:
+                    break
+                nxt = corr * ratio * (s + k1) * (s + k2) * z2
+                if abs(nxt) >= env:
+                    break
+                t = hi + corr
+                lo += (hi - t) + corr
+                hi = t
+                gross += env
+                corr = nxt
+                env = abs(nxt)
+            value = hi + lo
+            # (s EPS)^2 per unit of gross covers the second-order remainder of
+            # every compensated addend
+            bound = env + fp_slop(gross) + (s * EPS) ** 2 * gross
+            improved = best is None or bound < 0.5 * best[1]
+            if best is None or bound < best[1]:
+                best = (value, bound)
+            if bound <= target or n_terms >= _HURWITZ_N_CAP:
+                return best
+            if not improved:
+                # bound is rounding-floor limited; more terms only add gross
+                return best
+            n_terms = min(max(2 * n_terms, 1), _HURWITZ_N_CAP)
+    except OverflowError:
+        raise _beyond_double_range(s, alpha) from None
+
+
+def _hurwitz_pieces(s, pieces, budget):
+    """(value, err, gross) of sum(coef * zeta(s - shift, alpha)) over the
+    (coef, shift, alpha) pieces.  budget is split evenly between the pieces
+    as kernel targets; err is the kernel bounds weighted by |coef|, and gross
+    the magnitude the caller charges rounding slop on."""
+    acc = NSum()
+    err = 0.0
+    n = len(pieces)
+    for coef, shift, alpha in pieces:
+        weight = abs(coef)  # scales the piece's error contribution
+        v, b = _hurwitz_core(s - shift, alpha, budget / (n * weight) if weight > 0 else budget)
+        acc.add(coef * v)
+        err += weight * b
+    return acc.total(), err, acc.gross
 
 
 def hurwitz_zeta(s, alpha, tol):
@@ -373,7 +377,10 @@ def hurwitz_tail_bound(s, alpha):
     """
     _require_s(s, 1.0, "hurwitz_tail_bound")
     _require_positive(alpha, "hurwitz_tail_bound")
-    return alpha ** -s + alpha ** (1.0 - s) / (s - 1.0)
+    try:
+        return alpha ** -s + alpha ** (1.0 - s) / (s - 1.0)
+    except OverflowError:
+        return math.inf  # still an upper bound
 
 
 def dirichlet_eta(s, tol):
@@ -390,33 +397,36 @@ def _lerch_core(z, s, alpha, target):
 
     Returns (value, bound).  Caller handles the z = +-1 identities.
     """
-    if z == 0.0:
-        return alpha ** -s, EPS * alpha ** -s
-    q = abs(z)
-    acc = NSum()
-    weighted = 0.0  # sum of (n+3)*|t_n| for power-drift slop
-    zpow = 1.0
-    budget = term_budget()
-    n = 0
-    while True:
-        t = zpow * (n + alpha) ** -s
-        acc.add(t)
-        weighted += (n + 3.0) * abs(t)
-        # certified remainder: next-term magnitude over a geometric majorant
-        t_next = q ** (n + 1) * (n + 1 + alpha) ** -s
-        if s >= 0.0:
-            rho = q
-        else:
-            rho = q * (1.0 + 1.0 / (n + alpha)) ** -s
-        if rho < 1.0:
-            rem = t_next / (1.0 - rho)
-            slop = fp_slop(acc.gross) + EPS * weighted
-            if rem + slop <= target or rem <= EPS * abs(acc.total()):
-                return acc.total(), rem + slop
-        n += 1
-        if n >= budget:
-            raise TermBudgetError("lerch series exceeded the term budget")
-        zpow *= z
+    try:
+        if z == 0.0:
+            return alpha ** -s, EPS * alpha ** -s
+        q = abs(z)
+        acc = NSum()
+        weighted = 0.0  # sum of (n+3)*|t_n| for power-drift slop
+        zpow = 1.0
+        budget = term_budget()
+        n = 0
+        while True:
+            t = zpow * (n + alpha) ** -s
+            acc.add(t)
+            weighted += (n + 3.0) * abs(t)
+            # certified remainder: next-term magnitude over a geometric majorant
+            t_next = q ** (n + 1) * (n + 1 + alpha) ** -s
+            if s >= 0.0:
+                rho = q
+            else:
+                rho = q * (1.0 + 1.0 / (n + alpha)) ** -s
+            if rho < 1.0:
+                rem = t_next / (1.0 - rho)
+                slop = fp_slop(acc.gross) + EPS * weighted
+                if rem + slop <= target or rem <= EPS * abs(acc.total()):
+                    return acc.total(), rem + slop
+            n += 1
+            if n >= budget:
+                raise TermBudgetError("lerch series exceeded the term budget")
+            zpow *= z
+    except OverflowError:
+        raise _beyond_double_range(s, alpha) from None
 
 
 def lerch_phi(z, s, alpha, tol):
@@ -447,6 +457,11 @@ def _certified(value, bound, tol):
             "requested tolerance is unattainable in double precision for these inputs"
         )
     return value
+
+
+def _beyond_double_range(s, alpha):
+    """Python's float power raises OverflowError where C would give inf."""
+    return DomainError(f"(n + alpha)^-s at s = {s}, alpha = {alpha} exceeds double range")
 
 
 def _require_s(s, threshold, name):

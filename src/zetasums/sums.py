@@ -44,6 +44,7 @@ from .special import (
     _EM_C,
     _EM_MAX_ORDER,
     _hurwitz_core,
+    _hurwitz_pieces,
     _poch_raw,
 )
 
@@ -85,11 +86,16 @@ class StopRule(Enum):
     TERM_FLOOR = "term-floor"
 
 
+def _affine(sign):
+    """The unweighted affine family of a sign: plain for PLUS, else alternating."""
+    return Family.GENERAL_AB if sign is Sign.PLUS else Family.GENERAL_AB_ALT
+
+
 def _unweighted(family, c, sign):
     """The family itself, or for exp-weighted at c = 0 the plain affine family
     it equals exactly: the weight collapses to (+-1)^k."""
     if family is Family.EXP_WEIGHTED and c == 0.0:
-        return Family.GENERAL_AB if sign is Sign.PLUS else Family.GENERAL_AB_ALT
+        return _affine(sign)
     return family
 
 
@@ -163,15 +169,8 @@ def _sum_pieces(s, pieces, budget, envelope=0.0):
     """(midpoint, halfwidth) of sum(coef * zeta(s - shift, alpha)) over the
     (coef, shift, alpha) pieces, the budget split evenly between them;
     envelope is a truncation half-width to add to the evaluation errors."""
-    acc = NSum()
-    err = 0.0
-    for coef, shift, alpha in pieces:
-        weight = abs(coef)  # scales the piece's error contribution
-        target = budget / (len(pieces) * weight) if weight > 0 else budget
-        v, b = _hurwitz_core(s - shift, alpha, 0.8 * target)
-        acc.add(coef * v)
-        err += weight * b
-    return acc.total(), envelope + err + fp_slop(acc.gross)
+    value, err, gross = _hurwitz_pieces(s, pieces, 0.8 * budget)
+    return value, envelope + err + fp_slop(gross)
 
 
 def _moment_tail(spec, K, budget):
@@ -462,10 +461,21 @@ def floor_crossing_arg(s, abs_tol):
 
 def _count_to(x, x0, h=1.0):
     """Number of lattice points h*n + x0, n >= 0, up to the first one >= x;
-    math.inf for x = math.inf.  At x = floor_crossing_arg it is the
-    TERM_FLOOR count, a lower bound since zeta(s, x) >= x^(1-s)/(s-1)."""
+    math.inf for x = math.inf."""
     steps = max(0.0, (x - x0) / h)
     return 1 + int(math.ceil(steps)) if math.isfinite(steps) else math.inf
+
+
+def _floor_count(spec, spacing=None):
+    """TERM_FLOOR count of the spec's sum: the terms up to the one whose bare
+    zeta value crosses 10 * abs_tol, a lower bound on the crossing since
+    zeta(s, x) >= x^(1-s)/(s-1).  Without spacing it counts the family's own
+    lattice; with one, the reciprocal lattice (n + b)/(spacing * a)."""
+    x_star = floor_crossing_arg(spec.s, spec.tol.abs_tol)
+    if spacing is None:
+        h, x0 = _RULES[spec.family].lattice(spec)
+        return _count_to(x_star, x0, h)
+    return _count_to(spacing * spec.a * x_star, spec.b)
 
 
 def _run_series(term, tail, tol, stop, method, count, over_budget, bare=None):
@@ -479,6 +489,8 @@ def _run_series(term, tail, tol, stop, method, count, over_budget, bare=None):
     request that cannot cross within the budget up front.  over_budget is the
     TermBudgetError message, formatted with the budget.
     """
+    if not isinstance(stop, StopRule):
+        raise DomainError("stop must be a StopRule")
     budget = term_budget()
     if method is Method.DIRECT:
         first, cadence, what = MIN_EXPLICIT, _CHUNK, "sum"
@@ -526,8 +538,6 @@ def eval_direct(spec, *, stop=StopRule.EARLIEST):
     """
     if not isinstance(spec, SumSpec):
         raise DomainError("spec must be a SumSpec")
-    if not isinstance(stop, StopRule):
-        raise DomainError("stop must be a StopRule")
     family = _unweighted(spec.family, spec.c, spec.sign)
     if family is not spec.family:
         inner = SumSpec(family=family, s=spec.s, a=spec.a, b=spec.b, tol=spec.tol)
@@ -539,7 +549,7 @@ def eval_direct(spec, *, stop=StopRule.EARLIEST):
     count = None
     est = MIN_EXPLICIT + 2 * _CHUNK
     if stop is StopRule.TERM_FLOOR:
-        count = est = max(_count_to(floor_crossing_arg(spec.s, tol), x0, h), MIN_EXPLICIT)
+        count = est = max(_floor_count(spec), MIN_EXPLICIT)
     per_term = _TERMS_FRACTION * tol / est
 
     def term(n):

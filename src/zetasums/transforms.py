@@ -14,9 +14,8 @@ from dataclasses import asdict, dataclass
 
 from .errors import DomainError, TermBudgetError
 from .special import (
-    BOUNDARY_MARGIN,
+    EPS,
     NSum,
-    Tolerance,
     fp_slop,
     hurwitz_tail_bound,
     term_budget,
@@ -30,8 +29,9 @@ from .sums import (
     StopRule,
     SumSpec,
     eval_direct,
-    floor_crossing_arg,
+    _affine,
     _count_to,
+    _floor_count,
     _lattice_tail,
     _pair_gap,
     _paired_strip_tail,
@@ -46,39 +46,29 @@ _OVER_BUDGET = (
 )
 
 
-def _check_common(s, a, b, tol, s_min):
-    if not isinstance(tol, Tolerance):
-        raise DomainError("tol must be a Tolerance")
-    for name, val in (("s", s), ("a", a), ("b", b)):
-        if not math.isfinite(val):
-            raise DomainError(f"{name} must be finite")
-    if s - s_min <= BOUNDARY_MARGIN:
-        raise DomainError(f"transformation requires s > {s_min:g}, got s = {s}")
-    if a <= BOUNDARY_MARGIN or b <= BOUNDARY_MARGIN:
-        raise DomainError("a and b must be > 0 (and not within 1e-12 of 0)")
-
-
-def _prefactor(s, a, b, tol, stop, s_min, spacing, name):
-    """Validate a transformation's inputs; its prefactor spacing^-s."""
-    _check_common(s, a, b, tol, s_min)
-    if not isinstance(stop, StopRule):
-        raise DomainError("stop must be a StopRule")
-    w = spacing ** -s
-    if not math.isfinite(w) or w == 0.0:
-        raise DomainError(f"prefactor {name}^-s is outside double range")
-    return w
+def _prefactor(s, spacing, name):
+    """A transformation's prefactor spacing^-s; DomainError outside double
+    range (Python's float power raises OverflowError where C gives inf)."""
+    try:
+        w = spacing ** -s
+        if w != 0.0:
+            return w
+    except OverflowError:
+        pass
+    raise DomainError(f"prefactor {name}^-s is outside double range")
 
 
 def kappa_ab_transformed(s, a, b, tol, *, stop=StopRule.EARLIEST):
     """sum over k >= 0 of zeta(s, ka+b) via the reciprocal lattice:
     a^-s * sum over n >= 0 of zeta(s, (n+b)/a), tail enclosed by
     Euler-Maclaurin on the (b/a, 1/a) lattice.  Requires s > 2."""
-    w = _prefactor(s, a, b, tol, stop, 2.0, a, "a")
+    spec = SumSpec(family=Family.GENERAL_AB, s=s, a=a, b=b, tol=tol)
+    w = _prefactor(s, a, "a")
     tol_abs = tol.abs_tol
     count = None
     est = 4
     if stop is StopRule.TERM_FLOOR:
-        count = est = _count_to(a * floor_crossing_arg(s, tol_abs), b)
+        count = est = _floor_count(spec, 1.0)
     per_term = _TERMS_FRACTION * tol_abs / est
 
     def term(n):
@@ -95,13 +85,14 @@ def kappa_ab_transformed(s, a, b, tol, *, stop=StopRule.EARLIEST):
 def kappa_ab_alt_transformed(s, a, b, tol, *, stop=StopRule.EARLIEST):
     """sum over k >= 0 of (-1)^k zeta(s, ka+b) via pair differences on the
     1/(2a) lattice, every piece a pole-free strip integral.  Requires s > 1."""
-    w = _prefactor(s, a, b, tol, stop, 1.0, 2.0 * a, "(2a)")
+    spec = SumSpec(family=Family.GENERAL_AB_ALT, s=s, a=a, b=b, tol=tol)
+    w = _prefactor(s, 2.0 * a, "(2a)")
     tol_abs = tol.abs_tol
     floor = 10.0 * tol_abs
     step = 1.0 / (2.0 * a)
     count = None
     if stop is StopRule.TERM_FLOOR:
-        count = _count_to(2.0 * a * floor_crossing_arg(s, tol_abs), b)
+        count = _floor_count(spec, 2.0)
 
     def term(n):
         x = (n + b) * step
@@ -120,15 +111,9 @@ def kappa_ab_alt_transformed(s, a, b, tol, *, stop=StopRule.EARLIEST):
 
 def corollary_b_equals_a(s, a, sign, tol, *, stop=StopRule.EARLIEST):
     """The b = a specialization of the two affine transformations."""
-    return _unweighted_transformed(s, a, a, sign, tol, stop)
-
-
-def _unweighted_transformed(s, a, b, sign, tol, stop):
     if not isinstance(sign, Sign):
         raise DomainError("sign must be a Sign")
-    if sign is Sign.PLUS:
-        return kappa_ab_transformed(s, a, b, tol, stop=stop)
-    return kappa_ab_alt_transformed(s, a, b, tol, stop=stop)
+    return _run_transformed(SumSpec(family=_affine(sign), s=s, a=a, b=a, tol=tol), stop)
 
 
 def _geo_zeta_tail(z, s, step, start, budget_err):
@@ -161,37 +146,55 @@ def _geo_zeta_tail(z, s, step, start, budget_err):
     return acc.total(), rem + errs + fp_slop(acc.gross)
 
 
+def _lerch_floor_count(z, s, a, b, floor):
+    """Terms of s_pm_transformed before the computed |Phi(z, s, x)|, x = (n+b)/a,
+    can fall to floor: a lower bound on its TERM_FLOOR crossing.
+
+    (x+n)^-s >= x^-s e^(-sn/x) gives Phi >= x^-s g(x) with g = 1/(1 - z e^(-s/x))
+    for z > 0; pairing terms 2k and 2k+1 gives g = (1-q)/(1 - q^2 e^(-2s/x)) for
+    z < 0, q = |z|.  g grows with x and is >= 1 - q, so nothing crosses before
+    x0 = ((1-q)/floor)^(1/s), and then nothing before x1 = (g(x0)/floor)^(1/s).
+    slack * x^-s covers the kernel's bound where it stops at EPS * |Phi|, short
+    of its target: EPS (3 gross + weighted) <= 7 EPS x^-s/(1-q)^2.  None where
+    slack leaves no bound (q within ~1e-5 of 1)."""
+    q = abs(z)
+    slack = 8.0 * EPS / (1.0 - q) ** 2
+    if 1.0 - q <= slack:
+        return None
+    x0 = ((1.0 - q - slack) / floor) ** (1.0 / s)
+    if z > 0.0:
+        g = 1.0 / (1.0 - q * math.exp(-s / x0))
+    else:
+        g = (1.0 - q) / (1.0 - q * q * math.exp(-2.0 * s / x0))
+    return _count_to(a * ((g - slack) / floor) ** (1.0 / s), b)
+
+
 def s_pm_transformed(s, a, b, c, sign, tol, *, stop=StopRule.EARLIEST):
     """sum over k >= 0 of (+-1)^k e^(-ck) zeta(s, ka+b) as a series of Lerch
     values on the reciprocal lattice; the tail reindexes exactly into a
     geometrically damped zeta series.  c = 0 reduces to the unweighted
     transformations.  Requires s > 2 when the weight is identically 1
     (c = 0, plus sign), s > 1 otherwise."""
-    if not isinstance(sign, Sign):
-        raise DomainError("sign must be a Sign")
-    if not math.isfinite(c) or c < 0.0:
-        raise DomainError("c must be finite and >= 0")
-    if 0.0 < c <= BOUNDARY_MARGIN:
-        raise DomainError("c is within 1e-12 of 0; use c = 0 exactly")
+    spec = SumSpec(family=Family.EXP_WEIGHTED, s=s, a=a, b=b, c=c, sign=sign, tol=tol)
     if c == 0.0:
-        return _unweighted_transformed(s, a, b, sign, tol, stop)
-    w = _prefactor(s, a, b, tol, stop, 1.0, a, "a")
+        return _run_transformed(SumSpec(family=_affine(sign), s=s, a=a, b=b, tol=tol), stop)
+    w = _prefactor(s, a, "a")
     z = math.exp(-c) if sign is Sign.PLUS else -math.exp(-c)
     tol_abs = tol.abs_tol
-    est = 4
+    est = _floor_count(spec, 1.0) if stop is StopRule.TERM_FLOOR else 4
+    target = 0.8 * (_TERMS_FRACTION * tol_abs / est) / w
+    count = None
     if stop is StopRule.TERM_FLOOR:
-        est = _count_to(a * floor_crossing_arg(s, tol_abs), b)
-    per_term = _TERMS_FRACTION * tol_abs / est
+        # the probe is |Phi| as computed, within the kernel's target of |Phi|
+        count = _lerch_floor_count(z, s, a, b, 10.0 * tol_abs + target)
 
     def term(n):
-        v, e = _lerch_core(z, s, (n + b) / a, 0.8 * per_term / w)
+        v, e = _lerch_core(z, s, (n + b) / a, target)
         return w * v, w * e, abs(v)
 
-    # no up-front budget check: the floor test is on |Phi|, which can fall
-    # below the zeta bound that predicts the crossing
     return _run_series(
         term, lambda n: _geo_zeta_tail(z, s, a, n + b, 0.45 * _TAIL_FRACTION * tol_abs),
-        tol_abs, stop, Method.TRANSFORMED, None,
+        tol_abs, stop, Method.TRANSFORMED, count,
         "transformed evaluation exceeded the term budget ({budget})",
     )
 
@@ -202,11 +205,11 @@ def s_pm_transformed(s, a, b, c, sign, tol, *, stop=StopRule.EARLIEST):
 def term_count_estimate(s, a, b, tol, side):
     """Predicted explicit-term count under conventional floor accounting:
     terms count while the bare zeta value stays above 10 * abs_tol."""
-    _check_common(s, a, b, tol, 2.0)
+    spec = SumSpec(family=Family.GENERAL_AB, s=s, a=a, b=b, tol=tol)
     if side is Method.DIRECT:
-        return _count_to(floor_crossing_arg(s, tol.abs_tol), b, a)
+        return _floor_count(spec)
     if side is Method.TRANSFORMED:
-        return _count_to(a * floor_crossing_arg(s, tol.abs_tol), b)
+        return _floor_count(spec, 1.0)
     raise DomainError("side must be Method.DIRECT or Method.TRANSFORMED")
 
 
@@ -246,14 +249,13 @@ def choose_method(spec):
     transformation."""
     if not isinstance(spec, SumSpec):
         raise DomainError("spec must be a SumSpec")
-    spacing = _transformation(spec.family)[1]
-    a_star = floor_crossing_arg(spec.s, spec.tol.abs_tol)
-    n_direct = _count_to(a_star, spec.b, spec.a)
-    n_trans = _count_to(spacing * spec.a * a_star, spec.b)
+    n_direct = _floor_count(spec)
+    n_trans = _floor_count(spec, _transformation(spec.family)[1])
     if spec.family is Family.EXP_WEIGHTED and spec.c > 0.0:
-        # geometric damping caps the direct count
+        # geometric damping caps the direct count; the scale is inf where
+        # zeta(s, b) leaves double range
         scale = hurwitz_tail_bound(spec.s, spec.b)
-        geo = 1 + int(math.ceil(math.log(max(scale / (10.0 * spec.tol.abs_tol), 1.0)) / spec.c))
+        geo = _count_to(math.log(max(scale / (10.0 * spec.tol.abs_tol), 1.0)), 0.0, spec.c)
         n_direct = min(n_direct, geo)
     return Method.TRANSFORMED if n_trans <= n_direct else Method.DIRECT
 

@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import json
+import re
 import time
 
 import pytest
@@ -109,6 +110,34 @@ class TestEval:
         ref = json.loads(out)
         assert abs(auto["value"] - ref["value"]) <= auto["tail_bound"] + ref["tail_bound"]
 
+    @pytest.mark.parametrize("argv", [
+        ("general-ab", "--a", "1e-10", "--b", "1", "--method", "transformed"),
+        ("general-ab", "--a", "1e-10", "--b", "1", "--method", "auto"),
+        ("general-ab", "--a", "0.5", "--b", "1e-11", "--method", "direct"),
+        ("shifted", "--a", "1e-11", "--method", "closed"),
+        ("exp-weighted", "--a", "0.5", "--b", "1e-11", "--c", "0.5", "--method", "auto"),
+        ("exp-weighted", "--a", "0.5", "--b", "1e-11", "--c", "0.5", "--method", "direct"),
+        ("exp-weighted", "--a", "0.5", "--b", "1e-11", "--c", "0.5", "--method", "transformed"),
+    ])
+    def test_sum_beyond_double_range_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, "eval", "--family", *argv, "--s", "40")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "double range" in err
+
+    @pytest.mark.parametrize("budget", ["20000", None])
+    def test_lerch_floor_count_past_budget_fails_at_once(self, capsys, monkeypatch, budget):
+        # |Phi| on the reciprocal lattice reaches 10 * tol only ~1.2e7 terms out
+        if budget is None:
+            monkeypatch.delenv("ZS_TERM_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("ZS_TERM_BUDGET", budget)
+        start = time.perf_counter()
+        code, _, err = run(capsys, "eval", "--family", "exp-weighted", "--s", "1.001",
+                           "--a", "0.5", "--c", "0.5", "--method", "transformed",
+                           "--stop", "term-floor")
+        assert code == 2 and err.startswith("error:") and "term budget" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_unused_parameter_exit_two(self, capsys):
         code, _, err = run(capsys, "eval", "--family", "general-ab", "--s", "3",
                            "--a", "0.5", "--c", "0.7", "--method", "direct")
@@ -216,6 +245,38 @@ class TestBenchmark:
                         "speedup_estimate,direct_ms,transformed_ms,status")
         assert len(out.splitlines()) == 2
 
+    # a = 0.1 and 0.001 pass the 1000-term budget on the direct route
+    _BUDGET_ROW = (
+        "direct evaluation of general-ab exceeded the term budget (1000); "
+        "a transformed or closed route may be cheaper"
+    )
+
+    @pytest.mark.parametrize("fmt, want", [
+        ("json", '[{"a": 0.1, "detail": "%s", "status": "term-budget-exceeded"}, '
+                 '{"a": 0.001, "detail": "%s", "status": "term-budget-exceeded"}, '
+                 '{"a": 2.0, "report": {"agreement": 2.220446049250313e-16, '
+                 '"lhs_terms": 76, "lhs_value": 1.108367467381893, "rhs_terms": 300, '
+                 '"rhs_value": 1.1083674673818933, "speedup_estimate": 0.25333333333333335}, '
+                 '"status": "ok"}]\n' % (_BUDGET_ROW, _BUDGET_ROW)),
+        ("csv", "a,direct_terms,transformed_terms,agreement,speedup_estimate,"
+                "direct_ms,transformed_ms,status\n"
+                "0.1,,,,,,,term-budget-exceeded\n"
+                "0.001,,,,,,,term-budget-exceeded\n"
+                "2.0,76,300,2.220446049250313e-16,0.25333333333333335,MS,MS,ok\n"),
+        ("text", "a=0.1: term-budget-exceeded (%s)\n"
+                 "a=0.001: term-budget-exceeded (%s)\n"
+                 "a=2: direct 76 terms (MS ms), transformed 300 terms (MS ms), "
+                 "agreement 2.220446049e-16, speedup 0.3x [ok]\n"
+                 % (_BUDGET_ROW, _BUDGET_ROW)),
+    ])
+    def test_term_budget_row_bytes(self, capsys, monkeypatch, fmt, want):
+        monkeypatch.setenv("ZS_TERM_BUDGET", "1000")
+        code, out, err = run(capsys, "benchmark", "--a-list", "0.1,0.001,2",
+                             "--format", fmt)
+        assert code == 0 and err == ""
+        out = re.sub(r"\d+\.\d+,\d+\.\d+,ok", "MS,MS,ok", out)
+        assert re.sub(r"\(\d+\.\d+ ms\)", "(MS ms)", out) == want
+
     def test_text_row_shape(self, capsys):
         code, out, _ = run(capsys, "benchmark", "--a-list", "0.25", "--s", "3",
                            "--b", "0.5")
@@ -256,6 +317,38 @@ class TestTable:
                            "--family", "eulerian")
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("family, fmt, want", [
+        ("eulerian", "csv", "m,offset,coefficients\n1,0,1\n2,0,1 1\n3,0,1 4 1\n"),
+        ("eulerian", "text", "m=1 offset=0: 1\nm=2 offset=0: 1, 1\nm=3 offset=0: 1, 4, 1\n"),
+        ("faulhaber", "csv",
+         "m,offset,coefficients\n0,1,1\n1,1,1/2 1/2\n2,1,1/6 1/2 1/3\n3,2,1/4 1/2 1/4\n"),
+        ("faulhaber", "text", "m=0 offset=1: 1\nm=1 offset=1: 1/2, 1/2\n"
+                              "m=2 offset=1: 1/6, 1/2, 1/3\nm=3 offset=2: 1/4, 1/2, 1/4\n"),
+        ("bernoulli", "csv", "n,value\n0,1\n1,-1/2\n2,1/6\n3,0\n"),
+        ("bernoulli", "text", "B_0 = 1\nB_1 = -1/2\nB_2 = 1/6\nB_3 = 0\n"),
+    ])
+    def test_coefficient_table_bytes(self, capsys, family, fmt, want):
+        code, out, err = run(capsys, "table", "--family", family, "--m-max", "3",
+                             "--format", fmt)
+        assert code == 0 and err == ""
+        assert out == want
+
+    @pytest.mark.parametrize("fmt, want", [
+        ("json", '[{"abs_diff": 0.0, "identity": "2.1", "lhs": 1.6449340668482264, '
+                 '"pass": true, "rhs": 1.6449340668482264, "s": 3.0}, '
+                 '{"abs_diff": 0.0, "identity": "2.1", "lhs": 1.2020569031595942, '
+                 '"pass": true, "rhs": 1.2020569031595942, "s": 4.0}]\n'),
+        ("text", "PASS 2.1 s=3.0 lhs=1.644934067 rhs=1.644934067 abs_diff=0 "
+                 "budget=3.732374962e-15\n"
+                 "PASS 2.1 s=4.0 lhs=1.202056903 rhs=1.202056903 abs_diff=0 "
+                 "budget=2.671784766e-15\n"),
+    ])
+    def test_identity_table_bytes(self, capsys, fmt, want):
+        code, out, err = run(capsys, "table", "--identity", "2.1", "--s-grid", "3:4:1",
+                             "--format", fmt)
+        assert code == 0 and err == ""
+        assert out == want
 
     def test_bernoulli_rows(self, capsys):
         code, out, _ = run(capsys, "table", "--family", "bernoulli", "--m-max", "12",

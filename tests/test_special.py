@@ -142,6 +142,13 @@ class TestHurwitzZeta:
         with pytest.raises(DomainError):
             hurwitz_zeta(2.0, 1.0, 1e-12)
 
+    def test_beyond_double_range_is_a_domain_error(self):
+        # 1e-11^-40 overflows; Python's float power raises instead of giving inf
+        with pytest.raises(DomainError, match="double range"):
+            hurwitz_zeta(40.0, 1e-11, Tolerance(1e-8))
+        with pytest.raises(DomainError, match="double range"):
+            lerch_phi(0.5, 40.0, 1e-11, Tolerance(1e-8))
+
     @pytest.mark.parametrize("s, alpha", [
         (32.74005690148546, 127.04007292137986),
         (10.363232495351646, 124.88269033387552),
@@ -175,6 +182,9 @@ class TestTailBound:
             cur = hurwitz_tail_bound(3.0, alpha)
             assert cur < prev
             prev = cur
+
+    def test_saturates_beyond_double_range(self):
+        assert hurwitz_tail_bound(40.0, 1e-11) == math.inf
 
     def test_domain(self):
         with pytest.raises(DomainError):

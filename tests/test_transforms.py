@@ -116,6 +116,13 @@ class TestExpWeighted:
             qv, qe = quad_family_sum(s, a, b, c, sg)
             assert abs(r.value - qv) <= r.tail_bound + qe + 1e-12, (s, a, b, c, sg)
 
+    @pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
+    def test_floor_count_never_refuses_a_finishing_run(self, monkeypatch, sign):
+        full = s_pm_transformed(3.0, 0.5, 1.0, 0.5, sign, T8, stop=StopRule.TERM_FLOOR)
+        monkeypatch.setenv("ZS_TERM_BUDGET", str(full.terms_used))
+        again = s_pm_transformed(3.0, 0.5, 1.0, 0.5, sign, T8, stop=StopRule.TERM_FLOOR)
+        assert again == full
+
     def test_domain(self):
         with pytest.raises(DomainError):
             s_pm_transformed(3.0, 1.0, 1.0, -0.5, Sign.PLUS, T8)
@@ -192,3 +199,49 @@ class TestCompareMethods:
                 lhs_value=1.0, rhs_value=1.0, lhs_terms=0, rhs_terms=2,
                 agreement=0.0, speedup_estimate=5.0,
             )
+
+
+# each route with valid arguments, and the s threshold of its family
+_ROUTES = {
+    "kappa_ab_transformed": (
+        kappa_ab_transformed, dict(s=3.0, a=0.5, b=1.0, tol=T8, stop=StopRule.EARLIEST), 2.0,
+    ),
+    "kappa_ab_alt_transformed": (
+        kappa_ab_alt_transformed, dict(s=3.0, a=0.5, b=1.0, tol=T8, stop=StopRule.EARLIEST), 1.0,
+    ),
+    "s_pm_transformed": (
+        s_pm_transformed,
+        dict(s=3.0, a=0.5, b=1.0, c=0.5, sign=Sign.MINUS, tol=T8, stop=StopRule.EARLIEST), 1.0,
+    ),
+    "corollary_b_equals_a": (
+        corollary_b_equals_a, dict(s=3.0, a=0.5, sign=Sign.PLUS, tol=T8, stop=StopRule.EARLIEST),
+        2.0,
+    ),
+    "term_count_estimate": (
+        term_count_estimate, dict(s=3.0, a=0.5, b=1.0, tol=T8, side=Method.DIRECT), 2.0,
+    ),
+}
+_BAD_INPUTS = [
+    ("s", math.nan), ("s", math.inf), ("a", math.nan), ("a", -math.inf), ("b", math.inf),
+    ("a", 1e-12), ("a", 0.0), ("b", 1e-12), ("b", -1.0), ("c", -0.5), ("c", 1e-12),
+    ("sign", "plus"), ("tol", 1e-8), ("stop", "earliest"), ("s", "threshold"),
+]
+
+
+class TestRoutesValidateLikeSumSpec:
+    @pytest.mark.parametrize("route", sorted(_ROUTES))
+    def test_valid_arguments_run(self, route):
+        fn, kwargs, _ = _ROUTES[route]
+        fn(**kwargs)
+
+    @pytest.mark.parametrize("route, name, value", [
+        (route, name, value)
+        for route in sorted(_ROUTES)
+        for name, value in _BAD_INPUTS
+        if name in _ROUTES[route][1]
+    ])
+    def test_rejects_what_sumspec_rejects(self, route, name, value):
+        fn, kwargs, threshold = _ROUTES[route]
+        kwargs = dict(kwargs, **{name: threshold if value == "threshold" else value})
+        with pytest.raises(DomainError):
+            fn(**kwargs)
