@@ -21,6 +21,7 @@ from .special import (
     fp_slop,
     _hurwitz_pieces,
     _require_positive,
+    _require_tol,
 )
 
 _M_MAX = 12
@@ -299,6 +300,7 @@ def combination_split(s, m, *, tol=_DEFAULT_CLOSED_TOL):
     """Two independent routes to the even-argument sum: the half-difference of
     the plain and alternating moment closed forms, and its direct closed form.
     Returns (difference_route, direct_route)."""
+    _require_tol(tol)
     if m not in (1, 2):
         raise NoClosedFormError("combination_split needs both routes; only m in {1, 2}")
     half = Tolerance(tol.abs_tol * 0.5)

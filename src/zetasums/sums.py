@@ -5,9 +5,10 @@ adds explicit terms, then encloses the remainder: integer-lattice families by
 exact telescoped tail identities, unit/affine lattices by Euler-Maclaurin
 over the lattice with an enveloping remainder, alternating affine lattices by
 pairing consecutive terms and integrating zeta over strips (which keeps every
-intermediate pole-free), and exponentially weighted sums by a geometric
-majorant.  tail_bound on the result is the full certified error: enclosure
-half-width plus accumulated per-term evaluation error plus rounding slop.
+intermediate pole-free), and exponentially weighted sums by Boole summation
+and lattice halving (special._damped_lattice).  tail_bound on the result is
+the full certified error: enclosure half-width plus accumulated per-term
+evaluation error plus rounding slop.
 
 _RULES holds one row per family; _run_series is the summation loop shared by
 the direct route and the reciprocal-lattice transformations.
@@ -43,6 +44,7 @@ from .special import (
     term_budget,
     _EM_C,
     _EM_MAX_ORDER,
+    _damped_zeta,
     _hurwitz_core,
     _hurwitz_pieces,
     _poch_raw,
@@ -277,13 +279,16 @@ def _alt_affine_tail(spec, K, budget):
 
 
 def _damped_tail(spec, K, budget):
-    """Geometric majorant of the exp-weighted tail past K terms; one-sided,
-    returned as a centered enclosure."""
-    decay = math.exp(-spec.c)
-    top = decay ** K * hurwitz_tail_bound(spec.s, K * spec.a + spec.b) / (1.0 - decay)
-    if spec.sign is Sign.PLUS:
-        return 0.5 * top, 0.5 * top
-    return 0.0, top
+    """The exp-weighted tail past K terms: (+-1)^K e^(-cK) times the damped
+    zeta lattice sum from K a + b."""
+    pre = math.exp(-spec.c * K)
+    if pre == 0.0:
+        return 0.0, 0.0  # e^(-cK) underflows, and the tail with it
+    sign = 1.0 if spec.sign is Sign.PLUS else -1.0
+    value, bound = _damped_zeta(spec.s, sign, spec.c, K * spec.a + spec.b, spec.a, budget / pre)
+    if sign < 0.0 and K % 2:
+        value = -value
+    return pre * value, pre * bound + (spec.c * K + 1.0) * EPS * pre * abs(value)
 
 
 # --- strip integrals: D(s, A, h) = integral of zeta(s, x) over [A, A+h] ----
@@ -485,9 +490,10 @@ def _run_series(term, tail, tol, stop, method, count, over_budget, bare=None):
     bare(probe)) is the bare zeta value TERM_FLOOR compares with 10 * tol.
     tail(n) -> (midpoint, halfwidth) of all past the first n terms.  DIRECT
     checks the tail every _CHUNK terms from MIN_EXPLICIT on, transformations
-    after every term.  count, the predicted floor crossing, fails a TERM_FLOOR
-    request that cannot cross within the budget up front.  over_budget is the
-    TermBudgetError message, formatted with the budget.
+    after every term; the gaps grow to n/8 once that is larger, so a tail
+    slow to fit costs O(log n) checks.  count, the predicted floor crossing,
+    fails a TERM_FLOOR request that cannot cross within the budget up front.
+    over_budget is the TermBudgetError message, formatted with the budget.
     """
     if not isinstance(stop, StopRule):
         raise DomainError("stop must be a StopRule")
@@ -524,7 +530,7 @@ def _run_series(term, tail, tol, stop, method, count, over_budget, bare=None):
                 raise DomainError(
                     f"requested tolerance is unattainable in double precision for this {what}"
                 )
-            next_check = n + cadence
+            next_check = n + max(cadence, n // 8)
 
 
 def eval_direct(spec, *, stop=StopRule.EARLIEST):

@@ -12,15 +12,15 @@ import math
 import time
 from dataclasses import asdict, dataclass
 
-from .errors import DomainError, TermBudgetError
+from .errors import DomainError
 from .special import (
-    EPS,
-    NSum,
     fp_slop,
     hurwitz_tail_bound,
     term_budget,
+    _damped_zeta,
     _hurwitz_core,
     _lerch_core,
+    _lerch_slack,
 )
 from .sums import (
     Family,
@@ -116,57 +116,50 @@ def corollary_b_equals_a(s, a, sign, tol, *, stop=StopRule.EARLIEST):
     return _run_transformed(SumSpec(family=_affine(sign), s=s, a=a, b=a, tol=tol), stop)
 
 
-def _geo_zeta_tail(z, s, step, start, budget_err):
-    """(midpoint, halfwidth) of sum over j >= 0 of z^j zeta(s, j*step + start).
+def _geo_zeta_tail(s, c, sign, step, start, budget):
+    """(midpoint, halfwidth) of sum over j >= 0 of (sign e^-c)^j zeta(s, j*step + start),
+    the exp-weighted tail past the first n Lerch terms (start = n + b)."""
+    return _damped_zeta(s, sign, c, start, step, budget)
 
-    Positive z: partial sum plus a bracketed geometric remainder; negative z:
-    alternating, remainder within the next term's majorant.
-    """
-    q = abs(z)
-    acc = NSum()
-    errs = 0.0
-    zpow = 1.0
-    j = 0
-    cap = term_budget()
-    while True:
-        v, e = _hurwitz_core(s, j * step + start, 0.2 * budget_err)
-        acc.add(zpow * v)
-        errs += q ** j * e
-        j += 1
-        zpow *= z
-        rem = q ** j * hurwitz_tail_bound(s, j * step + start)
-        if q < 1.0:
-            rem /= 1.0 - q
-        if rem <= budget_err or rem <= fp_slop(acc.gross):
-            break
-        if j >= cap:
-            raise TermBudgetError("geometric zeta tail exceeded the term budget")
-    if z > 0.0:
-        return acc.total() + 0.5 * rem, 0.5 * rem + errs + fp_slop(acc.gross)
-    return acc.total(), rem + errs + fp_slop(acc.gross)
+
+_FLOOR_REFINEMENTS = 64
 
 
 def _lerch_floor_count(z, s, a, b, floor):
     """Terms of s_pm_transformed before the computed |Phi(z, s, x)|, x = (n+b)/a,
     can fall to floor: a lower bound on its TERM_FLOOR crossing.
 
-    (x+n)^-s >= x^-s e^(-sn/x) gives Phi >= x^-s g(x) with g = 1/(1 - z e^(-s/x))
-    for z > 0; pairing terms 2k and 2k+1 gives g = (1-q)/(1 - q^2 e^(-2s/x)) for
-    z < 0, q = |z|.  g grows with x and is >= 1 - q, so nothing crosses before
-    x0 = ((1-q)/floor)^(1/s), and then nothing before x1 = (g(x0)/floor)^(1/s).
-    slack * x^-s covers the kernel's bound where it stops at EPS * |Phi|, short
-    of its target: EPS (3 gross + weighted) <= 7 EPS x^-s/(1-q)^2.  None where
-    slack leaves no bound (q within ~1e-5 of 1)."""
+    Phi >= x^-s g(x) with g non-decreasing in x.  For z > 0, g >= 1 (the
+    first term), g >= 1/(1 - z e^(-s/x)) from (x+n)^-s >= x^-s e^(-sn/x), and,
+    the summand decreasing, Phi >= the integral of q^t (x+t)^-s over (0, 1/c)
+    >= (x^(1-s) - (x + 1/c)^(1-s)) / (e (s-1)), q = |z| = e^-c, which keeps
+    the count near s = 1.  For z < 0, g >= 1/2 (Boole's first term, the
+    summand being completely monotone) and, pairing terms 2k and 2k+1,
+    g >= (1-q)/(1 - q^2 e^(-2s/x)).  So if nothing crosses before x_k, nothing
+    does before x_(k+1) = (g(x_k)/floor)^(1/s); the refinement runs until it
+    stalls.  The computed |Phi| is at least (1 - r) |Phi| - target,
+    r = _lerch_slack(s), so floor includes the kernel's target and (1 - r)
+    scales g."""
     q = abs(z)
-    slack = 8.0 * EPS / (1.0 - q) ** 2
-    if 1.0 - q <= slack:
-        return None
-    x0 = ((1.0 - q - slack) / floor) ** (1.0 / s)
-    if z > 0.0:
-        g = 1.0 / (1.0 - q * math.exp(-s / x0))
-    else:
-        g = (1.0 - q) / (1.0 - q * q * math.exp(-2.0 * s / x0))
-    return _count_to(a * ((g - slack) / floor) ** (1.0 / s), b)
+    c = -math.log(q) if z > 0.0 else math.inf  # only the plus sign reads c
+    keep = 1.0 - _lerch_slack(s)
+    g = 1.0 if z > 0.0 else 0.5
+    x = (g * keep / floor) ** (1.0 / s)
+    for _ in range(_FLOOR_REFINEMENTS):
+        if z > 0.0:
+            g = max(
+                1.0 / (1.0 - q * math.exp(-s / x)),
+                x * -math.expm1((1.0 - s) * math.log1p(1.0 / (c * x))) / (math.e * (s - 1.0)),
+            )
+        else:
+            g = max(g, (1.0 - q) / (1.0 - q * q * math.exp(-2.0 * s / x)))
+        nxt = (g * keep / floor) ** (1.0 / s)
+        if not math.isfinite(nxt):
+            return math.inf
+        if nxt <= x * (1.0 + 1e-9):
+            break
+        x = nxt
+    return _count_to(a * x, b)
 
 
 def s_pm_transformed(s, a, b, c, sign, tol, *, stop=StopRule.EARLIEST):
@@ -175,28 +168,50 @@ def s_pm_transformed(s, a, b, c, sign, tol, *, stop=StopRule.EARLIEST):
     geometrically damped zeta series.  c = 0 reduces to the unweighted
     transformations.  Requires s > 2 when the weight is identically 1
     (c = 0, plus sign), s > 1 otherwise."""
-    spec = SumSpec(family=Family.EXP_WEIGHTED, s=s, a=a, b=b, c=c, sign=sign, tol=tol)
+    SumSpec(family=Family.EXP_WEIGHTED, s=s, a=a, b=b, c=c, sign=sign, tol=tol)  # validates
     if c == 0.0:
         return _run_transformed(SumSpec(family=_affine(sign), s=s, a=a, b=b, tol=tol), stop)
     w = _prefactor(s, a, "a")
-    z = math.exp(-c) if sign is Sign.PLUS else -math.exp(-c)
+    sgn = 1.0 if sign is Sign.PLUS else -1.0
+    z = sgn * math.exp(-c)
     tol_abs = tol.abs_tol
-    est = _floor_count(spec, 1.0) if stop is StopRule.TERM_FLOOR else 4
-    target = 0.8 * (_TERMS_FRACTION * tol_abs / est) / w
+    est = 4
     count = None
     if stop is StopRule.TERM_FLOOR:
-        # the probe is |Phi| as computed, within the kernel's target of |Phi|
+        # twice the Lerch crossing at the bare floor: the count is a lower
+        # bound on the terms run, and the runs checked took at most 1.25 times it
+        est = max(2 * _lerch_floor_count(z, s, a, b, 10.0 * tol_abs), est)
+    target = 0.8 * (_TERMS_FRACTION * tol_abs / est) / w
+    if stop is StopRule.TERM_FLOOR:
+        # the probe is |Phi| as computed, within the kernel's bound of |Phi|
         count = _lerch_floor_count(z, s, a, b, 10.0 * tol_abs + target)
+
+    over_budget = "transformed evaluation exceeded the term budget ({budget})"
+    tail_target = 0.45 * _TAIL_FRACTION * tol_abs
+    probed = []
 
     def term(n):
         v, e = _lerch_core(z, s, (n + b) / a, target)
         return w * v, w * e, abs(v)
 
-    return _run_series(
-        term, lambda n: _geo_zeta_tail(z, s, a, n + b, 0.45 * _TAIL_FRACTION * tol_abs),
-        tol_abs, stop, Method.TRANSFORMED, count,
-        "transformed evaluation exceeded the term budget ({budget})",
-    )
+    def tail(n):
+        mid, wid = _geo_zeta_tail(s, c, sgn, a, n + b, tail_target)
+        if wid + fp_slop(2.0 * abs(mid)) > tol_abs and not probed:
+            # the tail's rounding floor, with the slop the series charges on
+            # its midpoint, sits above tol.  Both follow the tail's size,
+            # which falls with n; if they are still above tol at the last
+            # term the budget allows, no run within the budget fits: fail
+            # now, not after millions of terms
+            probed.append(n)
+            far, far_wid = _geo_zeta_tail(s, c, sgn, a, term_budget() + b, tail_target)
+            if far_wid + fp_slop(2.0 * abs(far)) > tol_abs:
+                raise DomainError(
+                    "requested tolerance is unattainable in double precision "
+                    "for this transformation"
+                )
+        return mid, wid
+
+    return _run_series(term, tail, tol_abs, stop, Method.TRANSFORMED, count, over_budget)
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,10 @@ def quad_family_sum(s, a, b, c, sign, target=1e-11):
                        / ((1 - e^(-x)) * (1 -+ e^(-(c+ax)))) dx
 
     evaluated by the package's tanh-sinh rule on (0, X) with an elementary
-    bound on the discarded (X, inf) tail.  Returns (value, err_bound).
+    bound on the discarded (X, inf) tail.  For the plus sign with c < a the
+    factor 1/(1 - e^(-(c+ax))) turns over at x = c/a, far inside (0, X), so
+    the rule runs on (0, c/a) and (c/a, X) apart; for s < 1.5 the head
+    (0, min(c/a, 1)) is integrated in t = x^(s-1).  Returns (value, err_bound).
     """
     plus = sign is Sign.PLUS
     gam = gamma_fn(s)
@@ -129,5 +132,26 @@ def quad_family_sum(s, a, b, c, sign, target=1e-11):
         base = x ** (s - 1.0) * math.exp(-b * x) / den1
         return base / den2 if plus else base / (2.0 - den2)
 
-    val, err = _tanh_sinh(integrand, cutoff, 12, target_int)
+    def smooth(x):
+        """integrand(x) / x^(s-2), bounded at x = 0."""
+        den2 = -math.expm1(-(c + a * x))
+        ratio = x / -math.expm1(-x) if x > 0.0 else 1.0
+        base = ratio * math.exp(-b * x)
+        return base / den2 if plus else base / (2.0 - den2)
+
+    split = c / a if plus and 0.0 < c < a else 0.0
+    if s < 1.5:
+        split = min(split, 1.0) if split else 1.0
+    val, err = _tanh_sinh(lambda u: integrand(split + u), cutoff - split, 12, target_int)
+    if split:
+        if s < 1.5:
+            # x = t^p, p = 1/(s-1), turns x^(s-2) dx into p dt: the endpoint
+            # singularity, too sharp for the rule in double near s = 1, is gone
+            p = 1.0 / (s - 1.0)
+            head, head_err = _tanh_sinh(
+                lambda t: p * smooth(t ** p), split ** (s - 1.0), 12, target_int
+            )
+        else:
+            head, head_err = _tanh_sinh(integrand, split, 12, target_int)
+        val, err = val + head, err + head_err
     return val / gam, (err + tail) / gam

@@ -265,3 +265,8 @@ class TestCombinationEval:
     def test_unattainable_tolerance_raises(self):
         with pytest.raises(DomainError):
             moment_combination(2).evaluate_with_bound(5.0, Tolerance(1e-30))
+
+    def test_split_rejects_a_bare_float_tol(self):
+        # the tolerance is checked before anything reads it
+        with pytest.raises(DomainError, match="Tolerance"):
+            combination_split(4.0, 1, tol=1e-8)

@@ -1,0 +1,248 @@
+"""The exp-weighted enclosure shared by the Lerch kernel and both damped zeta
+tails: Boole's envelope, the Lerch kernel against an elementary bracket, the
+two routes against the Laplace-integral route, and bounded time at small c."""
+
+import math
+import time
+
+import pytest
+
+from helpers import quad_family_sum, sandwich_lerch
+from zetasums import (
+    DomainError,
+    Family,
+    Sign,
+    StopRule,
+    SumSpec,
+    Tolerance,
+    TermBudgetError,
+    eval_direct,
+    s_pm_transformed,
+)
+from zetasums.special import EPS, _boole, _lerch_core, _power_phi
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+def _alternating_reference(c, p, x0, n=4000):
+    """sum over t >= 0 of (-1)^t e^(-ct) (x0 + t)^-p as a bracket, from n terms."""
+    return sandwich_lerch(-math.exp(-c), p, x0, n)
+
+
+class TestBooleEnvelope:
+    @pytest.mark.parametrize("p", [0.5, 1.5, 3.0, 8.0])
+    @pytest.mark.parametrize("c", [0.01, 0.3, 0.9])
+    @pytest.mark.parametrize("x0", [20.0, 60.0])
+    def test_every_stopping_order_encloses(self, p, c, x0):
+        lo, hi = _alternating_reference(c, p, x0, n=math.ceil(40.0 / c))
+        head = 0.5 * x0 ** -p
+        seen = set()
+        for k in range(2, 40, 2):
+            # stopping at ever smaller corrections walks through the orders
+            value, err, done = _boole(_power_phi(p), p, c, x0, 1.0, head * 2.0 ** -k, 0.0, 0.0)
+            pad = 4.0 * EPS * head
+            assert lo - err - pad <= value <= hi + err + pad, (k, value, err)
+            seen.add(round(err / head, 20))
+        assert len(seen) >= 4  # several distinct orders were exercised
+
+    def test_first_omitted_term_carries_the_remainder(self):
+        # stop after the head and one correction: the remainder has the sign
+        # and at most the size of the second correction, -(15/720) M_3
+        p, c, x0 = 2.0, 0.2, 20.0
+        lo, hi = _alternating_reference(c, p, x0, n=400)
+        m1 = c * x0 ** -p + p * x0 ** (-p - 1.0)
+        m3 = sum(
+            math.comb(3, i) * c ** (3 - i) * math.prod(p + j for j in range(i)) * x0 ** (-p - i)
+            for i in range(4)
+        )
+        partial = 0.5 * x0 ** -p + 0.25 * m1
+        t2 = -15.0 / 720.0 * m3
+        assert t2 - 1e-18 <= lo - partial and hi - partial <= 1e-18
+        value, err, done = _boole(_power_phi(p), p, c, x0, 1.0, 0.6 * abs(t2), 0.0, 0.0)
+        assert done and math.isclose(value, partial + 0.5 * t2, rel_tol=1e-14)
+
+
+def _check_lerch_against_bracket(c, sign, s, alpha):
+    z = sign * math.exp(-c)
+    value, bound = _lerch_core(z, s, alpha, 0.0)
+    n = math.ceil(40.0 / c)
+    lo, hi = sandwich_lerch(z, s, alpha, n)
+    # the bracket's own rounding: n powers and the fsum, relative to the
+    # gross of the partial sum
+    gross = math.fsum(abs(z) ** k * (k + alpha) ** -s for k in range(n))
+    pad = (s + 4.0) * EPS * gross
+    assert lo - bound - pad <= value <= hi + bound + pad
+    assert bound <= 2e3 * EPS * abs(value)
+
+
+class TestLerchKernel:
+    @pytest.mark.parametrize("c", [1e-3, 1e-2, 0.1, 0.7, 2.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("s, alpha", [(0.5, 1.7), (1.5, 0.05), (3.0, 30.0), (8.0, 1.7)])
+    def test_against_partial_sum_bracket(self, c, sign, s, alpha):
+        _check_lerch_against_bracket(c, sign, s, alpha)
+
+    @pytest.mark.parametrize("sign, c, s, alpha", [
+        # Boole's first start misses EPS/16 here; the explicit terms double
+        (-1.0, 0.430642458795947, 0.6233819090436112, 19.2146697672537),
+        (1.0, 0.010386463630907295, 6.629765444562339, 1143.3897240855797),
+    ])
+    def test_retry_path_encloses(self, sign, c, s, alpha):
+        _check_lerch_against_bracket(c, sign, s, alpha)
+
+    @pytest.mark.parametrize("z", [math.exp(-1e-6), -math.exp(-1e-6)])
+    def test_cost_does_not_grow_with_one_over_c(self, z):
+        start = time.perf_counter()
+        value, bound = _lerch_core(z, 3.0, 2.0, 1e-12)
+        assert time.perf_counter() - start < 0.5
+        assert bound <= 1e-12
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+def _route(direct, s, a, b, c, sign, tol):
+    if direct:
+        spec = SumSpec(family=Family.EXP_WEIGHTED, s=s, a=a, b=b, c=c, sign=sign, tol=tol)
+        return eval_direct(spec)
+    return s_pm_transformed(s, a, b, c, sign, tol)
+
+
+@pytest.mark.parametrize("direct", [True, False], ids=["direct", "transformed"])
+@pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS], ids=["plus", "minus"])
+@hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    c=_log_uniform(1e-4, 2.0),
+    s=st.floats(1.01, 6.0, exclude_min=True),
+    a=st.floats(0.1, 2.0),
+    b=st.floats(0.5, 2.0),
+    tol=_log_uniform(1e-12, 1e-6),
+)
+def test_enclosure_against_laplace_route(direct, sign, c, s, a, b, tol):
+    try:
+        r = _route(direct, s, a, b, c, sign, Tolerance(tol))
+    except DomainError as exc:
+        # a request past double precision fails typed; nothing to check
+        assert "unattainable" in str(exc)
+        return
+    assert r.tail_bound <= tol
+    target = max(0.01 * tol, 100.0 * EPS * abs(r.value))
+    ref, ref_err = quad_family_sum(s, a, b, c, sign, target=target)
+    # the reference is summed in double: 16 EPS of it for its rounding
+    assert abs(r.value - ref) <= r.tail_bound + ref_err + 16.0 * EPS * abs(ref)
+
+
+@pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
+@pytest.mark.parametrize("direct", [True, False], ids=["direct", "transformed"])
+@pytest.mark.parametrize("c", [50.0, 700.0])
+def test_large_c_where_the_weight_underflows(direct, sign, c):
+    # e^(-16c) is below every double: the direct tail is 0, both routes agree
+    r = _route(direct, 3.0, 0.5, 1.0, c, sign, Tolerance(1e-10))
+    assert abs(r.value - 1.2020569031595942) <= r.tail_bound + 1e-15
+
+
+@pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
+@pytest.mark.parametrize("direct", [True, False], ids=["direct", "transformed"])
+def test_small_c_in_bounded_time(direct, sign):
+    start = time.perf_counter()
+    r = _route(direct, 3.0, 0.5, 1.0, 1e-6, sign, Tolerance(1e-10))
+    assert time.perf_counter() - start < 2.0
+    assert r.tail_bound <= 1e-10
+    if direct:
+        assert r.terms_used == 16
+
+
+class TestTermFloor:
+    @pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
+    def test_near_one_ends_in_bounded_time(self, sign):
+        # |z| = e^-1e-6: the Lerch floor count exists, and each kernel call
+        # costs O(log 1/c), so the run ends well inside 5 s
+        start = time.perf_counter()
+        try:
+            r = s_pm_transformed(
+                3.0, 0.5, 1.0, 1e-6, sign, Tolerance(1e-8), stop=StopRule.TERM_FLOOR
+            )
+        except TermBudgetError:
+            pass
+        else:
+            assert r.tail_bound <= 1e-8
+        assert time.perf_counter() - start < 5.0
+
+    def test_kernel_target_sized_from_lerch_count(self, monkeypatch):
+        # the zeta floor count here is 2e14 and would ask every Lerch call for
+        # 2.8e-24; the Lerch count is 173 850 (173 315 before its refinement)
+        import zetasums.transforms as tr
+
+        seen = []
+
+        def probe(z, s, alpha, target):
+            seen.append(target)
+            raise RuntimeError("stop after the first call")
+
+        monkeypatch.setattr(tr, "_lerch_core", probe)
+        with pytest.raises(RuntimeError):
+            tr.s_pm_transformed(1.5, 0.5, 1.0, 0.05, Sign.PLUS, Tolerance(1e-8),
+                                stop=StopRule.TERM_FLOOR)
+        count = tr._lerch_floor_count(math.exp(-0.05), 1.5, 0.5, 1.0, 1e-7)
+        assert 1.7e5 <= count <= 1.8e5
+        assert seen[0] == pytest.approx(0.8 * 0.2 * 1e-8 / (2 * count) * 0.5 ** 1.5)
+
+    @pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
+    def test_z_underflowing_to_zero(self, sign):
+        # e^-800 is 0.0: the Lerch value is its first term, the count exists
+        r = s_pm_transformed(3.0, 0.5, 1.0, 800.0, sign, Tolerance(1e-8),
+                             stop=StopRule.TERM_FLOOR)
+        assert abs(r.value - 1.2020569031595942) <= r.tail_bound + 1e-15
+
+    @pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
+    def test_lerch_sized_targets_still_certify(self, sign):
+        # a smaller request of the same kind: the zeta count is 2e10, the
+        # Lerch counts 2 006 (plus) and 785 (minus)
+        r = s_pm_transformed(1.5, 0.5, 1.0, 0.5, sign, Tolerance(1e-6),
+                             stop=StopRule.TERM_FLOOR)
+        assert r.tail_bound <= 1e-6
+
+
+def test_tail_checks_thin_out_when_the_tail_is_slow_to_fit():
+    # a tail that never fits and terms whose error trips the "unattainable"
+    # test past n = 10 000: the checks grow apart, O(log n) of them
+    from zetasums.sums import Method, _run_series
+
+    checks = []
+
+    def tail(n):
+        checks.append(n)
+        return 0.0, 1.0
+
+    with pytest.raises(DomainError, match="unattainable"):
+        _run_series(lambda n: (0.0, 5e-5, 1.0), tail, 1.0, StopRule.EARLIEST,
+                    Method.DIRECT, None, "over budget")
+    assert checks[:7] == [16, 24, 32, 40, 48, 56, 64]
+    assert checks[-1] >= 10_000 and len(checks) < 100
+
+
+class TestFloorLimitedTail:
+    def test_unattainable_transformed_request_fails_at_once(self):
+        # the sum is ~6e10, so its rounding floor alone exceeds tol 4.1e-4,
+        # at every term the budget allows
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="unattainable"):
+            s_pm_transformed(1.1164371348196442, 417275.59544807306, 0.015918790709579567,
+                             1.335810668911782e-12, Sign.PLUS, Tolerance(0.0004103917806333003))
+        assert time.perf_counter() - start < 1.0
+
+    def test_floor_count_near_s_one_uses_the_integral_bound(self, monkeypatch):
+        # Phi ~ x^(1-s)/(s-1) near s = 1: the integral bound puts the crossing
+        # past 1e5 terms, so a budget of 20 000 refuses the request up front
+        import zetasums.transforms as tr
+
+        args = (1.0131496697486573, 1.6258128756267017e-05, 0.009650325295872581)
+        assert tr._lerch_floor_count(math.exp(-3.581466152342696e-12), *args, 0.89) > 1e5
+        monkeypatch.setenv("ZS_TERM_BUDGET", "20000")
+        start = time.perf_counter()
+        with pytest.raises(TermBudgetError):
+            s_pm_transformed(*args, 3.581466152342696e-12, Sign.PLUS,
+                             Tolerance(0.08899981033115792), stop=StopRule.TERM_FLOOR)
+        assert time.perf_counter() - start < 1.0
