@@ -561,10 +561,12 @@ def _geometric(phi, s, c, X, h, first, step, sign, target):
 
 
 def _damped_lattice(phi, s, sign, c, X, h, target):
-    """(value, bound) of sum over j >= 0 of (sign e^-c)^j F(X + jh), c > 0,
+    """(value, bound) of sum over j >= 0 of (sign e^-c)^j F(X + jh), c >= 0,
     F completely monotone (x^-s, s > 0, or zeta(s, x), s > 1), by Boole
     summation (minus sign) or halving into alternating levels (plus sign):
     O(log(1/c)) levels of O(s) evaluations each.  target is advisory.
+    c = 0 is valid for the minus sign only: Boole needs no damping, but the
+    plus-sign halving loop (while 2^levels c < _HALVING_STOP) never ends.
 
     Plus-sign level k is A(q^(2^k), X + (2^k - 1) h, 2^k h) with weight
     W_k = 2^k q^(2^k - 1); its error and rounding carry W_k."""
@@ -605,7 +607,7 @@ def _damped_zeta(s, sign, c, X, h, target):
     """(value, bound) of sum over j >= 0 of (sign e^-c)^j zeta(s, X + jh), s > 1,
     for an X rounded once: its error moves the sum by at most s EPS |value|
     (|d/dX| <= s zeta(s, x)/x termwise, and |value| >= zeta(s, X)/2 for the
-    minus sign)."""
+    minus sign).  c = 0 is valid for the minus sign only."""
 
     def phi(x, i, target):
         p = _poch_raw(s, i)
@@ -630,12 +632,12 @@ def _lerch_slack(s):
 
 
 def _lerch_core(z, s, alpha, target):
-    """Lerch sum over z^n (n+alpha)^-s with certified bound; |z| < 1 strictly.
+    """Lerch sum over z^n (n+alpha)^-s with certified bound; -1 <= z < 1.
 
-    Returns (value, bound).  Caller handles the z = +-1 identities.  For
-    s > 0 the summand is completely monotone and _damped_lattice encloses
-    the sum at a cost independent of 1 - |z|; s <= 0 sums the geometric
-    series term by term.
+    Returns (value, bound).  Caller handles z = 1.  For s > 0 the summand is
+    completely monotone and _damped_lattice encloses the sum at a cost
+    independent of 1 - |z|, z = -1 included (Boole's summation at c = 0);
+    s <= 0 sums the geometric series term by term, |z| < 1.
     """
     try:
         if z == 0.0:
@@ -684,12 +686,7 @@ def lerch_phi(z, s, alpha, tol):
         _require_s(s, 1.0, f"lerch_phi at z = {z:g}")
     if z == 1.0:
         return hurwitz_zeta(s, alpha, tol)
-    if z == -1.0:
-        half = Tolerance(max(0.45 * tol.abs_tol, TOL_FLOOR))
-        hi = hurwitz_zeta(s, 0.5 * alpha, half)
-        lo = hurwitz_zeta(s, 0.5 * alpha + 0.5, half)
-        return 2.0 ** -s * (hi - lo)
-    if 1.0 - abs(z) <= BOUNDARY_MARGIN:
+    if z != -1.0 and 1.0 - abs(z) <= BOUNDARY_MARGIN:
         raise DomainError("lerch_phi rejects |z| within 1e-12 of 1 (degenerate input)")
     return _certified(*_lerch_core(z, s, alpha, 0.9 * tol.abs_tol), tol)
 

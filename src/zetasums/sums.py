@@ -3,11 +3,11 @@
 Every family is a sum over k of weight(k) * zeta(s, arg(k)).  The evaluator
 adds explicit terms, then encloses the remainder: integer-lattice families by
 exact telescoped tail identities, unit/affine lattices by Euler-Maclaurin
-over the lattice with an enveloping remainder, alternating affine lattices by
-pairing consecutive terms and integrating zeta over strips (which keeps every
-intermediate pole-free), and exponentially weighted sums by Boole summation
-and lattice halving (special._damped_lattice).  tail_bound on the result is
-the full certified error: enclosure half-width plus accumulated per-term
+over the lattice with an enveloping remainder, alternating unit lattices by
+the exact half-lattice identity, and alternating affine and exponentially
+weighted lattices by Boole summation and lattice halving
+(special._damped_lattice, at c = 0 for the alternating ones).  tail_bound
+is the full certified error: enclosure half-width plus accumulated per-term
 evaluation error plus rounding slop.
 
 _RULES holds one row per family; _run_series is the summation loop shared by
@@ -233,17 +233,6 @@ def _even_arg_tail(spec, K, budget):
     return _sum_pieces(s, pieces, budget)
 
 
-def _em_order(s, h, bound):
-    """(order, envelope) minimizing the first omitted lattice Euler-Maclaurin
-    correction, from closed-form upper bounds bound(s + 2j + 1)."""
-    best_j, best_env = 0, None
-    for j in range(_EM_MAX_ORDER + 1):
-        env = abs(_EM_C[j + 1]) * h ** (2 * j + 1) * _poch_raw(s, 2 * j + 1) * bound(s + 2 * j + 1)
-        if best_env is None or env < best_env:
-            best_j, best_env = j, env
-    return best_j, best_env
-
-
 def _lattice_tail(s, A, h, budget):
     """Euler-Maclaurin enclosure of sum(zeta(s, A + j*h), j >= 0); needs s > 2.
 
@@ -251,7 +240,12 @@ def _lattice_tail(s, A, h, budget):
     remainder after any correction order is enveloped by the first omitted
     correction; the order is chosen by minimizing a cheap upper bound on it.
     """
-    best_j, best_env = _em_order(s, h, lambda sigma: hurwitz_tail_bound(sigma, A))
+    best_j, best_env = 0, None
+    for j in range(_EM_MAX_ORDER + 1):
+        env = (abs(_EM_C[j + 1]) * h ** (2 * j + 1) * _poch_raw(s, 2 * j + 1)
+               * hurwitz_tail_bound(s + 2 * j + 1, A))
+        if best_env is None or env < best_env:
+            best_j, best_env = j, env
     pieces = [(1.0 / (h * (s - 1.0)), 1, A), (0.5, 0, A)]
     for r in range(1, best_j + 1):
         wr = _EM_C[r] * h ** (2 * r - 1) * _poch_raw(s, 2 * r - 1)
@@ -266,16 +260,16 @@ def _affine_tail(spec, K, budget):
 
 
 def _alt_affine_tail(spec, K, budget):
-    """Tail of the alternating unit or affine lattice sum past K terms.  For
-    unit spacing it is exactly sign * 2^-s zeta(s, (K + x0)/2): consecutive
-    zeta values collapse pairwise onto the half lattice; otherwise paired
-    strips."""
+    """Tail of the alternating unit or affine lattice sum past K terms,
+    (-1)^K sum(j >= 0) of (-1)^j zeta(s, h(K + j) + x0): at unit spacing
+    exactly 2^-s zeta(s, (K + x0)/2), consecutive values collapsing onto the
+    half lattice; otherwise the c = 0 exp-weighted tail, Boole undamped."""
     h, x0 = _RULES[spec.family].lattice(spec)
     sign = 1.0 if K % 2 == 0 else -1.0
     if h == 1.0:
         return _sum_pieces(spec.s, [(sign * 2.0 ** -spec.s, 0, (K + x0) / 2.0)], budget)
-    mid, wid = _paired_strip_tail(spec.s, h * K + x0, 2.0 * h, h)
-    return sign * mid, wid
+    value, bound = _damped_zeta(spec.s, -1.0, 0.0, h * K + x0, h, budget)
+    return sign * value, bound
 
 
 def _damped_tail(spec, K, budget):
@@ -291,14 +285,14 @@ def _damped_tail(spec, K, budget):
     return pre * value, pre * bound + (spec.c * K + 1.0) * EPS * pre * abs(value)
 
 
-# --- strip integrals: D(s, A, h) = integral of zeta(s, x) over [A, A+h] ----
+# --- strip integrals D(s, A, h) = integral of zeta(s, x) over [A, A+h], for
+# the pole-free pair gaps of the alternating reciprocal-lattice route ------
 
 def _int_power(K, A, h, p):
     """integral of (K + x)^p over x in [A, A+h]: (y^q - x^q)/q with q = p + 1,
     x = K + A and y = x + h.  log(y/x) is taken as log1p(h/x): from a rounded
-    y / x its relative error would be eps/log(y/x), hundreds of ulps on the
-    thin strips of the alternating tails.  expm1 keeps small q accurate;
-    q = 0 gives the log itself."""
+    y / x its relative error would be eps/log(y/x), hundreds of ulps on
+    thin strips.  expm1 keeps small q accurate; q = 0 gives the log itself."""
     x = K + A
     q = p + 1.0
     lg = math.log1p(h / x)
@@ -313,50 +307,36 @@ _STRIP_ORDER = 6
 
 def _strip_integral(s, A, h):
     """(value, halfwidth) for D(s, A, h); valid for any s > 1 — the only
-    s-dependence sits in stable power differences, so s = 2 is not special."""
-    acc = NSum()
-    for k in range(_STRIP_SPLIT):
-        acc.add(_int_power(k, A, h, -s))
-    acc.add(_int_power(_STRIP_SPLIT, A, h, 1.0 - s) / (s - 1.0))
-    acc.add(0.5 * _int_power(_STRIP_SPLIT, A, h, -s))
+    s-dependence sits in stable power differences, so s = 2 is not special.
+    The rounding of k + A, k > 0, moves a piece, the integral of t^p, by at
+    most |p| times that rounding (x |dI/dx| <= |p| I): |p| EPS of it is
+    charged."""
+    pieces = [(_int_power(k, A, h, -s), s if k else 0.0) for k in range(_STRIP_SPLIT)]
+    pieces.append((_int_power(_STRIP_SPLIT, A, h, 1.0 - s) / (s - 1.0), s - 1.0))
+    pieces.append((0.5 * _int_power(_STRIP_SPLIT, A, h, -s), s))
     for r in range(1, _STRIP_ORDER + 1):
-        acc.add(
-            _EM_C[r] * _poch_raw(s, 2 * r - 1) * _int_power(_STRIP_SPLIT, A, h, -s - (2 * r - 1))
-        )
+        p = -s - (2 * r - 1)
+        pieces.append((_EM_C[r] * _poch_raw(s, 2 * r - 1) * _int_power(_STRIP_SPLIT, A, h, p), -p))
+    acc = NSum()
+    for v, _ in pieces:
+        acc.add(v)
     width = abs(_EM_C[_STRIP_ORDER + 1]) * _poch_raw(s, 2 * _STRIP_ORDER + 1) * abs(
         _int_power(_STRIP_SPLIT, A, h, -s - (2 * _STRIP_ORDER + 1))
     )
-    return acc.total(), width + fp_slop(acc.gross)
+    return acc.total(), width + fp_slop(acc.gross) + EPS * sum(c * abs(v) for v, c in pieces)
 
 
 def _pair_gap(s, x, gap):
-    """(value, halfwidth) for zeta(s, x) - zeta(s, x + gap), pole-free."""
+    """(value, halfwidth) for zeta(s, x) - zeta(s, x + gap) = s D(s + 1, x, gap),
+    pole-free.  s + 1 rounds to s + 1 + d (d exact), which moves the value by
+    at most |d| L of itself: L = max(|log x|, |log(x + gap)|) + 2/s bounds
+    the mean |log| of the lattice under D's weights, as the mean of
+    log(1 + m/t) under the weights (m + t)^-(s+1) stays below 1/s (at most
+    0.998/s with mpmath for t from 1e-3 to 1e5, s + 1 from 2.0001 to 50)."""
     v, w = _strip_integral(s + 1.0, x, gap)
-    return s * v, s * w + EPS * abs(s * v)
-
-
-def _paired_strip_tail(s, A, step, gap):
-    """(midpoint, halfwidth) for sum(zeta(s, A+i*step) - zeta(s, A+gap+i*step),
-    i >= 0).  Euler-Maclaurin over the pair-difference function, every piece a
-    strip integral; the pair difference is completely monotone so the first
-    omitted correction envelopes the remainder."""
-    best_j, best_env = _em_order(
-        s, step, lambda sigma: sigma * gap * hurwitz_tail_bound(sigma + 1.0, A)
-    )
-    acc = NSum()
-    width = best_env
-    v, w = _strip_integral(s, A, gap)
-    acc.add(v / step)
-    width += w / step
-    v, w = _pair_gap(s, A, gap)
-    acc.add(0.5 * v)
-    width += 0.5 * w
-    for r in range(1, best_j + 1):
-        wr = _EM_C[r] * step ** (2 * r - 1) * _poch_raw(s, 2 * r - 1) * (s + 2 * r - 1)
-        v, w = _strip_integral(s + 2 * r, A, gap)
-        acc.add(wr * v)
-        width += abs(wr) * w
-    return acc.total(), width + fp_slop(acc.gross)
+    d = ((s + 1.0) - 1.0) - s
+    d *= max(abs(math.log(x)), abs(math.log(x + gap))) + 2.0 / s
+    return s * v, s * w + (EPS + abs(d)) * abs(s * v)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Reciprocal-lattice representations of the affine zeta-sum families.
 
 The slow sum over zeta(s, ka+b) equals a fast series over zeta values on the
-1/a lattice (scaled by a^-s); the alternating version pairs onto the 1/(2a)
-lattice with strip-integral pair differences; the exponentially weighted
-version becomes a series of Lerch values whose tail reindexes exactly into a
-geometrically damped zeta series.  All evaluators return SumResult with a
-certified tail_bound in the same sense as direct evaluation.
+1/a lattice (scaled by a^-s); the alternating version, a series of pole-free
+pair differences on the 1/(2a) lattice, and the exponentially weighted
+version, a series of Lerch values, leave one kind of tail: a damped zeta
+series, undamped for the alternating version.  All evaluators return
+SumResult with a certified tail_bound in the same sense as direct evaluation.
 """
 
 import math
@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 
 from .errors import DomainError
 from .special import (
+    EPS,
     fp_slop,
     hurwitz_tail_bound,
     term_budget,
@@ -34,7 +35,6 @@ from .sums import (
     _floor_count,
     _lattice_tail,
     _pair_gap,
-    _paired_strip_tail,
     _run_series,
 )
 
@@ -84,27 +84,26 @@ def kappa_ab_transformed(s, a, b, tol, *, stop=StopRule.EARLIEST):
 
 def kappa_ab_alt_transformed(s, a, b, tol, *, stop=StopRule.EARLIEST):
     """sum over k >= 0 of (-1)^k zeta(s, ka+b) via pair differences on the
-    1/(2a) lattice, every piece a pole-free strip integral.  Requires s > 1."""
+    1/(2a) lattice, every term a pole-free strip integral, and the c = 0 tail
+    of s_pm_transformed.  Requires s > 1."""
     spec = SumSpec(family=Family.GENERAL_AB_ALT, s=s, a=a, b=b, tol=tol)
     w = _prefactor(s, 2.0 * a, "(2a)")
     tol_abs = tol.abs_tol
     floor = 10.0 * tol_abs
-    step = 1.0 / (2.0 * a)
     count = None
     if stop is StopRule.TERM_FLOOR:
         count = _floor_count(spec, 2.0)
 
     def term(n):
-        x = (n + b) * step
+        # x is rounded once, twice where n + b rounds; a relative error r in
+        # x moves the gap by at most (s + 1) r of itself
+        x = (n + b) / (2.0 * a)
         v, e = _pair_gap(s, x, 0.5)
-        return w * v, w * e, x
-
-    def tail(n):
-        mid, wid = _paired_strip_tail(s, (n + b) * step, step, 0.5)
-        return w * mid, w * wid
+        return w * v, w * (e + (0.5 if n == 0 else 1.0) * (s + 1.0) * EPS * v), x
 
     return _run_series(
-        term, tail, tol_abs, stop, Method.TRANSFORMED, count, _OVER_BUDGET,
+        term, _zeta_series_tail(s, 0.0, -1.0, a, b, tol_abs), tol_abs, stop,
+        Method.TRANSFORMED, count, _OVER_BUDGET,
         bare=lambda x: _hurwitz_core(s, x, 0.1 * floor)[0],
     )
 
@@ -120,6 +119,31 @@ def _geo_zeta_tail(s, c, sign, step, start, budget):
     """(midpoint, halfwidth) of sum over j >= 0 of (sign e^-c)^j zeta(s, j*step + start),
     the exp-weighted tail past the first n Lerch terms (start = n + b)."""
     return _damped_zeta(s, sign, c, start, step, budget)
+
+
+def _zeta_series_tail(s, c, sign, a, b, tol_abs):
+    """tail(n) of s_pm_transformed, and at c = 0, sign -1, of
+    kappa_ab_alt_transformed: both leave _geo_zeta_tail(s, c, sign, a, n + b)
+    past n terms.  Where the tail's rounding floor, with the slop the series
+    charges on its midpoint, first sits above tol, it is probed once more at
+    the last term the budget allows: both fall with n, so if they are still
+    above tol there, no run within the budget fits, and the request fails now."""
+    target = 0.45 * _TAIL_FRACTION * tol_abs
+    probed = []
+
+    def tail(n):
+        mid, wid = _geo_zeta_tail(s, c, sign, a, n + b, target)
+        if wid + fp_slop(2.0 * abs(mid)) > tol_abs and not probed:
+            probed.append(n)
+            far, far_wid = _geo_zeta_tail(s, c, sign, a, term_budget() + b, target)
+            if far_wid + fp_slop(2.0 * abs(far)) > tol_abs:
+                raise DomainError(
+                    "requested tolerance is unattainable in double precision "
+                    "for this transformation"
+                )
+        return mid, wid
+
+    return tail
 
 
 _FLOOR_REFINEMENTS = 64
@@ -187,31 +211,15 @@ def s_pm_transformed(s, a, b, c, sign, tol, *, stop=StopRule.EARLIEST):
         count = _lerch_floor_count(z, s, a, b, 10.0 * tol_abs + target)
 
     over_budget = "transformed evaluation exceeded the term budget ({budget})"
-    tail_target = 0.45 * _TAIL_FRACTION * tol_abs
-    probed = []
 
     def term(n):
         v, e = _lerch_core(z, s, (n + b) / a, target)
         return w * v, w * e, abs(v)
 
-    def tail(n):
-        mid, wid = _geo_zeta_tail(s, c, sgn, a, n + b, tail_target)
-        if wid + fp_slop(2.0 * abs(mid)) > tol_abs and not probed:
-            # the tail's rounding floor, with the slop the series charges on
-            # its midpoint, sits above tol.  Both follow the tail's size,
-            # which falls with n; if they are still above tol at the last
-            # term the budget allows, no run within the budget fits: fail
-            # now, not after millions of terms
-            probed.append(n)
-            far, far_wid = _geo_zeta_tail(s, c, sgn, a, term_budget() + b, tail_target)
-            if far_wid + fp_slop(2.0 * abs(far)) > tol_abs:
-                raise DomainError(
-                    "requested tolerance is unattainable in double precision "
-                    "for this transformation"
-                )
-        return mid, wid
-
-    return _run_series(term, tail, tol_abs, stop, Method.TRANSFORMED, count, over_budget)
+    return _run_series(
+        term, _zeta_series_tail(s, c, sgn, a, b, tol_abs), tol_abs, stop,
+        Method.TRANSFORMED, count, over_budget,
+    )
 
 
 # ---------------------------------------------------------------------------

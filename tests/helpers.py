@@ -2,7 +2,9 @@
 
 Everything here is deliberately low-tech: partial sums plus convexity
 brackets, a Laplace-integral route through the package's tanh-sinh
-integrator, and a decimal Euler-Maclaurin sum far past double precision.
+integrator, the same route by mpmath's quadrature at 30 and 40 digits (for
+the alternating affine sum; imported only there), and a decimal
+Euler-Maclaurin sum far past double precision.
 Only the last shares anything with the library's own evaluators, and that is
 the exact Bernoulli fractions (checked against known values in
 test_special); its split point, order and arithmetic are its own, so
@@ -155,3 +157,32 @@ def quad_family_sum(s, a, b, c, sign, target=1e-11):
             head, head_err = _tanh_sinh(integrand, split, 12, target_int)
         val, err = val + head, err + head_err
     return val / gam, (err + tail) / gam
+
+
+def laplace_alternating_sum(s, a, b):
+    """sum_{k>=0} (-1)^k zeta(s, ka+b) for the exact binary64 inputs, as an
+    mpmath number, and the distance between its 30- and 40-digit values.
+
+    The Laplace route (1/Gamma(s)) * integral_0^inf x^(s-1) e^(-bx)
+    / ((1 - e^(-x)) (1 + e^(-ax))) dx by mpmath's quadrature; on (0, 1) in
+    u = x^(s-1), which turns x^(s-2) dx into dx/(s-1) du and so removes the
+    endpoint singularity that near s = 1 is too sharp for the rule.  Shares
+    nothing with the library's evaluators.  Needs mpmath.
+    """
+    import mpmath
+
+    def at(digits):
+        with mpmath.workdps(digits):
+            S, A, B = mpmath.mpf(s), mpmath.mpf(a), mpmath.mpf(b)
+            p = 1 / (S - 1)
+
+            def g(x):
+                return mpmath.exp(-B * x) / (-mpmath.expm1(-x) * (1 + mpmath.exp(-A * x)))
+
+            # x = u^p: x^(s-1) dx = u * p u^(p-1) du = p x du
+            head = mpmath.quad(lambda u: p * u ** p * g(u ** p) if u > 0 else 0, [0, 1])
+            rest = mpmath.quad(lambda x: x ** (S - 1) * g(x), [1, 4, 16, 64, 256, mpmath.inf])
+            return (head + rest) / mpmath.gamma(S)
+
+    ref = at(30)
+    return ref, abs(ref - at(40))

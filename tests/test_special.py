@@ -220,6 +220,13 @@ class TestLerchPhi:
             )
             assert math.isclose(lerch_phi(-1.0, s, alpha, T12), want, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("s, tol", [(1.000001, 1e-10), (1.000001, 1e-12), (1.0001, 1e-12)])
+    def test_z_minus_one_near_pole_is_eta(self, s, tol):
+        # Phi(-1, s, 1) = eta(s); the half-lattice split cancels two values
+        # of size 1/(s - 1) here and could not certify these requests
+        T = Tolerance(tol)
+        assert abs(lerch_phi(-1.0, s, 1.0, T) - dirichlet_eta(s, T)) <= 2.0 * tol
+
     def test_interior_z_against_bracket(self):
         for zv, s, alpha in (
             (math.exp(-1.0), 2.0, 1.0),

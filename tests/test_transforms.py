@@ -16,6 +16,7 @@ from zetasums import (
     Tolerance,
     TermBudgetError,
     TransformReport,
+    check_identity,
     choose_method,
     compare_methods,
     corollary_b_equals_a,
@@ -70,6 +71,20 @@ class TestKappaAbAltTransformed:
     def test_domain(self):
         with pytest.raises(DomainError):
             kappa_ab_alt_transformed(1.0, 0.1, 1.0, T8)  # needs s > 1
+
+    def test_near_pole_unattainable_fails_at_once(self):
+        # the tail is ~500 with a rounding floor ~7e-13 at every term the
+        # budget allows: refused on the first tail check, not after 1e7 terms
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="unattainable"):
+            kappa_ab_alt_transformed(1.001, 0.5, 1.0, Tolerance(1e-13))
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_near_pole_identity_relaxes_through_the_ladder(self):
+        t0 = time.perf_counter()
+        report = check_identity("4.3", s=1.001, a=0.5, b=1.0, tol=Tolerance(1e-13))
+        assert report.passed
+        assert time.perf_counter() - t0 < 1.0
 
     def test_floor_count_past_budget_fails_at_once(self, monkeypatch):
         # the floor on the 1/(2a) lattice sits ~1e7 terms out
