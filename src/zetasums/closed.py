@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError, NoClosedFormError
 from .special import (
@@ -136,12 +137,22 @@ def faulhaber_coeffs(m):
     Leading zero powers are trimmed into the offset, e.g. m = 3 gives
     offset 2 with coefficients (1/4, 1/2, 1/4).
     """
+    _require_m(m, "faulhaber_coeffs")
     return RationalCoeffs.from_fractions(_faulhaber_fracs(m), offset=0, trim=True)
 
 
+def euler_polynomial_fracs(m):
+    """Euler polynomial E_m(x) coefficients, ascending powers, exact."""
+    _require_m(m, "euler_polynomial")
+    return _euler_tables(m)[0]
+
+
+# The tables below are built once per m, for an m that _require_m has already
+# passed: in front of it, a cache would answer m = 2.0 with m = 2's entry.
+
+@lru_cache(maxsize=None)
 def _faulhaber_fracs(m):
-    """The same polynomial as a dense list, powers 0 .. m+1."""
-    _require_m(m, "faulhaber_coeffs")
+    """The same polynomial as faulhaber_coeffs as a dense tuple, powers 0 .. m+1."""
     deg = m + 1
     poly = [Fraction(0)] * (deg + 1)
     for k in range(deg + 1):
@@ -150,12 +161,12 @@ def _faulhaber_fracs(m):
             poly[i] += c * math.comb(deg - k, i)
     # remove the constant so the polynomial vanishes at n = 0
     poly[0] -= sum(Fraction(math.comb(deg, k)) * bernoulli_fraction(k) for k in range(deg + 1))
-    return [c / deg for c in poly]
+    return tuple(c / deg for c in poly)
 
 
-def euler_polynomial_fracs(m):
-    """Euler polynomial E_m(x) coefficients, ascending powers, exact."""
-    _require_m(m, "euler_polynomial")
+@lru_cache(maxsize=None)
+def _euler_tables(m):
+    """(E_m(x), E_m(x + 1)) coefficients, ascending powers, exact."""
     coeffs = [Fraction(1)]
     for k in range(1, m + 1):
         integ = [Fraction(0)] + [c / (i + 1) for i, c in enumerate(coeffs)]
@@ -163,7 +174,9 @@ def euler_polynomial_fracs(m):
         # constant fixed by E_k(0) = 2(1 - 2^(k+1)) B_{k+1} / (k+1)
         poly[0] = Fraction(2 * (1 - 2 ** (k + 1))) * bernoulli_fraction(k + 1) / (k + 1)
         coeffs = poly
-    return coeffs
+    shifted = tuple(sum(coeffs[d] * math.comb(d, i) for d in range(i, m + 1))
+                    for i in range(m + 1))
+    return tuple(coeffs), shifted
 
 
 # ---------------------------------------------------------------------------

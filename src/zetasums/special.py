@@ -251,6 +251,33 @@ _EM_STEPS = tuple(
 )
 
 
+def _em_walk(s, z, head, hi, lo, gross, corr):
+    """(value, bound) of hi + lo, a Neumaier pair of magnitude gross ending in
+    head + half, closed by the Euler-Maclaurin corrections at z from corr, the
+    first, z^{-s-1}: it carries the first-order factor for the rounding of z,
+    and the later ones, each under 1/100 of it, inherit it, missing (2r - 2) dz
+    of each, far inside the rounding charge.  Their magnitudes are log-convex
+    in r, so the first that does not shrink is the smallest first omitted term."""
+    z2 = 1.0 / (z * z)
+    env = abs(corr)
+    negligible = _EM_NEGLIGIBLE * head
+    for ratio, k1, k2 in _EM_STEPS:
+        if env <= negligible:
+            break
+        nxt = corr * ratio * (s + k1) * (s + k2) * z2
+        if abs(nxt) >= env:
+            break
+        t = hi + corr
+        lo += (hi - t) + corr
+        hi = t
+        gross += env
+        corr = nxt
+        env = abs(nxt)
+    # (s EPS)^2 per unit of gross covers the second-order remainder of
+    # every compensated addend
+    return hi + lo, env + fp_slop(gross) + (s * EPS) ** 2 * gross
+
+
 def _hurwitz_core(s, alpha, target):
     """zeta(s, alpha) for s > 1, alpha > 0 with a certified absolute bound.
 
@@ -260,17 +287,30 @@ def _hurwitz_core(s, alpha, target):
 
     The first split point N puts z = N + alpha at or past 20 (2 ceil(s) for
     s >= 10), where the corrections shrink fast; z = alpha when alpha is
-    already there.  The rounding of n + alpha would grow by a factor s in
+    already there, and that first pass, with no explicit terms, is taken
+    directly.  The rounding of n + alpha would grow by a factor s in
     (n + alpha)^-s, so it is compensated to first order: x = fl(n + alpha)
     misses by d exactly (Fast2Sum), and x^-s (1 - s d/x) is the term.
     """
     split = 20 if s < 10.0 else 2 * math.ceil(s)
-    n_terms = min(max(0, math.ceil(split - alpha)), _HURWITZ_N_CAP)
     neg_s = -s
+    best = None
+    if split <= alpha < math.inf:
+        # z = alpha exactly, so dz = 0: the general pass's operations less those
+        # on zeros.  An infinite alpha takes the general pass, whose ceil rejects it
+        zs = alpha ** neg_s
+        head = zs * alpha / (s - 1.0)
+        half = 0.5 * zs
+        hi = head + half
+        best = _em_walk(s, alpha, head, hi, (head - hi) + half, hi, _EM_C[1] * s * zs / alpha)
+        if best[1] <= target:
+            return best
+        n_terms = 1
+    else:
+        n_terms = min(max(0, math.ceil(split - alpha)), _HURWITZ_N_CAP)
     # explicit terms so far: Neumaier pair, and the sum of x^-s d/x
     part_hi = part_lo = drift = 0.0
     n_done = 0
-    best = None
     try:
         while True:
             for n in map(float, range(n_done, n_terms)):
@@ -302,32 +342,9 @@ def _hurwitz_core(s, alpha, target):
             hi = t
             # every explicit term is positive, so their sum is also their gross
             gross = part_hi + part_lo + head + half
-            # corrections in order; their magnitudes are log-convex in r, so the
-            # first one that does not shrink is the smallest first omitted term.
-            # The first, z^{-s-1}, carries its first-order factor for the rounding
-            # of z; the later ones, each under 1/100 of it, inherit that factor
-            # through the recurrence, and what it misses, (2r - 2) dz of each,
-            # sits far inside the rounding charge.
-            z2 = 1.0 / (z * z)
-            corr = _EM_C[1] * s * zs / z * (1.0 - (s + 1.0) * dz)
-            env = abs(corr)
-            negligible = _EM_NEGLIGIBLE * head
-            for ratio, k1, k2 in _EM_STEPS:
-                if env <= negligible:
-                    break
-                nxt = corr * ratio * (s + k1) * (s + k2) * z2
-                if abs(nxt) >= env:
-                    break
-                t = hi + corr
-                lo += (hi - t) + corr
-                hi = t
-                gross += env
-                corr = nxt
-                env = abs(nxt)
-            value = hi + lo
-            # (s EPS)^2 per unit of gross covers the second-order remainder of
-            # every compensated addend
-            bound = env + fp_slop(gross) + (s * EPS) ** 2 * gross
+            value, bound = _em_walk(
+                s, z, head, hi, lo, gross, _EM_C[1] * s * zs / z * (1.0 - (s + 1.0) * dz)
+            )
             improved = best is None or bound < 0.5 * best[1]
             if best is None or bound < best[1]:
                 best = (value, bound)

@@ -17,13 +17,12 @@ the direct route and the reciprocal-lattice transformations.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .closed import (
+    _euler_tables,
     _faulhaber_fracs,
     _require_m,
-    euler_polynomial_fracs,
     eulerian_polynomial,
     even_arg_moment_combination,
     kappa_alt_combination,
@@ -192,12 +191,7 @@ def _moment_alt_tail(spec, K, budget):
     """Exact tail of sum((-1)^(k-1) k^m zeta(s,k), k > K) via the alternating
     power-sum polynomial: zeta values on the half-integer lattice at K/2."""
     s, m = spec.s, spec.m
-    e_poly = euler_polynomial_fracs(m)
-    # coefficients of E_m(x+1)
-    shifted = [Fraction(0)] * (m + 1)
-    for i in range(m + 1):
-        for d in range(i, m + 1):
-            shifted[i] += e_poly[d] * math.comb(d, i)
+    e_poly, shifted = _euler_tables(m)  # E_m(x) and E_m(x+1)
     u_odd = (K + 1) // 2 + 0.5
     u_even = K // 2 + 1.0
     e_at = float(sum(f * (K + 1) ** d for d, f in enumerate(e_poly)))  # E_m(K+1)
@@ -233,19 +227,29 @@ def _even_arg_tail(spec, K, budget):
     return _sum_pieces(s, pieces, budget)
 
 
-def _lattice_tail(s, A, h, budget):
-    """Euler-Maclaurin enclosure of sum(zeta(s, A + j*h), j >= 0); needs s > 2.
-
-    The integrand is completely monotone in the lattice coordinate, so the
-    remainder after any correction order is enveloped by the first omitted
-    correction; the order is chosen by minimizing a cheap upper bound on it.
-    """
+def _lattice_order(s, A, h):
+    """(order, envelope) of _lattice_tail's enclosure: the order minimizing a
+    cheap upper bound on the first omitted correction, and that bound."""
     best_j, best_env = 0, None
     for j in range(_EM_MAX_ORDER + 1):
         env = (abs(_EM_C[j + 1]) * h ** (2 * j + 1) * _poch_raw(s, 2 * j + 1)
                * hurwitz_tail_bound(s + 2 * j + 1, A))
         if best_env is None or env < best_env:
             best_j, best_env = j, env
+    return best_j, best_env
+
+
+def _lattice_tail(s, A, h, budget, cap=math.inf):
+    """Euler-Maclaurin enclosure of sum(zeta(s, A + j*h), j >= 0); needs s > 2.
+
+    The integrand is completely monotone in the lattice coordinate, so the
+    remainder after any correction order is enveloped by the first omitted
+    correction.  A caller that can use no half-width above cap gets
+    (0.0, inf) without the zeta evaluations when the envelope alone exceeds it.
+    """
+    best_j, best_env = _lattice_order(s, A, h)
+    if best_env > cap:
+        return 0.0, math.inf
     pieces = [(1.0 / (h * (s - 1.0)), 1, A), (0.5, 0, A)]
     for r in range(1, best_j + 1):
         wr = _EM_C[r] * h ** (2 * r - 1) * _poch_raw(s, 2 * r - 1)
@@ -487,6 +491,7 @@ def _run_series(term, tail, tol, stop, method, count, over_budget, bare=None):
         raise TermBudgetError(over_budget.format(budget=budget))
     floor = 10.0 * tol
     acc = NSum()
+    add = acc.add
     term_err = 0.0
     n = 0
     next_check = first if stop is StopRule.EARLIEST else None
@@ -494,7 +499,7 @@ def _run_series(term, tail, tol, stop, method, count, over_budget, bare=None):
         if n >= budget:
             raise TermBudgetError(over_budget.format(budget=budget))
         value, err, probe = term(n)
-        acc.add(value)
+        add(value)
         term_err += err
         n += 1
         if next_check is None and n >= first and (probe if bare is None else bare(probe)) <= floor:
@@ -537,11 +542,12 @@ def eval_direct(spec, *, stop=StopRule.EARLIEST):
     if stop is StopRule.TERM_FLOOR:
         count = est = max(_floor_count(spec), MIN_EXPLICIT)
     per_term = _TERMS_FRACTION * tol / est
+    s, weight = spec.s, rule.weight
 
     def term(n):
-        w = rule.weight(spec, n)
+        w = weight(spec, n)
         inner_target = per_term / abs(w) if w != 0.0 else per_term
-        v, b = _hurwitz_core(spec.s, h * n + x0, 0.8 * inner_target)
+        v, b = _hurwitz_core(s, h * n + x0, 0.8 * inner_target)
         return w * v, abs(w) * b, v
 
     return _run_series(

@@ -75,8 +75,11 @@ def kappa_ab_transformed(s, a, b, tol, *, stop=StopRule.EARLIEST):
         v, e = _hurwitz_core(s, (n + b) / a, 0.8 * per_term / w)
         return w * v, w * e, v
 
+    # w * wid > tol fails the tail check whatever else it adds; 4 EPS for roundings
+    cap = (1.0 + 4.0 * EPS) * tol_abs / w
+
     def tail(n):
-        mid, wid = _lattice_tail(s, (n + b) / a, 1.0 / a, _TAIL_FRACTION * tol_abs / w)
+        mid, wid = _lattice_tail(s, (n + b) / a, 1.0 / a, _TAIL_FRACTION * tol_abs / w, cap)
         return w * mid, w * wid
 
     return _run_series(term, tail, tol_abs, stop, Method.TRANSFORMED, count, _OVER_BUDGET)

@@ -27,6 +27,7 @@ from zetasums import (
     shifted_alt_closed,
     shifted_closed,
 )
+from zetasums.closed import euler_polynomial_fracs
 from zetasums.verification import brute_power_sum
 
 T12 = Tolerance(1e-12)
@@ -161,6 +162,18 @@ class TestFaulhaber:
             faulhaber_coeffs(-1)
         with pytest.raises(DomainError):
             faulhaber_coeffs(13)
+
+    def test_domain_after_the_table_is_cached(self):
+        # the tables are built once per m; a cached m = 2 must not answer
+        # m = 2.0, nor a non-integer reach the cache as a key
+        first = faulhaber_coeffs(2), euler_polynomial_fracs(2)
+        for bad in (2.0, [1], 1.5, "2", -1, 13):
+            for build in (faulhaber_coeffs, euler_polynomial_fracs):
+                with pytest.raises(DomainError):
+                    build(bad)
+        assert (faulhaber_coeffs(2), euler_polynomial_fracs(2)) == first
+        # E_2(x) = x^2 - x
+        assert euler_polynomial_fracs(2) == (0, -1, 1)
 
 
 class TestMoment:

@@ -33,3 +33,38 @@ def test_kernel_bound_is_sound_and_tight(s, alpha, target):
     if alpha >= 2.0 * max(10.0, s):
         # far from the origin the bound is the rounding charge alone
         assert bound <= 1.01 * 2.0 * EPS * value
+
+
+# _hurwitz_core(s, alpha, 1e-3) as float.hex, recorded before the kernel took
+# its first pass without explicit terms directly (alpha >= 20, or 2 ceil(s)
+# for s >= 10).  alpha is a power of two and s an integer, so alpha^-s is
+# exact and every other step is a correctly rounded IEEE operation: no libm
+# difference can move a bit.
+_FIRST_PASS_GOLDEN = {
+    (2.0, 32.0): ("0x1.040aaa223a7b2p-5", "0x1.040aab6c085a3p-56"),
+    (2.0, 64.0): ("0x1.0202aaa22283ap-6", "0x1.0202acb993fafp-57"),
+    (2.0, 1024.0): ("0x1.002002aaaaa22p-10", "0x1.002002aaeef7ap-61"),
+    (2.0, 1048576.0): ("0x1.00000800002abp-20", "0x1.00000800446f1p-71"),
+    (3.0, 32.0): ("0x1.081ffd55ffb37p-11", "0x1.0820066fde2b4p-62"),
+    (3.0, 64.0): ("0x1.0407ffd557ffbp-13", "0x1.040800336d560p-64"),
+    (3.0, 1024.0): ("0x1.004007ffffd55p-21", "0x1.0040080266916p-72"),
+    (3.0, 1048576.0): ("0x1.0000100000800p-41", "0x1.0000100155d5ap-92"),
+    (5.0, 32.0): ("0x1.106a9807fa856p-22", "0x1.106abf988a30fp-73"),
+    (5.0, 64.0): ("0x1.081aa9801ffa8p-26", "0x1.081aad6220066p-77"),
+    (5.0, 1024.0): ("0x1.00801aaaa9800p-42", "0x1.00801ad6abd63p-93"),
+    (5.0, 1048576.0): ("0x1.0000200001aabp-82", "0x1.000020095700dp-133"),
+    (11.0, 32.0): ("0x1.dd41e517c716fp-54", "0x1.dd46af364ecc9p-105"),
+    (11.0, 64.0): ("0x1.ba841e2e07bf0p-64", "0x1.ba8475803d205p-115"),
+    (11.0, 1024.0): ("0x1.9b9a84441e223p-104", "0x1.9b9a8444804b4p-155"),
+    (11.0, 1048576.0): ("0x1.999a1999a8445p-204", "0x1.999a1acab95b7p-255"),
+    (17.0, 64.0): ("0x1.216a29c7f7dbep-100", "0x1.216b32d202df2p-151"),
+    (17.0, 1024.0): ("0x1.02016aaa2977dp-164", "0x1.02016aad0f900p-215"),
+    (17.0, 1048576.0): ("0x1.0000800016aabp-324", "0x1.00008409b04d6p-375"),
+}
+
+
+@pytest.mark.parametrize("s, alpha", sorted(_FIRST_PASS_GOLDEN))
+def test_first_pass_without_explicit_terms_is_bit_identical(s, alpha):
+    value, bound = _hurwitz_core(s, alpha, 1e-3)
+    assert (value.hex(), bound.hex()) == _FIRST_PASS_GOLDEN[s, alpha]
+    assert abs(Decimal(value) - decimal_hurwitz(s, alpha)) <= Decimal(bound)

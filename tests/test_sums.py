@@ -1,6 +1,7 @@
 """Direct summation engine: stopping rules, certified bounds, inner kernels."""
 
 import math
+import random
 import time
 from decimal import Decimal, localcontext
 
@@ -32,7 +33,7 @@ from zetasums import (
     term_budget,
 )
 from zetasums.special import EPS
-from zetasums.sums import _int_power
+from zetasums.sums import _int_power, _lattice_order, _lattice_tail
 
 T8 = Tolerance(1e-8)
 T10 = Tolerance(1e-10)
@@ -214,6 +215,24 @@ class TestTailBoundHonesty:
                 )
             )
             assert abs(coarse.value - fine.value) <= coarse.tail_bound, sp.family
+
+    def test_capped_lattice_tail_skips_only_hopeless_checks(self):
+        # the reciprocal-lattice tail of kappa_ab_transformed at random points:
+        # the cap gives (0, inf) exactly when the envelope exceeds it, which
+        # the full half-width would too, and otherwise changes nothing
+        rng = random.Random(20261018)
+        for _ in range(200):
+            s = rng.uniform(2.05, 8.0)
+            a = math.exp(rng.uniform(math.log(0.01), math.log(2.0)))
+            A, h = (rng.randrange(40) + rng.uniform(0.3, 3.0)) / a, 1.0 / a
+            budget = math.exp(rng.uniform(math.log(1e-14), math.log(1e-4)))
+            env = _lattice_order(s, A, h)[1]
+            plain = _lattice_tail(s, A, h, budget)
+            assert plain[1] >= env
+            for cap in (env, math.nextafter(env, 0.0), math.nextafter(env, math.inf),
+                        env * rng.uniform(0.1, 10.0)):
+                got = _lattice_tail(s, A, h, budget, cap)
+                assert got == ((0.0, math.inf) if env > cap else plain), (s, A, h, cap)
 
     def test_thin_strip_power_integral(self):
         # the strip integrals under the alternating tails take log(y/x) of a
