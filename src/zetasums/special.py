@@ -460,10 +460,11 @@ def _power_phi(s):
 # Each piece below is charged its own evaluation error plus the rounding of
 # its weight ((e + 1) EPS for e^-e) and of its lattice point (s EPS: F and
 # its derivatives change by at most (s + i) |dx|/x relative); pieces are
-# added by math.fsum, which rounds once.
+# added by math.fsum, which rounds once.  A weight e^-0 = 1 is exact, and so
+# is Boole's first point X + 0 h, whose rounding is the caller's to charge.
 
 
-def _boole(phi, s, c, x0, hs, trunc, ref, target):
+def _boole(phi, s, c, x0, hs, trunc, ref, target, exact=False):
     """(value, err, done) of sum over t >= 0 of (-1)^t G(t), G(t) = e^(-ct) F(x0 + t hs),
     c < 1, by Boole's summation.  The first omitted correction T gives the
     remainder's midpoint T/2 and half-width |T|/2; the walk stops once |T|/2
@@ -471,7 +472,9 @@ def _boole(phi, s, c, x0, hs, trunc, ref, target):
     (done), or at the first correction that does not shrink.
     M_m = sum_i binom(m, i) c^(m-i) hs^i |F^(i)(x0)| is |G^(m)(0)|; for c < 1
     the weights on hs^i |F^(i)| over all orders sum below 1, so a derivative
-    asked for target / (2 N + 2) spends at most its share of target."""
+    asked for target / (2 N + 2) spends at most its share of target.
+    exact: x0 is the lattice origin itself, not a rounded lattice point."""
+    xr = 0.0 if exact else s
     n_max = _EM_MAX_ORDER + 1
     psi, perr, cpow = [], [], []
     share = target / (2 * n_max)
@@ -490,13 +493,13 @@ def _boole(phi, s, c, x0, hs, trunc, ref, target):
         err = sum(map(operator.mul, w, perr))
         a = _BOOLE_A[n]
         # the rounding of M_m, of c^k and of the lattice point x0
-        return a * big, abs(a) * (err + (s + 2.0 * m + 6.0) * EPS * big)
+        return a * big, abs(a) * (err + (xr + 2.0 * m + 6.0) * EPS * big)
 
     t, t_err = corr(1)
     head = 0.5 * psi[0]
     stop = max(trunc, _DAMPED_NEGLIGIBLE * (ref + head))
     parts = [head]
-    err = 0.5 * perr[0] + (s + 2.0) * EPS * head
+    err = 0.5 * perr[0] + (xr + 2.0) * EPS * head
     for n in range(2, n_max + 1):
         if 0.5 * abs(t) <= stop:
             break
@@ -540,13 +543,13 @@ def _alternating(phi, s, c, X, h, first, step, target):
         pre = math.exp(-e)
         b, b_err, done = _boole(
             phi, s, c, X + (first + n_exp * step) * h, hs,
-            0.5 * target / pre, gross / pre, 0.25 * target / pre,
+            0.5 * target / pre, gross / pre, 0.25 * target / pre, first == n_exp == 0,
         )
         if done:
             break
     terms.append(pre * b if n_exp % 2 == 0 else -pre * b)
     value = math.fsum(terms)
-    err += pre * b_err + (e + 1.0) * EPS * pre * abs(b) + EPS * abs(value)
+    err += pre * b_err + (e + 1.0 if e else 0.0) * EPS * pre * abs(b) + EPS * abs(value)
     return value, err
 
 
@@ -624,10 +627,23 @@ def _damped_zeta(s, sign, c, X, h, target):
     """(value, bound) of sum over j >= 0 of (sign e^-c)^j zeta(s, X + jh), s > 1,
     for an X rounded once: its error moves the sum by at most s EPS |value|
     (|d/dX| <= s zeta(s, x)/x termwise, and |value| >= zeta(s, X)/2 for the
-    minus sign).  c = 0 is valid for the minus sign only."""
+    minus sign).  c = 0 is valid for the minus sign only.
+
+    Plus-sign halving levels lie on each other's lattices, so one x recurs
+    in bit-equal form: an order-0 result is kept for this call only and
+    reused when its bound meets the new target."""
+    seen = {}
+    poch = [1.0]
 
     def phi(x, i, target):
-        p = _poch_raw(s, i)
+        if i == 0:
+            hit = seen.get(x)
+            if hit is None or hit[1] > target:
+                hit = seen[x] = _hurwitz_core(s, x, target)
+            return hit
+        while len(poch) <= i:
+            poch.append(poch[-1] * (s + (len(poch) - 1)))  # _poch_raw's order
+        p = poch[i]
         v, b = _hurwitz_core(s + i, x, target / p)
         return p * v, p * b + i * EPS * p * v
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from helpers import quad_family_sum, sandwich_lerch
+from helpers import laplace_alternating_sum, quad_family_sum, sandwich_lerch
 from zetasums import (
     DomainError,
     Family,
@@ -19,7 +19,8 @@ from zetasums import (
     eval_direct,
     s_pm_transformed,
 )
-from zetasums.special import EPS, _boole, _lerch_core, _power_phi
+from zetasums import special
+from zetasums.special import EPS, _boole, _damped_zeta, _lerch_core, _power_phi
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -61,6 +62,66 @@ class TestBooleEnvelope:
         assert t2 - 1e-18 <= lo - partial and hi - partial <= 1e-18
         value, err, done = _boole(_power_phi(p), p, c, x0, 1.0, 0.6 * abs(t2), 0.0, 0.0)
         assert done and math.isclose(value, partial + 0.5 * t2, rel_tol=1e-14)
+
+
+class TestPhiMemo:
+    """Plus-sign halving levels share lattice points: _damped_zeta evaluates
+    each once per call, and keeps nothing from one call to the next."""
+
+    ARGS = (3.0, 1.0, 1e-3, 1.7, 0.3, 1e-12)
+
+    @staticmethod
+    def _count_kernel_calls(monkeypatch):
+        calls = []
+        kernel = special._hurwitz_core
+
+        def counted(s, x, target):
+            calls.append((s, x))
+            return kernel(s, x, target)
+
+        monkeypatch.setattr(special, "_hurwitz_core", counted)
+        return calls
+
+    def test_no_point_is_evaluated_twice(self, monkeypatch):
+        # without the memo, 94 of 317 calls repeat an (s, x)
+        calls = self._count_kernel_calls(monkeypatch)
+        _damped_zeta(*self.ARGS)
+        assert len(calls) == len(set(calls))
+
+    def test_no_state_outlives_a_call(self, monkeypatch):
+        calls = self._count_kernel_calls(monkeypatch)
+        first = _damped_zeta(*self.ARGS)
+        n = len(calls)
+        assert _damped_zeta(*self.ARGS) == first
+        assert len(calls) == 2 * n
+
+    def test_reuse_only_when_the_bound_meets_the_target(self, monkeypatch):
+        calls = self._count_kernel_calls(monkeypatch)
+        counts = []
+
+        def lattice(phi, s, sign, c, X, h, target):
+            loose = phi(X, 0, 1e-3)
+            counts.append(len(calls))
+            assert phi(X, 0, loose[1]) == loose
+            counts.append(len(calls))
+            phi(X, 0, 0.5 * loose[1])
+            counts.append(len(calls))
+            return 0.0, 0.0
+
+        monkeypatch.setattr(special, "_damped_lattice", lattice)
+        _damped_zeta(*self.ARGS)
+        assert counts == [1, 1, 2]
+
+
+def test_exact_lattice_origin_is_charged_once():
+    # X is past Boole's start and c = 0: Boole runs from X itself with weight
+    # e^-0 = 1, so neither is rounded.  Charging them anyway gave a width of
+    # 9.09 EPS |value|, and each of the two charges alone about 8
+    mpmath = pytest.importorskip("mpmath")
+    value, bound = _damped_zeta(1.04, -1.0, 0.0, 102.4, 2.73, 0.0)
+    assert bound < 7.5 * EPS * abs(value)
+    ref, ref_err = laplace_alternating_sum(1.04, 2.73, 102.4)
+    assert abs(mpmath.mpf(value) - ref) <= bound + ref_err
 
 
 def _check_lerch_against_bracket(c, sign, s, alpha):
