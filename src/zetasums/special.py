@@ -239,6 +239,7 @@ def fp_slop(gross):
 # Hurwitz zeta core.
 
 _HURWITZ_N_CAP = 4_000_000
+_NORMAL_MIN = 2.0 ** -1022  # the smallest normal double
 
 
 # An Euler-Maclaurin order stops once its first omitted term is this small
@@ -297,8 +298,14 @@ def _hurwitz_core(s, alpha, target):
     best = None
     if split <= alpha < math.inf:
         # z = alpha exactly, so dz = 0: the general pass's operations less those
-        # on zeros.  An infinite alpha takes the general pass, whose ceil rejects it
+        # on zeros
         zs = alpha ** neg_s
+        if zs < _NORMAL_MIN:
+            # alpha^-s lost its bits to underflow, and head and half with it.
+            # zeta lies within alpha^-s (< 2 _NORMAL_MIN) above the integral
+            # alpha^(1-s)/(s-1); 1 - s and s - 1 are exact, pow and / round
+            head = alpha ** (1.0 - s) / (s - 1.0)
+            return head, fp_slop(head) + 2.0 * _NORMAL_MIN
         head = zs * alpha / (s - 1.0)
         half = 0.5 * zs
         hi = head + half
@@ -306,6 +313,8 @@ def _hurwitz_core(s, alpha, target):
         if best[1] <= target:
             return best
         n_terms = 1
+    elif alpha == math.inf:
+        raise _beyond_double_range(s, alpha)
     else:
         n_terms = min(max(0, math.ceil(split - alpha)), _HURWITZ_N_CAP)
     # explicit terms so far: Neumaier pair, and the sum of x^-s d/x
@@ -520,7 +529,8 @@ def _alternating(phi, s, c, X, h, first, step, target):
     summation past them.  target splits 1/2 truncation, 1/4 explicit terms,
     1/4 derivatives."""
     hs = step * h
-    n_exp = max(0, math.ceil(_boole_start(s) - (X + first * h) / hs))
+    lead = _boole_start(s) - (X + first * h) / hs  # -inf where X/hs overflows
+    n_exp = math.ceil(lead) if lead > 0.0 else 0
     for attempt in range(_BOOLE_RETRIES + 1):
         if attempt:
             n_exp = max(2 * n_exp, 8)

@@ -232,7 +232,11 @@ def _lattice_order(s, A, h):
     cheap upper bound on the first omitted correction, and that bound."""
     best_j, best_env = 0, None
     for j in range(_EM_MAX_ORDER + 1):
-        env = (abs(_EM_C[j + 1]) * h ** (2 * j + 1) * _poch_raw(s, 2 * j + 1)
+        try:
+            hp = h ** (2 * j + 1)
+        except OverflowError:
+            break  # h > 1: every later order overflows too
+        env = (abs(_EM_C[j + 1]) * hp * _poch_raw(s, 2 * j + 1)
                * hurwitz_tail_bound(s + 2 * j + 1, A))
         if best_env is None or env < best_env:
             best_j, best_env = j, env
@@ -467,17 +471,24 @@ def _floor_count(spec, spacing=None):
     return _count_to(spacing * spec.a * x_star, spec.b)
 
 
-def _run_series(term, tail, tol, stop, method, count, over_budget, bare=None):
+def _run_series(term, tail, tol, stop, method, count, over_budget):
     """Sum a series to the certified absolute tolerance tol.
 
-    term(n) -> (contribution, error, probe) for term n >= 0; the probe (or
-    bare(probe)) is the bare zeta value TERM_FLOOR compares with 10 * tol.
-    tail(n) -> (midpoint, halfwidth) of all past the first n terms.  DIRECT
-    checks the tail every _CHUNK terms from MIN_EXPLICIT on, transformations
-    after every term; the gaps grow to n/8 once that is larger, so a tail
-    slow to fit costs O(log n) checks.  count, the predicted floor crossing,
-    fails a TERM_FLOOR request that cannot cross within the budget up front.
+    term(n) -> (contribution, error, probe) for term n >= 0; the probe is the
+    bare zeta value TERM_FLOOR compares with 10 * tol.  tail(n) ->
+    (midpoint, halfwidth) of all past the first n terms.  DIRECT checks the
+    tail every _CHUNK terms from MIN_EXPLICIT on, transformations after every
+    term; the gaps grow to n/8 once that is larger, so a tail slow to fit
+    costs O(log n) checks.  count, the predicted floor crossing, fails a
+    TERM_FLOOR request that cannot cross within the budget up front.
     over_budget is the TermBudgetError message, formatted with the budget.
+
+    A request no run within the budget can certify fails with the
+    "unattainable" DomainError: once the per-term error eats half of tol, or
+    once the tail's own part (halfwidth plus slop on its midpoint), finite
+    and above tol at a failed check, is still above tol probed at n = budget:
+    it falls with n, and the rest of the total only grows.  An infinite
+    halfwidth is a truncation the tail skipped, not a floor: no probe.
     """
     if not isinstance(stop, StopRule):
         raise DomainError("stop must be a StopRule")
@@ -495,6 +506,7 @@ def _run_series(term, tail, tol, stop, method, count, over_budget, bare=None):
     term_err = 0.0
     n = 0
     next_check = first if stop is StopRule.EARLIEST else None
+    probed = False
     while True:
         if n >= budget:
             raise TermBudgetError(over_budget.format(budget=budget))
@@ -502,7 +514,7 @@ def _run_series(term, tail, tol, stop, method, count, over_budget, bare=None):
         add(value)
         term_err += err
         n += 1
-        if next_check is None and n >= first and (probe if bare is None else bare(probe)) <= floor:
+        if next_check is None and n >= first and probe <= floor:
             next_check = n
         if next_check is not None and n >= next_check:
             mid, wid = tail(n)
@@ -510,8 +522,12 @@ def _run_series(term, tail, tol, stop, method, count, over_budget, bare=None):
             if total <= tol:
                 acc.add(mid)
                 return SumResult(value=acc.total(), terms_used=n, tail_bound=total, method=method)
-            if term_err + fp_slop(acc.gross) > 0.5 * tol:
-                # per-term error already eats the budget; more terms add gross
+            hopeless = term_err + fp_slop(acc.gross) > 0.5 * tol
+            if not (hopeless or probed) and tol < wid + fp_slop(2.0 * abs(mid)) < math.inf:
+                probed = True
+                mid, wid = tail(budget)
+                hopeless = wid + fp_slop(2.0 * abs(mid)) > tol
+            if hopeless:
                 raise DomainError(
                     f"requested tolerance is unattainable in double precision for this {what}"
                 )

@@ -15,9 +15,7 @@ from dataclasses import asdict, dataclass
 from .errors import DomainError
 from .special import (
     EPS,
-    fp_slop,
     hurwitz_tail_bound,
-    term_budget,
     _damped_zeta,
     _hurwitz_core,
     _lerch_core,
@@ -46,9 +44,12 @@ _OVER_BUDGET = (
 )
 
 
-def _prefactor(s, spacing, name):
+def _prefactor(s, b, spacing, name):
     """A transformation's prefactor spacing^-s; DomainError outside double
-    range (Python's float power raises OverflowError where C gives inf)."""
+    range (Python's float power raises OverflowError where C gives inf), or
+    where the reciprocal lattice's first point b/spacing is."""
+    if b / spacing == math.inf:
+        raise DomainError(f"lattice point b/{name} is outside double range")
     try:
         w = spacing ** -s
         if w != 0.0:
@@ -63,7 +64,7 @@ def kappa_ab_transformed(s, a, b, tol, *, stop=StopRule.EARLIEST):
     a^-s * sum over n >= 0 of zeta(s, (n+b)/a), tail enclosed by
     Euler-Maclaurin on the (b/a, 1/a) lattice.  Requires s > 2."""
     spec = SumSpec(family=Family.GENERAL_AB, s=s, a=a, b=b, tol=tol)
-    w = _prefactor(s, a, "a")
+    w = _prefactor(s, b, a, "a")
     tol_abs = tol.abs_tol
     count = None
     est = 4
@@ -90,24 +91,25 @@ def kappa_ab_alt_transformed(s, a, b, tol, *, stop=StopRule.EARLIEST):
     1/(2a) lattice, every term a pole-free strip integral, and the c = 0 tail
     of s_pm_transformed.  Requires s > 1."""
     spec = SumSpec(family=Family.GENERAL_AB_ALT, s=s, a=a, b=b, tol=tol)
-    w = _prefactor(s, 2.0 * a, "(2a)")
+    w = _prefactor(s, b, 2.0 * a, "(2a)")
     tol_abs = tol.abs_tol
     floor = 10.0 * tol_abs
     count = None
     if stop is StopRule.TERM_FLOOR:
         count = _floor_count(spec, 2.0)
+    tail_target = 0.45 * _TAIL_FRACTION * tol_abs
 
     def term(n):
         # x is rounded once, twice where n + b rounds; a relative error r in
         # x moves the gap by at most (s + 1) r of itself
         x = (n + b) / (2.0 * a)
         v, e = _pair_gap(s, x, 0.5)
-        return w * v, w * (e + (0.5 if n == 0 else 1.0) * (s + 1.0) * EPS * v), x
+        probe = _hurwitz_core(s, x, 0.1 * floor)[0] if count is not None else 0.0
+        return w * v, w * (e + (0.5 if n == 0 else 1.0) * (s + 1.0) * EPS * v), probe
 
     return _run_series(
-        term, _zeta_series_tail(s, 0.0, -1.0, a, b, tol_abs), tol_abs, stop,
+        term, lambda n: _geo_zeta_tail(s, 0.0, -1.0, a, n + b, tail_target), tol_abs, stop,
         Method.TRANSFORMED, count, _OVER_BUDGET,
-        bare=lambda x: _hurwitz_core(s, x, 0.1 * floor)[0],
     )
 
 
@@ -122,31 +124,6 @@ def _geo_zeta_tail(s, c, sign, step, start, budget):
     """(midpoint, halfwidth) of sum over j >= 0 of (sign e^-c)^j zeta(s, j*step + start),
     the exp-weighted tail past the first n Lerch terms (start = n + b)."""
     return _damped_zeta(s, sign, c, start, step, budget)
-
-
-def _zeta_series_tail(s, c, sign, a, b, tol_abs):
-    """tail(n) of s_pm_transformed, and at c = 0, sign -1, of
-    kappa_ab_alt_transformed: both leave _geo_zeta_tail(s, c, sign, a, n + b)
-    past n terms.  Where the tail's rounding floor, with the slop the series
-    charges on its midpoint, first sits above tol, it is probed once more at
-    the last term the budget allows: both fall with n, so if they are still
-    above tol there, no run within the budget fits, and the request fails now."""
-    target = 0.45 * _TAIL_FRACTION * tol_abs
-    probed = []
-
-    def tail(n):
-        mid, wid = _geo_zeta_tail(s, c, sign, a, n + b, target)
-        if wid + fp_slop(2.0 * abs(mid)) > tol_abs and not probed:
-            probed.append(n)
-            far, far_wid = _geo_zeta_tail(s, c, sign, a, term_budget() + b, target)
-            if far_wid + fp_slop(2.0 * abs(far)) > tol_abs:
-                raise DomainError(
-                    "requested tolerance is unattainable in double precision "
-                    "for this transformation"
-                )
-        return mid, wid
-
-    return tail
 
 
 _FLOOR_REFINEMENTS = 64
@@ -198,7 +175,7 @@ def s_pm_transformed(s, a, b, c, sign, tol, *, stop=StopRule.EARLIEST):
     SumSpec(family=Family.EXP_WEIGHTED, s=s, a=a, b=b, c=c, sign=sign, tol=tol)  # validates
     if c == 0.0:
         return _run_transformed(SumSpec(family=_affine(sign), s=s, a=a, b=b, tol=tol), stop)
-    w = _prefactor(s, a, "a")
+    w = _prefactor(s, b, a, "a")
     sgn = 1.0 if sign is Sign.PLUS else -1.0
     z = sgn * math.exp(-c)
     tol_abs = tol.abs_tol
@@ -214,13 +191,14 @@ def s_pm_transformed(s, a, b, c, sign, tol, *, stop=StopRule.EARLIEST):
         count = _lerch_floor_count(z, s, a, b, 10.0 * tol_abs + target)
 
     over_budget = "transformed evaluation exceeded the term budget ({budget})"
+    tail_target = 0.45 * _TAIL_FRACTION * tol_abs
 
     def term(n):
         v, e = _lerch_core(z, s, (n + b) / a, target)
         return w * v, w * e, abs(v)
 
     return _run_series(
-        term, _zeta_series_tail(s, c, sgn, a, b, tol_abs), tol_abs, stop,
+        term, lambda n: _geo_zeta_tail(s, c, sgn, a, n + b, tail_target), tol_abs, stop,
         Method.TRANSFORMED, count, over_budget,
     )
 

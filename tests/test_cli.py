@@ -114,6 +114,7 @@ class TestEval:
         ("general-ab", "--a", "1e-10", "--b", "1", "--method", "transformed"),
         ("general-ab", "--a", "1e-10", "--b", "1", "--method", "auto"),
         ("general-ab", "--a", "0.5", "--b", "1e-11", "--method", "direct"),
+        ("general-ab", "--a", "1e308", "--b", "1", "--method", "direct"),  # 2a + b = inf
         ("shifted", "--a", "1e-11", "--method", "closed"),
         ("exp-weighted", "--a", "0.5", "--b", "1e-11", "--c", "0.5", "--method", "auto"),
         ("exp-weighted", "--a", "0.5", "--b", "1e-11", "--c", "0.5", "--method", "direct"),
@@ -123,6 +124,40 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--family", *argv, "--s", "40")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "double range" in err
+
+    @pytest.mark.parametrize("argv, error", [
+        # the sum is ~1e87; a lattice spacing of 1e300 overflowed the
+        # Euler-Maclaurin envelope's powers of h
+        (("general-ab", "--a", "1e300", "--b", "1e-6", "--s", "14.5", "--tol", "2.3e-13",
+          "--method", "direct"), "unattainable"),
+        # b / a overflowed the Boole start; every lattice point rounds to b
+        (("general-ab-alt", "--a", "1.5e-12", "--b", "1e300", "--s", "1.5", "--tol", "1e-4",
+          "--method", "direct"), None),
+        (("exp-weighted", "--a", "1.5e-12", "--b", "1e300", "--c", "0.01", "--sign", "minus",
+          "--s", "2.5", "--tol", "1e-4", "--method", "direct"), None),
+        # the reciprocal lattice (n + b)/(2a) starts at inf
+        (("general-ab-alt", "--a", "1.5e-12", "--b", "1e300", "--s", "2.5", "--tol", "1e-4",
+          "--method", "transformed"), "double range"),
+    ])
+    def test_extreme_affine_inputs_end_typed(self, capsys, argv, error):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--family", *argv, "--format", "json")
+        assert time.perf_counter() - start < 5.0
+        if error is not None:
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and error in err
+            return
+        assert code == 0 and err == ""
+        r = json.loads(out)
+        # the weights alternate on one point b: the sum is zeta(s, b)/(1 + e^-c),
+        # and zeta(s, b) lies within b^-s (below 1e-450) above b^(1-s)/(s - 1)
+        mpmath = pytest.importorskip("mpmath")
+        s, b = float(argv[argv.index("--s") + 1]), mpmath.mpf(1e300)
+        c = float(argv[argv.index("--c") + 1]) if "--c" in argv else 0.0
+        with mpmath.workdps(40):
+            want = b ** (1 - s) / (s - 1) / (1 + mpmath.exp(-c))
+            assert abs(r["value"] - want) <= r["tail_bound"]
+        assert r["tail_bound"] <= 1e-4
 
     @pytest.mark.parametrize("budget", ["20000", None])
     def test_lerch_floor_count_past_budget_fails_at_once(self, capsys, monkeypatch, budget):

@@ -20,7 +20,8 @@ from zetasums import (
     s_pm_transformed,
 )
 from zetasums import special
-from zetasums.special import EPS, _boole, _damped_zeta, _lerch_core, _power_phi
+from zetasums.special import EPS, _boole, _damped_zeta, _hurwitz_core, _lerch_core, _power_phi
+from zetasums.sums import _damped_tail
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -213,6 +214,22 @@ def test_small_c_in_bounded_time(direct, sign):
     assert r.tail_bound <= 1e-10
     if direct:
         assert r.terms_used == 16
+
+
+@pytest.mark.parametrize("K", [5, 6])
+def test_minus_sign_tail_steps_by_one_signed_term(K):
+    # tail(K) - tail(K + 1) is term K, (-1)^K e^(-cK) zeta(s, K a + b): at odd
+    # K the tail must carry the sign (-1)^K itself, and at even K + 1 too
+    sp = SumSpec(family=Family.EXP_WEIGHTED, s=2.5, a=0.7, b=1.3, c=0.05,
+                 sign=Sign.MINUS, tol=Tolerance(1e-10))
+    v0, b0 = _damped_tail(sp, K, 1e-13)
+    v1, b1 = _damped_tail(sp, K + 1, 1e-13)
+    z, zb = _hurwitz_core(sp.s, K * sp.a + sp.b, 1e-15)
+    pre = math.exp(-sp.c * K)
+    want = (-1.0) ** K * pre * z
+    slack = 8.0 * EPS * (abs(v0) + abs(v1) + abs(want)) + sp.s * EPS * abs(want)
+    assert abs((v0 - v1) - want) <= b0 + b1 + pre * zb + slack
+    assert abs(want) > 100.0 * (b0 + b1 + slack)  # a flipped sign cannot pass
 
 
 class TestTermFloor:

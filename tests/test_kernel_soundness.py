@@ -2,7 +2,7 @@
 Euler-Maclaurin reference far past double precision."""
 
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -68,3 +68,19 @@ def test_first_pass_without_explicit_terms_is_bit_identical(s, alpha):
     value, bound = _hurwitz_core(s, alpha, 1e-3)
     assert (value.hex(), bound.hex()) == _FIRST_PASS_GOLDEN[s, alpha]
     assert abs(Decimal(value) - decimal_hurwitz(s, alpha)) <= Decimal(bound)
+
+
+@pytest.mark.parametrize("s, alpha", [(1.5, 1e250), (3.0, 1e120), (15.0, 1.6e21)])
+def test_underflowed_first_power_keeps_the_head(s, alpha):
+    # alpha^-s is 0.0 at the first two points and subnormal at the third;
+    # zeta is 2e-125, 5e-241 and 1e-298.  It lies in
+    # [alpha^(1-s)/(s-1), alpha^(1-s)/(s-1) + alpha^-s], whose ends the bound
+    # must both reach, and it stays within a few ulps plus 2^-1021
+    value, bound = _hurwitz_core(s, alpha, 1e-300)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lo = Decimal(alpha) ** Decimal(1.0 - s) / Decimal(s - 1.0)
+        hi = lo + Decimal(alpha) ** Decimal(-s)
+        for end in (lo, hi):
+            assert abs(Decimal(value) - end) <= Decimal(bound)
+    assert value > 0.0 and bound <= 4.0 * EPS * value + 2.0 ** -1021

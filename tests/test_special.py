@@ -9,6 +9,7 @@ import pytest
 from helpers import decimal_hurwitz, in_bracket, sandwich_hurwitz, sandwich_lerch
 from zetasums import (
     DomainError,
+    TermBudgetError,
     Tolerance,
     bernoulli_fraction,
     bernoulli_numbers,
@@ -20,7 +21,7 @@ from zetasums import (
     pochhammer,
     riemann_zeta,
 )
-from zetasums.special import _hurwitz_core
+from zetasums.special import _hurwitz_core, _lerch_core
 
 T12 = Tolerance(1e-12)
 
@@ -237,6 +238,30 @@ class TestLerchPhi:
             lo, hi = sandwich_lerch(zv, s, alpha, n=1200)
             v = lerch_phi(zv, s, alpha, T12)
             assert in_bracket(v, lo, hi, slack=1e-12), (zv, s, alpha)
+
+    @pytest.mark.parametrize("z", [0.5, -0.5, 0.9, -0.9, 0.99])
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("s", [0.0, -1.0, -2.0])
+    def test_nonpositive_s_against_exact_forms(self, z, alpha, s):
+        # s <= 0 runs the term-by-term geometric series; sum z^n (n + alpha)^k,
+        # k = -s, is rational in z and alpha, and the bound must enclose it
+        zq, aq = Fraction(z), Fraction(alpha)
+        want = {
+            0.0: 1 / (1 - zq),
+            -1.0: aq / (1 - zq) + zq / (1 - zq) ** 2,
+            -2.0: aq ** 2 / (1 - zq) + 2 * aq * zq / (1 - zq) ** 2
+            + zq * (1 + zq) / (1 - zq) ** 3,
+        }[s]
+        value, bound = _lerch_core(z, s, alpha, 1e-12)
+        assert abs(Fraction(value) - want) <= Fraction(bound)
+        tol = 1e-9 * max(1.0, float(want))
+        assert abs(lerch_phi(z, s, alpha, Tolerance(tol)) - float(want)) <= 2.0 * tol
+
+    def test_nonpositive_s_series_stops_at_the_term_budget(self, monkeypatch):
+        # 0.99^n needs ~4 000 terms to fall below 1e-12
+        monkeypatch.setenv("ZS_TERM_BUDGET", "500")
+        with pytest.raises(TermBudgetError, match="lerch series exceeded the term budget"):
+            lerch_phi(0.99, -1.0, 1.0, T12)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

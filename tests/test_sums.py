@@ -19,6 +19,7 @@ from zetasums import (
     TermBudgetError,
     Tolerance,
     alternating_inner_power_sum,
+    check_identity,
     convergence_threshold,
     eval_direct,
     even_arg_moment_closed,
@@ -26,6 +27,7 @@ from zetasums import (
     hurwitz_tail_bound,
     inner_power_sum,
     kappa_ab_alt_transformed,
+    kappa_ab_transformed,
     kappa_closed,
     moment_alt_closed,
     moment_closed,
@@ -195,6 +197,99 @@ class TestStoppingRules:
         assert term_budget() == 12345
         monkeypatch.delenv("ZS_TERM_BUDGET")
         assert term_budget() == default
+
+
+class TestFarProbe:
+    """The series driver refuses at once a request whose tail, probed at the
+    term budget, is still wider than tol, on every route."""
+
+    def test_kappa_rounding_floor_fails_at_once(self, monkeypatch):
+        # the tail falls like n^(2-s): its width at n = 1e7 is still 2.5e-14
+        monkeypatch.delenv("ZS_TERM_BUDGET", raising=False)
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="unattainable"):
+            eval_direct(spec(Family.KAPPA, 2.0245, tol=Tolerance(2.3e-14)))
+        assert time.perf_counter() - t0 < 1.0
+        t0 = time.perf_counter()
+        assert check_identity("2.1", s=2.0245, tol=Tolerance(2.3e-14)).passed
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("far", [0.5, 2.0])
+    def test_probes_once_and_only_a_finite_floor(self, monkeypatch, far):
+        # a tail the loop skips (infinite width) for n < 5, then one whose own
+        # part, 2.0, misses tol = 1 until n = 50; at n = budget it is far
+        from zetasums.sums import _run_series
+
+        monkeypatch.setenv("ZS_TERM_BUDGET", "1000")
+        calls = []
+
+        def tail(n):
+            calls.append(n)
+            return 0.0, math.inf if n < 5 else far if n == 1000 else 2.0 if n < 50 else 0.5
+
+        def series():
+            return _run_series(lambda n: (0.0, 0.0, 1.0), tail, 1.0, StopRule.EARLIEST,
+                               Method.TRANSFORMED, None, "over budget")
+
+        if far > 1.0:
+            with pytest.raises(DomainError, match="unattainable"):
+                series()
+            assert calls == [1, 2, 3, 4, 5, 1000]
+        else:
+            assert series().terms_used == 51  # the first check past 50: gaps of n/8
+            assert calls[:7] == [1, 2, 3, 4, 5, 1000, 6] and calls.count(1000) == 1
+
+    def test_never_refuses_a_finishing_run(self, monkeypatch):
+        # every family direct and kappa_ab_transformed, both stop rules: a run
+        # that ends ok in T terms at a budget of 20 000 ends the same at T.
+        # Half the direct points take tol between the tail's own part at
+        # n = 20 000 and at the first check, where the probe fires
+        import zetasums.sums as sums
+
+        tail_for, calls = sums._tail_for, []
+        monkeypatch.setattr(sums, "_tail_for",
+                            lambda sp, n, budget: (calls.append(n), tail_for(sp, n, budget))[1])
+        rng = random.Random(20261018)
+
+        def log_uniform(lo, hi):
+            return lo * (hi / lo) ** rng.random()
+
+        def own(sp, n):
+            mid, wid = tail_for(sp, n, 1e-300)  # the tail at its rounding floor
+            return wid + 4.0 * EPS * abs(mid)
+
+        probed = 0
+        for _ in range(200):
+            gap, tol = log_uniform(1e-3, 8.0), Tolerance(log_uniform(1e-14, 1e-4))
+            stop = rng.choice(list(StopRule))
+            a, b = log_uniform(0.3, 3.0), rng.uniform(0.3, 3.0)
+            family = rng.choice(list(Family) + [None])
+            if family is None:
+                point = (2.0 + gap, a, b, tol)
+                run = lambda: kappa_ab_transformed(*point, stop=stop)
+            else:
+                kw = dict(m=rng.randrange(1, 3), a=a, b=b, c=log_uniform(1e-3, 2.0),
+                          sign=rng.choice(list(Sign)))
+                kw = {k: v for k, v in kw.items() if k in sums._RULES[family].params}
+                s = convergence_threshold(family, kw.get("m", 0), kw.get("c", 0.0),
+                                          kw.get("sign", Sign.PLUS)) + gap
+                point = spec(family, s, tol=tol, **kw)
+                lo, hi = own(point, 20000), own(point, MIN_EXPLICIT)
+                if rng.random() < 0.5 and max(lo, 2.0 ** -52) < hi < math.inf:
+                    stop = StopRule.EARLIEST
+                    point = spec(family, s, tol=Tolerance(log_uniform(max(lo, 2.0 ** -52), hi)),
+                                 **kw)
+                run = lambda: eval_direct(point, stop=stop)
+            monkeypatch.setenv("ZS_TERM_BUDGET", "20000")
+            calls.clear()
+            try:
+                first = run()
+            except (DomainError, TermBudgetError):
+                continue
+            probed += 20000 in calls[:-1]
+            monkeypatch.setenv("ZS_TERM_BUDGET", str(first.terms_used))
+            assert run() == first, (point, stop)
+        assert probed >= 5
 
 
 class TestTailBoundHonesty:

@@ -86,6 +86,19 @@ class TestKappaAbAltTransformed:
         assert report.passed
         assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize("s, a, b, tol, terms", [
+        (3.0, 0.5, 1.0, 1e-8, 2237),
+        (4.0, 0.1, 1.0, 1e-10, 139),
+        (2.5, 1.0, 0.5, 1e-6, 3290),
+        (6.0, 2.0, 0.7, 1e-12, 462),
+    ])
+    def test_term_floor_counts(self, s, a, b, tol, terms):
+        # the floor test reads zeta(s, x) at each lattice point x = (n + b)/(2a),
+        # which the route's term returns as its probe under TERM_FLOOR
+        r = kappa_ab_alt_transformed(s, a, b, Tolerance(tol), stop=StopRule.TERM_FLOOR)
+        assert r.terms_used == terms
+        assert r.tail_bound <= tol
+
     def test_floor_count_past_budget_fails_at_once(self, monkeypatch):
         # the floor on the 1/(2a) lattice sits ~1e7 terms out
         monkeypatch.setenv("ZS_TERM_BUDGET", "20000")
