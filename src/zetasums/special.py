@@ -401,15 +401,18 @@ def riemann_zeta(s, tol):
 def hurwitz_tail_bound(s, alpha):
     """Certified upper bound alpha^-s + alpha^(1-s)/(s-1) >= zeta(s, alpha).
 
-    The first term dominates n=0 and the integral dominates the rest, so the
-    analytic slack (about half the first term) swamps any rounding here.
+    The first term dominates n=0 and the integral dominates the rest.  The
+    analytic slack, about half the first term or (s-1)/(2 alpha) of the sum,
+    swamps the few ulps of rounding here until alpha nears (s-1)/(8 EPS);
+    past that the rounding is charged, 4 EPS of the sum.
     """
     _require_s(s, 1.0, "hurwitz_tail_bound")
     _require_positive(alpha, "hurwitz_tail_bound")
     try:
-        return alpha ** -s + alpha ** (1.0 - s) / (s - 1.0)
+        bound = alpha ** -s + alpha ** (1.0 - s) / (s - 1.0)
     except OverflowError:
         return math.inf  # still an upper bound
+    return bound * (1.0 + 4.0 * EPS) if 8.0 * EPS * alpha > s - 1.0 else bound
 
 
 def dirichlet_eta(s, tol):
@@ -614,15 +617,6 @@ def _damped_lattice(phi, s, sign, c, X, h, target):
         step = 2 ** k
         e = (step - 1) * c
         weight = step * math.exp(-e)
-        if 0 < k < levels:
-            # the rest, W_k P(q^(2^k), x_k, 2^k h), is at most
-            # W_k F(x_k) / (1 - q^(2^k)): once that is negligible, stop
-            v, v_err = phi(X + (step - 1) * h, 0, share / weight)
-            rest = weight * (v + v_err) * (1.0 + (s + e + 4.0) * EPS) / -math.expm1(-step * c)
-            if 0.5 * rest <= max(share, _DAMPED_NEGLIGIBLE * math.fsum(parts)):
-                parts.append(0.5 * rest)
-                err += 0.5 * rest
-                break
         if k < levels:
             v, v_err = _alternating(phi, s, step * c, X, h, step - 1, step, share / weight)
         else:
@@ -700,10 +694,7 @@ def _lerch_core(z, s, alpha, target):
             weighted += (n + 3.0) * abs(t)
             # certified remainder: next-term magnitude over a geometric majorant
             t_next = q ** (n + 1) * (n + 1 + alpha) ** -s
-            if s >= 0.0:
-                rho = q
-            else:
-                rho = q * (1.0 + 1.0 / (n + alpha)) ** -s
+            rho = q * (1.0 + 1.0 / (n + alpha)) ** -s
             if rho < 1.0:
                 rem = t_next / (1.0 - rho)
                 slop = fp_slop(acc.gross) + EPS * weighted

@@ -174,22 +174,24 @@ def _sum_pieces(s, pieces, budget, envelope=0.0):
     return value, envelope + err + fp_slop(gross)
 
 
-def _moment_tail(spec, K, budget):
-    """Exact tail of sum(k^m zeta(s,k), k > K): the k^m weights telescope into
-    zeta values at K+1 with power-sum polynomial coefficients."""
+def _moment_pieces(spec, K):
+    """Exact tail of sum(k^m zeta(s,k), k > K) as (coefficient, s_shift,
+    alpha) pieces: the k^m weights telescope into zeta values at K+1 with
+    power-sum polynomial coefficients."""
     m = spec.m
     dense = _faulhaber_fracs(m)
     s_mk = float(sum(f * K ** d for d, f in enumerate(dense)))  # S_m(K), exact then rounded
-    pieces = [(-s_mk, 0, K + 1.0)]  # (coefficient, s_shift, alpha)
+    pieces = [(-s_mk, 0, K + 1.0)]
     for d in range(1, m + 2):
         if dense[d] != 0:
             pieces.append((float(dense[d]), d, K + 1.0))
-    return _sum_pieces(spec.s, pieces, budget)
+    return pieces
 
 
-def _moment_alt_tail(spec, K, budget):
-    """Exact tail of sum((-1)^(k-1) k^m zeta(s,k), k > K) via the alternating
-    power-sum polynomial: zeta values on the half-integer lattice at K/2."""
+def _moment_alt_pieces(spec, K):
+    """Exact tail of sum((-1)^(k-1) k^m zeta(s,k), k > K) as pieces, via the
+    alternating power-sum polynomial: zeta values on the half-integer lattice
+    at K/2."""
     s, m = spec.s, spec.m
     e_poly, shifted = _euler_tables(m)  # E_m(x) and E_m(x+1)
     u_odd = (K + 1) // 2 + 0.5
@@ -204,27 +206,21 @@ def _moment_alt_tail(spec, K, budget):
         pieces.append((-w, d, u_even))
     sign = -1.0 if (K - 1) % 2 == 0 else 1.0  # -(-1)^(K-1)
     pieces.append((0.5 * sign * e_at, 0, K + 1.0))
-    return _sum_pieces(s, pieces, budget)
+    return pieces
 
 
-def _even_arg_tail(spec, K, budget):
-    """Exact tail of sum(k^m zeta(s,2k), k > K): rewrite zeta(s,2k) over the
-    half lattice and telescope both strands past K."""
-    s, m = spec.s, spec.m
-    dense = _faulhaber_fracs(m)
-    s_mk = float(sum(f * K ** d for d, f in enumerate(dense)))
-    two = 2.0 ** -s
-    pieces = [(-s_mk * two, 0, K + 1.0), (-s_mk * two, 0, K + 1.5)]
-    for d in range(1, m + 2):
-        if dense[d] == 0:
-            continue
-        cd = float(dense[d])
-        pieces.append((cd * two, d, K + 1.0))
-        for e in range(d + 1):
-            w = cd * math.comb(d, e) * (-0.5) ** (d - e) * two
-            if w != 0.0:
-                pieces.append((w, e, K + 1.5))
-    return _sum_pieces(s, pieces, budget)
+def _even_arg_pieces(spec, K):
+    """Exact tail of sum(k^m zeta(s,2k), k > K) as pieces: with n = 2k, the
+    even n past 2K, so 2^(-m-1) times the plain moment tail past 2K minus the
+    alternating one.  The alternating tail is far smaller, so nothing cancels."""
+    half = 2.0 ** (-spec.m - 1)
+    return ([(half * w, d, x) for w, d, x in _moment_pieces(spec, 2 * K)]
+            + [(-half * w, d, x) for w, d, x in _moment_alt_pieces(spec, 2 * K)])
+
+
+def _exact_tail(pieces):
+    """The rule tail that sums the exact tail pieces(spec, K)."""
+    return lambda spec, K, budget: _sum_pieces(spec.s, pieces(spec, K), budget)
 
 
 def _lattice_order(s, A, h):
@@ -382,23 +378,23 @@ class _Rule:
 
 _RULES = {
     Family.KAPPA: _Rule(
-        2.0, frozenset(), _plain, lambda spec: (1.0, 1.0), _moment_tail,
+        2.0, frozenset(), _plain, lambda spec: (1.0, 1.0), _exact_tail(_moment_pieces),
         lambda spec: kappa_combination(),
     ),
     Family.KAPPA_ALT: _Rule(
-        1.0, frozenset(), _alternating, lambda spec: (1.0, 1.0), _moment_alt_tail,
+        1.0, frozenset(), _alternating, lambda spec: (1.0, 1.0), _exact_tail(_moment_alt_pieces),
         lambda spec: kappa_alt_combination(),
     ),
     Family.MOMENT: _Rule(
-        2.0, frozenset({"m"}), _plain, lambda spec: (1.0, 1.0), _moment_tail,
+        2.0, frozenset({"m"}), _plain, lambda spec: (1.0, 1.0), _exact_tail(_moment_pieces),
         lambda spec: moment_combination(spec.m),
     ),
     Family.MOMENT_ALT: _Rule(
-        1.0, frozenset({"m"}), _alternating, lambda spec: (1.0, 1.0), _moment_alt_tail,
-        lambda spec: moment_alt_combination(spec.m),
+        1.0, frozenset({"m"}), _alternating, lambda spec: (1.0, 1.0),
+        _exact_tail(_moment_alt_pieces), lambda spec: moment_alt_combination(spec.m),
     ),
     Family.EVEN_ARG_MOMENT: _Rule(
-        2.0, frozenset({"m"}), _plain, lambda spec: (2.0, 2.0), _even_arg_tail,
+        2.0, frozenset({"m"}), _plain, lambda spec: (2.0, 2.0), _exact_tail(_even_arg_pieces),
         lambda spec: even_arg_moment_combination(spec.m),
     ),
     Family.SHIFTED: _Rule(
@@ -485,10 +481,12 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
 
     A request no run within the budget can certify fails with the
     "unattainable" DomainError: once the per-term error eats half of tol, or
-    once the tail's own part (halfwidth plus slop on its midpoint), finite
-    and above tol at a failed check, is still above tol probed at n = budget:
-    it falls with n, and the rest of the total only grows.  An infinite
-    halfwidth is a truncation the tail skipped, not a floor: no probe.
+    once the terms' own charges (their errors plus slop on their gross) and
+    far, the tail's own part (halfwidth plus slop on its midpoint) probed at
+    n = budget, add up to more than tol at a failed check: the charges only
+    grow and the tail's part only falls, so no check up to the budget can
+    pass.  The probe runs once, at the first failed check with a finite
+    halfwidth; an infinite one is a truncation the tail skipped, not a floor.
     """
     if not isinstance(stop, StopRule):
         raise DomainError("stop must be a StopRule")
@@ -506,7 +504,7 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
     term_err = 0.0
     n = 0
     next_check = first if stop is StopRule.EARLIEST else None
-    probed = False
+    far = None
     while True:
         if n >= budget:
             raise TermBudgetError(over_budget.format(budget=budget))
@@ -522,12 +520,12 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
             if total <= tol:
                 acc.add(mid)
                 return SumResult(value=acc.total(), terms_used=n, tail_bound=total, method=method)
-            hopeless = term_err + fp_slop(acc.gross) > 0.5 * tol
-            if not (hopeless or probed) and tol < wid + fp_slop(2.0 * abs(mid)) < math.inf:
-                probed = True
+            own = term_err + fp_slop(acc.gross)
+            hopeless = own > 0.5 * tol
+            if not hopeless and far is None and wid < math.inf:
                 mid, wid = tail(budget)
-                hopeless = wid + fp_slop(2.0 * abs(mid)) > tol
-            if hopeless:
+                far = wid + fp_slop(2.0 * abs(mid))
+            if hopeless or far is not None and own + far > tol:
                 raise DomainError(
                     f"requested tolerance is unattainable in double precision for this {what}"
                 )

@@ -34,6 +34,7 @@ from .sums import (
     _lattice_tail,
     _pair_gap,
     _run_series,
+    _unweighted,
 )
 
 _TAIL_FRACTION = 0.7
@@ -250,9 +251,15 @@ def _run_transformed(spec, stop=StopRule.EARLIEST):
 def choose_method(spec):
     """Pick the cheaper route for a transformable family by comparing floor
     counts on both lattices; near s = 1 both can be infinite.  Ties go to the
-    transformation."""
+    transformation, and a transformation whose lattice or prefactor leaves
+    double range is no choice."""
     if not isinstance(spec, SumSpec):
         raise DomainError("spec must be a SumSpec")
+    spacing = _transformation(_unweighted(spec.family, spec.c, spec.sign))[1]
+    try:
+        _prefactor(spec.s, spec.b, spacing * spec.a, "")
+    except DomainError:
+        return Method.DIRECT
     n_direct = _floor_count(spec)
     n_trans = _floor_count(spec, _transformation(spec.family)[1])
     if spec.family is Family.EXP_WEIGHTED and spec.c > 0.0:

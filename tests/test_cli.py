@@ -112,7 +112,7 @@ class TestEval:
 
     @pytest.mark.parametrize("argv", [
         ("general-ab", "--a", "1e-10", "--b", "1", "--method", "transformed"),
-        ("general-ab", "--a", "1e-10", "--b", "1", "--method", "auto"),
+        ("general-ab", "--a", "0.5", "--b", "1e-11", "--method", "auto"),
         ("general-ab", "--a", "0.5", "--b", "1e-11", "--method", "direct"),
         ("general-ab", "--a", "1e308", "--b", "1", "--method", "direct"),  # 2a + b = inf
         ("shifted", "--a", "1e-11", "--method", "closed"),
@@ -133,6 +133,9 @@ class TestEval:
         # b / a overflowed the Boole start; every lattice point rounds to b
         (("general-ab-alt", "--a", "1.5e-12", "--b", "1e300", "--s", "1.5", "--tol", "1e-4",
           "--method", "direct"), None),
+        # auto: the transformation, whose lattice starts at inf, is no choice
+        (("general-ab-alt", "--a", "1.5e-12", "--b", "1e300", "--s", "1.5", "--tol", "1e-4",
+          "--method", "auto"), None),
         (("exp-weighted", "--a", "1.5e-12", "--b", "1e300", "--c", "0.01", "--sign", "minus",
           "--s", "2.5", "--tol", "1e-4", "--method", "direct"), None),
         # the reciprocal lattice (n + b)/(2a) starts at inf

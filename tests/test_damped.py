@@ -285,14 +285,15 @@ class TestTermFloor:
 
 def test_tail_checks_thin_out_when_the_tail_is_slow_to_fit():
     # a tail that never fits and terms whose error trips the "unattainable"
-    # test past n = 10 000: the checks grow apart, O(log n) of them
+    # test past n = 10 000: the checks grow apart, O(log n) of them.  The
+    # tail's width is infinite, so the far probe never runs
     from zetasums.sums import Method, _run_series
 
     checks = []
 
     def tail(n):
         checks.append(n)
-        return 0.0, 1.0
+        return 0.0, math.inf
 
     with pytest.raises(DomainError, match="unattainable"):
         _run_series(lambda n: (0.0, 5e-5, 1.0), tail, 1.0, StopRule.EARLIEST,

@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 import pytest
 
 from helpers import decimal_hurwitz
-from zetasums.special import EPS, _hurwitz_core
+from zetasums.special import EPS, _hurwitz_core, hurwitz_tail_bound
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -33,6 +33,18 @@ def test_kernel_bound_is_sound_and_tight(s, alpha, target):
     if alpha >= 2.0 * max(10.0, s):
         # far from the origin the bound is the rounding charge alone
         assert bound <= 1.01 * 2.0 * EPS * value
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(s=st.floats(1.05, 6.0), alpha=_log_uniform(1e-3, 1e60))
+def test_tail_bound_is_an_upper_bound(s, alpha):
+    # zeta(s, alpha) >= alpha^(1-s)/(s-1) + alpha^-s/2, the trapezoid rule on
+    # a convex summand; past alpha ~ 1e16 the slack alpha^-s/2 falls below
+    # the rounding of the bound, which then missed on about half the points
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        S, A = mpmath.mpf(s), mpmath.mpf(alpha)
+        assert hurwitz_tail_bound(s, alpha) >= A ** (1 - S) / (S - 1) + A ** -S / 2
 
 
 # _hurwitz_core(s, alpha, 1e-3) as float.hex, recorded before the kernel took

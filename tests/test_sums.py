@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 
 import pytest
 
-from helpers import quad_family_sum
+from helpers import decimal_hurwitz, quad_family_sum
 from zetasums import (
     MIN_EXPLICIT,
     DomainError,
@@ -23,6 +23,7 @@ from zetasums import (
     convergence_threshold,
     eval_direct,
     even_arg_moment_closed,
+    even_arg_moment_combination,
     floor_crossing_arg,
     hurwitz_tail_bound,
     inner_power_sum,
@@ -35,7 +36,7 @@ from zetasums import (
     term_budget,
 )
 from zetasums.special import EPS
-from zetasums.sums import _int_power, _lattice_order, _lattice_tail
+from zetasums.sums import _int_power, _lattice_order, _lattice_tail, _tail_for
 
 T8 = Tolerance(1e-8)
 T10 = Tolerance(1e-10)
@@ -214,6 +215,28 @@ class TestFarProbe:
         assert check_identity("2.1", s=2.0245, tol=Tolerance(2.3e-14)).passed
         assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize("run, seconds", [
+        (lambda: eval_direct(spec(Family.SHIFTED, 2.01099, a=3.245, tol=Tolerance(1.42e-13))),
+         1.0),
+        # refused after ~3e5 terms, 0.7-0.9 s on a 2-vCPU host
+        (lambda: kappa_ab_transformed(2.011507, 1.736, 0.7922, Tolerance(8.09e-14)), 2.0),
+    ], ids=["shifted", "kappa_ab_transformed"])
+    def test_terms_charges_plus_far_part_fail_at_once(self, monkeypatch, run, seconds):
+        # the tail's own part at n = 1e7 fits tol (1.34e-13 < 1.42e-13 and
+        # 7.85e-14 < 8.09e-14); the terms' charges push the total over.  Both
+        # ground to a TermBudgetError for 12 s or more
+        monkeypatch.delenv("ZS_TERM_BUDGET", raising=False)
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="unattainable"):
+            run()
+        assert time.perf_counter() - t0 < seconds
+
+    def test_identity_ladder_relaxes_past_the_shifted_floor(self, monkeypatch):
+        monkeypatch.delenv("ZS_TERM_BUDGET", raising=False)
+        t0 = time.perf_counter()
+        assert check_identity("2.3", s=2.01099, a=3.245, tol=Tolerance(1.42e-13)).passed
+        assert time.perf_counter() - t0 < 1.0
+
     @pytest.mark.parametrize("far", [0.5, 2.0])
     def test_probes_once_and_only_a_finite_floor(self, monkeypatch, far):
         # a tail the loop skips (infinite width) for n < 5, then one whose own
@@ -328,6 +351,35 @@ class TestTailBoundHonesty:
                         env * rng.uniform(0.1, 10.0)):
                 got = _lattice_tail(s, A, h, budget, cap)
                 assert got == ((0.0, math.inf) if env > cap else plain), (s, A, h, cap)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("gap", [1e-3, 0.1, 2.0, 8.0])
+    def test_even_argument_tail_against_decimal(self, m, gap):
+        # sum(k^m zeta(s, 2k), k > K) at 60 digits: the closed form's zeta
+        # values in decimal, minus the first K terms, zeta(s, 2k + 2) =
+        # zeta(s, 2k) - (2k)^-s - (2k+1)^-s stepped from zeta(s, 2)
+        mpmath = pytest.importorskip("mpmath")
+        s = m + 2.0 + gap
+        sp = spec(Family.EVEN_ARG_MOMENT, s, m=m)
+        with mpmath.workdps(60):
+            S = mpmath.mpf(s)
+
+            def zeta(x, alpha):
+                return mpmath.mpf(str(decimal_hurwitz(x, alpha)))
+
+            rest = mpmath.mpf(0)
+            for t in even_arg_moment_combination(m).terms:
+                weight = mpmath.mpf(t.coefficient.numerator) / t.coefficient.denominator
+                if t.two_pow_neg_s:
+                    weight *= 2 ** -S
+                rest += weight * zeta(s - t.s_shift, t.alpha or 1.0)
+            z = zeta(s, 2.0)
+            for k in range(1, 1001):
+                rest -= mpmath.mpf(k) ** m * z
+                z -= mpmath.mpf(2 * k) ** -S + mpmath.mpf(2 * k + 1) ** -S
+                if k in (16, 40, 1000):
+                    mid, wid = _tail_for(sp, k, 1e-300)
+                    assert abs(mid - rest) <= wid, (k, float(rest))
 
     def test_thin_strip_power_integral(self):
         # the strip integrals under the alternating tails take log(y/x) of a
