@@ -230,15 +230,17 @@ def _coeff_rows(family, m_max):
         ]
     if family not in ("eulerian", "faulhaber"):
         raise DomainError("table --family must be eulerian, faulhaber, or bernoulli")
-    build, m_min = (eulerian_polynomial, 1) if family == "eulerian" else (faulhaber_coeffs, 0)
+    if family == "eulerian":
+        tables = [(m, 0, eulerian_polynomial(m)) for m in range(1, m_max + 1)]
+    else:
+        tables = [(m, *faulhaber_coeffs(m)) for m in range(m_max + 1)]
     rows = []
-    for m in range(m_min, m_max + 1):
-        coeffs = build(m)
-        cs = [str(f) for f in coeffs.as_fractions()]
+    for m, offset, coeffs in tables:
+        cs = [str(f) for f in coeffs]
         rows.append((
-            {"m": m, "offset": coeffs.offset, "coefficients": cs},
-            f"{m},{coeffs.offset},{' '.join(cs)}",
-            f"m={m} offset={coeffs.offset}: {', '.join(cs)}",
+            {"m": m, "offset": offset, "coefficients": cs},
+            f"{m},{offset},{' '.join(cs)}",
+            f"m={m} offset={offset}: {', '.join(cs)}",
         ))
     return "m,offset,coefficients", rows
 

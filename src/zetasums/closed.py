@@ -16,7 +16,6 @@ from functools import lru_cache
 from .errors import DomainError, NoClosedFormError
 from .special import (
     BOUNDARY_MARGIN,
-    RationalCoeffs,
     Tolerance,
     bernoulli_fraction,
     fp_slop,
@@ -116,7 +115,7 @@ def _combo(terms):
 # Coefficient families.
 
 def eulerian_polynomial(m):
-    """Eulerian numbers A(m, 0..m-1) as an exact integer coefficient vector."""
+    """Eulerian numbers A(m, 0..m-1) as a tuple of ints."""
     _require_m(m, "eulerian_polynomial", lo=1)
     row = [1]
     for k in range(2, m + 1):
@@ -126,25 +125,21 @@ def eulerian_polynomial(m):
             left = (j + 1) * prev[j] if j < len(prev) else 0
             right = (k - j) * prev[j - 1] if j - 1 >= 0 else 0
             row[j] = left + right
-    return RationalCoeffs(
-        numerators=tuple(row), denominators=tuple(1 for _ in row), offset=0
-    )
+    return tuple(row)
 
 
 def faulhaber_coeffs(m):
-    """Coefficients of the polynomial equal to sum(k^m, k=1..n), powers of n.
+    """(offset, coeffs) of the polynomial equal to sum(k^m, k=1..n): coeffs
+    is a tuple of Fractions, coeffs[i] attached to n^(offset + i).
 
     Leading zero powers are trimmed into the offset, e.g. m = 3 gives
-    offset 2 with coefficients (1/4, 1/2, 1/4).
+    offset 2 with coefficients (1/4, 1/2, 1/4); the top one, 1/(m+1), is
+    never zero.
     """
     _require_m(m, "faulhaber_coeffs")
-    return RationalCoeffs.from_fractions(_faulhaber_fracs(m), offset=0, trim=True)
-
-
-def euler_polynomial_fracs(m):
-    """Euler polynomial E_m(x) coefficients, ascending powers, exact."""
-    _require_m(m, "euler_polynomial")
-    return _euler_tables(m)[0]
+    coeffs = _faulhaber_fracs(m)
+    offset = next(i for i, c in enumerate(coeffs) if c)
+    return offset, coeffs[offset:]
 
 
 # The tables below are built once per m, for an m that _require_m has already

@@ -19,7 +19,3 @@ class NoClosedFormError(ZetaSumsError):
 
 class TermBudgetError(ZetaSumsError):
     """Series evaluation exceeded the term budget (ZS_TERM_BUDGET, default 1e7)."""
-
-
-class QuadratureError(ZetaSumsError):
-    """Quadrature refinement failed to reach its target accuracy."""

@@ -57,46 +57,6 @@ class Tolerance:
             raise DomainError("abs_tol must be at least 2^-52")
 
 
-@dataclass(frozen=True)
-class RationalCoeffs:
-    """Exact rational coefficient vector.
-
-    Entry i is numerators[i]/denominators[i], attached to the power
-    n**(offset+i) when the vector represents a polynomial in n.
-    """
-
-    numerators: tuple
-    denominators: tuple
-    offset: int = 0
-
-    def __post_init__(self):
-        if len(self.numerators) != len(self.denominators):
-            raise DomainError("coefficient vectors must have equal length")
-        for num, den in zip(self.numerators, self.denominators):
-            if den <= 0:
-                raise DomainError("denominators must be positive")
-            if math.gcd(num, den) != 1:
-                raise DomainError("coefficients must be in lowest terms")
-
-    @classmethod
-    def from_fractions(cls, fracs, offset=0, trim=True):
-        fracs = list(fracs)
-        if trim:
-            while fracs and fracs[0] == 0:
-                fracs.pop(0)
-                offset += 1
-            while fracs and fracs[-1] == 0:
-                fracs.pop()
-        return cls(
-            numerators=tuple(f.numerator for f in fracs),
-            denominators=tuple(f.denominator for f in fracs),
-            offset=offset,
-        )
-
-    def as_fractions(self):
-        return tuple(Fraction(n, d) for n, d in zip(self.numerators, self.denominators))
-
-
 # ---------------------------------------------------------------------------
 # Bernoulli numbers (B1 = -1/2 convention), built once at import so the table
 # is immutable afterwards and safe for concurrent readers.
@@ -125,10 +85,10 @@ def bernoulli_fraction(n):
 
 
 def bernoulli_numbers(n_max):
-    """B_0 .. B_{n_max} as an exact RationalCoeffs vector (B1 = -1/2)."""
+    """B_0 .. B_{n_max} as a tuple of exact Fractions (B1 = -1/2)."""
     if not isinstance(n_max, int) or n_max < 0 or n_max > _BERNOULLI_MAX:
         raise DomainError(f"n_max must be an integer in [0, {_BERNOULLI_MAX}]")
-    return RationalCoeffs.from_fractions(_BERN[: n_max + 1], trim=False)
+    return _BERN[: n_max + 1]
 
 
 # B_{2r}/(2r)! as floats; index r.  r runs one past the correction cap so the
@@ -405,14 +365,27 @@ def hurwitz_tail_bound(s, alpha):
     analytic slack, about half the first term or (s-1)/(2 alpha) of the sum,
     swamps the few ulps of rounding here until alpha nears (s-1)/(8 EPS);
     past that the rounding is charged, 4 EPS of the sum.
+
+    Where alpha^(1-s)/(s-1) is subnormal or 0, which needs s - 1 > 0.998
+    (alpha is at most 2^1024), relative charges fail and the rounding is
+    charged in units u = 2^-1074.  With a faithful pow, alpha^(1-s) is off by
+    one ulp: at most (s-1) u where normal, u where subnormal, so at most
+    1.002 u once divided by s - 1.  The division adds u/2.  alpha^-s is off
+    by at most u where it is subnormal too, which it always is for s < 140.
+    Adding multiples of u is exact.  That is under 2.51 u, so 3 u are added.
     """
     _require_s(s, 1.0, "hurwitz_tail_bound")
     _require_positive(alpha, "hurwitz_tail_bound")
     try:
-        bound = alpha ** -s + alpha ** (1.0 - s) / (s - 1.0)
+        tail = alpha ** (1.0 - s) / (s - 1.0)
+        bound = alpha ** -s + tail
     except OverflowError:
         return math.inf  # still an upper bound
-    return bound * (1.0 + 4.0 * EPS) if 8.0 * EPS * alpha > s - 1.0 else bound
+    if 8.0 * EPS * alpha > s - 1.0:
+        bound *= 1.0 + 4.0 * EPS
+    if tail < 2.0 ** -1022:
+        bound += 3.0 * 2.0 ** -1074
+    return bound
 
 
 def dirichlet_eta(s, tol):

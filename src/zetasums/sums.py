@@ -23,7 +23,6 @@ from .closed import (
     _euler_tables,
     _faulhaber_fracs,
     _require_m,
-    eulerian_polynomial,
     even_arg_moment_combination,
     kappa_alt_combination,
     kappa_combination,
@@ -570,51 +569,3 @@ def eval_direct(spec, *, stop=StopRule.EARLIEST):
         f"direct evaluation of {family.value} exceeded the term budget "
         "({budget}); a transformed or closed route may be cheaper",
     )
-
-
-# ---------------------------------------------------------------------------
-# Geometric inner sums used by the transformed representations.
-
-def inner_power_sum(m, x):
-    """sum over n >= 1 of n^m e^(-n x), closed-form via Eulerian numbers."""
-    _check_inner(m, x)
-    w = math.exp(-x)
-    denom = -math.expm1(-x)  # 1 - e^-x, no cancellation for small x
-    if m == 0:
-        return w / denom
-    return w * _horner(eulerian_polynomial(m).numerators, w) / denom ** (m + 1)
-
-
-def alternating_inner_power_sum(m, x):
-    """sum over n >= 1 of (-1)^(n-1) n^m e^(-n x)."""
-    _check_inner(m, x)
-    w = math.exp(-x)
-    if m == 0:
-        return w / (1.0 + w)
-    cs = eulerian_polynomial(m).numerators
-    if m % 2 == 0:
-        # t = -1 is an exact root for even m; divide it out so evaluation
-        # near w = 1 does not cancel catastrophically
-        bs = []
-        carry = 0
-        for cval in cs:
-            carry = cval - carry
-            bs.append(carry)
-        leftover = bs.pop()
-        assert leftover == 0  # the division is exact in integers
-        return w * -math.expm1(-x) * _horner(bs, -w) / (1.0 + w) ** (m + 1)
-    return w * _horner(cs, -w) / (1.0 + w) ** (m + 1)
-
-
-def _horner(coeffs, x):
-    """Polynomial with ascending coefficients coeffs at x."""
-    num = 0.0
-    for cval in reversed(coeffs):
-        num = num * x + cval
-    return num
-
-
-def _check_inner(m, x):
-    _require_m(m, "the inner power sum")
-    if not math.isfinite(x) or x <= BOUNDARY_MARGIN:
-        raise DomainError("x must be > 0 (and not within 1e-12 of 0)")

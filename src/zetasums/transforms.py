@@ -261,7 +261,7 @@ def choose_method(spec):
     except DomainError:
         return Method.DIRECT
     n_direct = _floor_count(spec)
-    n_trans = _floor_count(spec, _transformation(spec.family)[1])
+    n_trans = _floor_count(spec, spacing)
     if spec.family is Family.EXP_WEIGHTED and spec.c > 0.0:
         # geometric damping caps the direct count; the scale is inf where
         # zeta(s, b) leaves double range

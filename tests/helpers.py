@@ -15,9 +15,9 @@ itself.
 import math
 from decimal import Decimal, localcontext
 
+from oracles import _tanh_sinh
 from zetasums import Sign, gamma_fn
 from zetasums.special import _BERN
-from zetasums.verification import _tanh_sinh
 
 
 def sandwich_hurwitz(s, alpha, n=10000):

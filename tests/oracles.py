@@ -1,5 +1,5 @@
-"""Independent cross-checks: double-exponential quadrature of the integral
-representations, and exact integer power sums.
+"""Independent cross-checks for the tests: double-exponential quadrature of
+the integral representations, and exact integer power sums.
 
 Nothing here shares machinery with the series evaluators: no Euler-Maclaurin,
 no Bernoulli numbers, no zeta calls.  The quadrature routes go through the
@@ -10,8 +10,12 @@ genuine two-route check.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, QuadratureError
-from .special import gamma_fn
+from zetasums import DomainError, gamma_fn
+
+
+class QuadratureError(Exception):
+    """Quadrature refinement failed to reach its target accuracy."""
+
 
 _U_SPAN = 6.0  # |u| beyond this the double-exponential weight is ~e^-600
 

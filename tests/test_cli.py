@@ -330,7 +330,7 @@ class TestTable:
         doc = json.loads(out)
         for row in doc["rows"]:
             want = eulerian_polynomial(row["m"])
-            assert row["coefficients"] == [str(n) for n in want.numerators]
+            assert row["coefficients"] == [str(n) for n in want]
 
     def test_identity_sweep_csv_header(self, capsys):
         code, out, _ = run(capsys, "table", "--identity", "2.1",
@@ -365,6 +365,18 @@ class TestTable:
                               "m=2 offset=1: 1/6, 1/2, 1/3\nm=3 offset=2: 1/4, 1/2, 1/4\n"),
         ("bernoulli", "csv", "n,value\n0,1\n1,-1/2\n2,1/6\n3,0\n"),
         ("bernoulli", "text", "B_0 = 1\nB_1 = -1/2\nB_2 = 1/6\nB_3 = 0\n"),
+        ("eulerian", "json",
+         '{"family": "eulerian", "rows": [{"coefficients": ["1"], "m": 1, "offset": 0}, '
+         '{"coefficients": ["1", "1"], "m": 2, "offset": 0}, '
+         '{"coefficients": ["1", "4", "1"], "m": 3, "offset": 0}]}\n'),
+        ("faulhaber", "json",
+         '{"family": "faulhaber", "rows": [{"coefficients": ["1"], "m": 0, "offset": 1}, '
+         '{"coefficients": ["1/2", "1/2"], "m": 1, "offset": 1}, '
+         '{"coefficients": ["1/6", "1/2", "1/3"], "m": 2, "offset": 1}, '
+         '{"coefficients": ["1/4", "1/2", "1/4"], "m": 3, "offset": 2}]}\n'),
+        ("bernoulli", "json",
+         '{"family": "bernoulli", "rows": [{"n": 0, "value": "1"}, {"n": 1, "value": "-1/2"}, '
+         '{"n": 2, "value": "1/6"}, {"n": 3, "value": "0"}]}\n'),
     ])
     def test_coefficient_table_bytes(self, capsys, family, fmt, want):
         code, out, err = run(capsys, "table", "--family", family, "--m-max", "3",

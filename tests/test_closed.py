@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import quad_family_sum
+from oracles import brute_power_sum
 from zetasums import (
     DomainError,
     NoClosedFormError,
@@ -27,14 +28,9 @@ from zetasums import (
     shifted_alt_closed,
     shifted_closed,
 )
-from zetasums.closed import euler_polynomial_fracs
-from zetasums.verification import brute_power_sum
+from zetasums.closed import _euler_tables
 
 T12 = Tolerance(1e-12)
-
-
-def frac_list(coeffs):
-    return [Fraction(n, d) for n, d in zip(coeffs.numerators, coeffs.denominators)]
 
 
 class TestKappa:
@@ -107,15 +103,15 @@ class TestShiftedAlt:
 
 class TestEulerian:
     def test_small_rows(self):
-        assert frac_list(eulerian_polynomial(1)) == [1]
-        assert frac_list(eulerian_polynomial(2)) == [1, 1]
-        assert frac_list(eulerian_polynomial(3)) == [1, 4, 1]
-        assert frac_list(eulerian_polynomial(4)) == [1, 11, 11, 1]
+        assert eulerian_polynomial(1) == (1,)
+        assert eulerian_polynomial(2) == (1, 1)
+        assert eulerian_polynomial(3) == (1, 4, 1)
+        assert eulerian_polynomial(4) == (1, 11, 11, 1)
 
     def test_worpitzky_style_formula(self):
         # A(m, k) = sum_j (-1)^j C(m+1, j) (k+1-j)^m, exact integers
         for m in range(1, 13):
-            row = frac_list(eulerian_polynomial(m))
+            row = eulerian_polynomial(m)
             for k, got in enumerate(row):
                 want = sum(
                     (-1) ** j * math.comb(m + 1, j) * (k + 1 - j) ** m
@@ -125,7 +121,7 @@ class TestEulerian:
 
     def test_symmetry_and_row_sums(self):
         for m in range(1, 13):
-            row = frac_list(eulerian_polynomial(m))
+            row = eulerian_polynomial(m)
             assert row == row[::-1]
             assert sum(row) == math.factorial(m)
 
@@ -138,23 +134,15 @@ class TestEulerian:
 
 class TestFaulhaber:
     def test_known_rows(self):
-        c1 = faulhaber_coeffs(1)
-        assert c1.offset == 1 and frac_list(c1) == [Fraction(1, 2), Fraction(1, 2)]
-        c2 = faulhaber_coeffs(2)
-        assert c2.offset == 1
-        assert frac_list(c2) == [Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)]
-        c3 = faulhaber_coeffs(3)
-        assert c3.offset == 2
-        assert frac_list(c3) == [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
+        assert faulhaber_coeffs(1) == (1, (Fraction(1, 2), Fraction(1, 2)))
+        assert faulhaber_coeffs(2) == (1, (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)))
+        assert faulhaber_coeffs(3) == (2, (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
 
     def test_exact_against_brute_sums(self):
         for m in range(0, 13):
-            coeffs = faulhaber_coeffs(m)
-            row = frac_list(coeffs)
+            offset, row = faulhaber_coeffs(m)
             for n in (1, 2, 7, 50):
-                poly = sum(
-                    c * Fraction(n) ** (coeffs.offset + i) for i, c in enumerate(row)
-                )
+                poly = sum(c * Fraction(n) ** (offset + i) for i, c in enumerate(row))
                 assert poly == brute_power_sum(m, n), (m, n)
 
     def test_domain(self):
@@ -166,14 +154,13 @@ class TestFaulhaber:
     def test_domain_after_the_table_is_cached(self):
         # the tables are built once per m; a cached m = 2 must not answer
         # m = 2.0, nor a non-integer reach the cache as a key
-        first = faulhaber_coeffs(2), euler_polynomial_fracs(2)
+        first = faulhaber_coeffs(2)
         for bad in (2.0, [1], 1.5, "2", -1, 13):
-            for build in (faulhaber_coeffs, euler_polynomial_fracs):
-                with pytest.raises(DomainError):
-                    build(bad)
-        assert (faulhaber_coeffs(2), euler_polynomial_fracs(2)) == first
+            with pytest.raises(DomainError):
+                faulhaber_coeffs(bad)
+        assert faulhaber_coeffs(2) == first
         # E_2(x) = x^2 - x
-        assert euler_polynomial_fracs(2) == (0, -1, 1)
+        assert _euler_tables(2)[0] == (0, -1, 1)
 
 
 class TestMoment:
@@ -191,12 +178,8 @@ class TestMoment:
         # zero coefficients carry no term
         for m in range(1, 7):
             combo = [(t.coefficient, t.s_shift) for t in moment_combination(m).terms]
-            fc = faulhaber_coeffs(m)
-            want = [
-                (c, fc.offset + i)
-                for i, c in enumerate(frac_list(fc))
-                if c != 0
-            ]
+            offset, coeffs = faulhaber_coeffs(m)
+            want = [(c, offset + i) for i, c in enumerate(coeffs) if c != 0]
             assert combo == want, m
 
     def test_domain(self):

@@ -36,11 +36,14 @@ def test_kernel_bound_is_sound_and_tight(s, alpha, target):
 
 
 @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@hypothesis.given(s=st.floats(1.05, 6.0), alpha=_log_uniform(1e-3, 1e60))
+@hypothesis.given(s=st.floats(1.05, 6.0), alpha=_log_uniform(1e-3, 1e300))
+@hypothesis.example(s=6.0, alpha=1e70)
+@hypothesis.example(s=3.0, alpha=1e200)
 def test_tail_bound_is_an_upper_bound(s, alpha):
     # zeta(s, alpha) >= alpha^(1-s)/(s-1) + alpha^-s/2, the trapezoid rule on
     # a convex summand; past alpha ~ 1e16 the slack alpha^-s/2 falls below
-    # the rounding of the bound, which then missed on about half the points
+    # the rounding of the bound, which then missed on about half the points,
+    # and where alpha^(1-s)/(s-1) underflows the bound was 0
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         S, A = mpmath.mpf(s), mpmath.mpf(alpha)

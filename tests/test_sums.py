@@ -1,4 +1,4 @@
-"""Direct summation engine: stopping rules, certified bounds, inner kernels."""
+"""Direct summation engine: stopping rules and certified bounds."""
 
 import math
 import random
@@ -18,7 +18,6 @@ from zetasums import (
     SumSpec,
     TermBudgetError,
     Tolerance,
-    alternating_inner_power_sum,
     check_identity,
     convergence_threshold,
     eval_direct,
@@ -26,7 +25,6 @@ from zetasums import (
     even_arg_moment_combination,
     floor_crossing_arg,
     hurwitz_tail_bound,
-    inner_power_sum,
     kappa_ab_alt_transformed,
     kappa_ab_transformed,
     kappa_closed,
@@ -406,40 +404,3 @@ class TestTailBoundHonesty:
         trans = kappa_ab_alt_transformed(s, a, b, tol)
         for r in (direct, trans):
             assert abs(r.value - ref) <= r.tail_bound, r.method
-
-
-class TestInnerPowerSums:
-    def test_reference_values(self):
-        assert math.isclose(inner_power_sum(1, 1.0), 0.9206735942077923, rel_tol=1e-13)
-        e = math.exp(-1.0)
-        assert math.isclose(
-            alternating_inner_power_sum(1, 1.0), e / (1.0 + e) ** 2, rel_tol=1e-13
-        )
-
-    def test_m_zero_geometric(self):
-        for x in (0.3, 1.0, 2.5):
-            e = math.exp(-x)
-            assert math.isclose(inner_power_sum(0, x), e / (1.0 - e), rel_tol=1e-13)
-            assert math.isclose(
-                alternating_inner_power_sum(0, x), e / (1.0 + e), rel_tol=1e-13
-            )
-
-    def test_against_series(self):
-        # the brute alternating reference carries cancellation noise of order
-        # 1 ulp per term magnitude, so allow that much in the comparison
-        for m in (0, 1, 2, 5, 8, 12):
-            for x in (0.5, 1.0, 3.0):
-                terms = [n ** m * math.exp(-n * x) for n in range(1, 400)]
-                plain = math.fsum(terms)
-                alt = math.fsum(t if n % 2 else -t for n, t in enumerate(terms, 1))
-                noise = 1e-13 * plain
-                assert math.isclose(inner_power_sum(m, x), plain, rel_tol=1e-12), (m, x)
-                assert abs(alternating_inner_power_sum(m, x) - alt) <= noise + 1e-12 * abs(alt), (m, x)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            inner_power_sum(13, 1.0)
-        with pytest.raises(DomainError):
-            inner_power_sum(1, 0.0)
-        with pytest.raises(DomainError):
-            alternating_inner_power_sum(-1, 1.0)

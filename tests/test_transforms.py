@@ -193,6 +193,16 @@ class TestChooseMethod:
         sp = SumSpec(family=Family.GENERAL_AB, s=4.0, a=1.0, b=1.0, tol=T8)
         assert choose_method(sp) is Method.TRANSFORMED
 
+    @pytest.mark.parametrize("s", [1.3, 1.7, 2.5, 4.0])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-4])
+    def test_one_sum_two_spellings_one_route(self, s, tol):
+        # exp-weighted at c = 0 with the minus sign is general-ab-alt and runs
+        # its transformation, on the 1/(2a) lattice; both count that lattice
+        common = dict(s=s, a=1.0, b=1.0, tol=Tolerance(tol))
+        exp = SumSpec(family=Family.EXP_WEIGHTED, c=0.0, sign=Sign.MINUS, **common)
+        alt = SumSpec(family=Family.GENERAL_AB_ALT, **common)
+        assert choose_method(exp) is choose_method(alt)
+
     def test_untransformable_family_rejected(self):
         sp = SumSpec(family=Family.KAPPA, s=4.0, tol=T8)
         with pytest.raises(DomainError):

@@ -5,14 +5,15 @@ import math
 import pytest
 
 from helpers import sandwich_hurwitz
-from zetasums import DomainError, QuadratureError, Tolerance, hurwitz_zeta, riemann_zeta
-from zetasums.verification import (
+from oracles import (
+    QuadratureError,
     QuadratureSpec,
     brute_alt_power_sum,
     brute_power_sum,
     quad_eta_split,
     quad_hurwitz,
 )
+from zetasums import DomainError, Tolerance, hurwitz_zeta, riemann_zeta
 
 T12 = Tolerance(1e-12)
 
