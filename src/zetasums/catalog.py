@@ -7,7 +7,7 @@ bounds and passes iff the observed gap fits inside the combined budget.
 from dataclasses import asdict, dataclass
 
 from .errors import DomainError
-from .special import Tolerance
+from .special import Tolerance, _require_tol
 from .sums import _RULES, Family, Sign, StopRule, SumSpec, eval_direct, _affine, _closed_route
 from .transforms import _run_transformed
 
@@ -114,8 +114,7 @@ def check_identity(name, *, s, a=None, b=None, c=None, sign=None, tol=None):
     family, m, required = _CATALOG[key]
     if tol is None:
         tol = DEFAULT_IDENTITY_TOL
-    if not isinstance(tol, Tolerance):
-        raise DomainError("tol must be a Tolerance")
+    _require_tol(tol)
     supplied = {"a": a, "b": b, "c": c, "sign": sign}
     p = {"s": s}
     for pname in required:

@@ -9,7 +9,6 @@ live here too since the combinations are built from them.
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,19 +31,14 @@ def _require_m(m, name, lo=0):
         raise DomainError(f"{name} requires integer m in [{lo}, {_M_MAX}]")
 
 
-class ZetaKind(Enum):
-    ZETA = "zeta"
-    HURWITZ = "hurwitz"
-
-
 @dataclass(frozen=True)
 class ZetaTerm:
-    """coefficient * [2^-s if two_pow_neg_s] * zeta(s - s_shift[, alpha])."""
+    """coefficient * [2^-s if two_pow_neg_s] * zeta(s - s_shift, alpha);
+    alpha = 1 is Riemann's zeta."""
 
     coefficient: Fraction
     s_shift: int
-    kind: ZetaKind = ZetaKind.ZETA
-    alpha: float = None
+    alpha: float = 1.0
     two_pow_neg_s: bool = False
 
     def __post_init__(self):
@@ -54,12 +48,7 @@ class ZetaTerm:
             raise DomainError("term coefficient must be nonzero")
         if not isinstance(self.s_shift, int) or self.s_shift < 0:
             raise DomainError("s_shift must be a nonnegative integer")
-        if self.kind is ZetaKind.ZETA:
-            if self.alpha is not None:
-                raise DomainError("plain zeta terms take no alpha")
-        else:
-            if self.alpha is None or not math.isfinite(self.alpha) or self.alpha <= BOUNDARY_MARGIN:
-                raise DomainError("hurwitz terms require alpha > 0")
+        _require_positive(self.alpha, "ZetaTerm")
 
 
 @dataclass(frozen=True)
@@ -76,8 +65,7 @@ class ZetaCombination:
     def evaluate_with_bound(self, s, tol):
         """(value, certified_bound) at exponent s; every shifted exponent must
         stay inside the zeta domain s - shift > 1."""
-        if not isinstance(tol, Tolerance):
-            raise DomainError("tol must be a Tolerance")
+        _require_tol(tol)
         if not math.isfinite(s):
             raise DomainError("s must be finite")
         for t in self.terms:
@@ -87,8 +75,7 @@ class ZetaCombination:
                 )
         pow2 = 2.0 ** -s
         pieces = [
-            (float(t.coefficient) * (pow2 if t.two_pow_neg_s else 1.0), t.s_shift,
-             1.0 if t.kind is ZetaKind.ZETA else t.alpha)
+            (float(t.coefficient) * (pow2 if t.two_pow_neg_s else 1.0), t.s_shift, t.alpha)
             for t in self.terms
         ]
         value, err, gross = _hurwitz_pieces(s, pieces, 0.45 * tol.abs_tol)
@@ -101,14 +88,6 @@ class ZetaCombination:
 
     def evaluate(self, s, tol):
         return self.evaluate_with_bound(s, tol)[0]
-
-
-def _frac_term(coeff, shift, kind=ZetaKind.ZETA, alpha=None, flag=False):
-    return ZetaTerm(Fraction(coeff), shift, kind, alpha, flag)
-
-
-def _combo(terms):
-    return ZetaCombination(tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -179,32 +158,32 @@ def _euler_tables(m):
 # infinite sum; evaluation happens through ZetaCombination.
 
 def kappa_combination():
-    """sum over k >= 1 of zeta(s, k)  ==  zeta(s-1)."""
-    return _combo([_frac_term(1, 1)])
+    """sum over k >= 1 of zeta(s, k)  ==  zeta(s-1): the m = 0 moment sum."""
+    return moment_combination(0)
 
 
 def kappa_alt_combination():
     """sum over k >= 1 of (-1)^(k-1) zeta(s, k)  ==  (1 - 2^-s) zeta(s)."""
-    return _combo([
-        _frac_term(1, 0),
-        _frac_term(-1, 0, flag=True),
-    ])
+    return ZetaCombination((
+        ZetaTerm(Fraction(1), 0),
+        ZetaTerm(Fraction(-1), 0, two_pow_neg_s=True),
+    ))
 
 
 def shifted_combination(a):
     """sum over k >= 0 of zeta(s, k+a)  ==  zeta(s-1, a) + (1-a) zeta(s, a)."""
     _require_positive(a, "shifted_combination", "a")
-    terms = [_frac_term(1, 1, ZetaKind.HURWITZ, float(a))]
-    lin = Fraction(1) - _exact_fraction(a)
+    terms = [ZetaTerm(Fraction(1), 1, float(a))]
+    lin = 1 - Fraction(a)
     if lin != 0:
-        terms.append(ZetaTerm(lin, 0, ZetaKind.HURWITZ, float(a)))
-    return _combo(terms)
+        terms.append(ZetaTerm(lin, 0, float(a)))
+    return ZetaCombination(tuple(terms))
 
 
 def shifted_alt_combination(a):
     """sum over k >= 0 of (-1)^k zeta(s, k+a)  ==  2^-s zeta(s, a/2)."""
     _require_positive(a, "shifted_alt_combination", "a")
-    return _combo([_frac_term(1, 0, ZetaKind.HURWITZ, float(a) / 2.0, True)])
+    return ZetaCombination((ZetaTerm(Fraction(1), 0, float(a) / 2.0, two_pow_neg_s=True),))
 
 
 def moment_combination(m):
@@ -219,7 +198,7 @@ def moment_combination(m):
     for d in range(1, m + 2):
         if dense[d] != 0:
             terms.append(ZetaTerm(dense[d], d))
-    return _combo(terms)
+    return ZetaCombination(tuple(terms))
 
 
 def moment_alt_combination(m):
@@ -230,18 +209,18 @@ def moment_alt_combination(m):
             "m = 0 alternating sum is the plain alternating family; use kappa_alt_closed"
         )
     if m == 1:
-        return _combo([
-            _frac_term(1, 1, ZetaKind.HURWITZ, 0.5, True),
-            _frac_term(Fraction(1, 2), 0, ZetaKind.HURWITZ, 0.5, True),
-            _frac_term(-1, 1, flag=True),
-        ])
+        return ZetaCombination((
+            ZetaTerm(Fraction(1), 1, 0.5, two_pow_neg_s=True),
+            ZetaTerm(Fraction(1, 2), 0, 0.5, two_pow_neg_s=True),
+            ZetaTerm(Fraction(-1), 1, two_pow_neg_s=True),
+        ))
     if m == 2:
-        return _combo([
-            _frac_term(Fraction(1, 2), 1),
-            _frac_term(-2, 1, flag=True),
-            _frac_term(Fraction(1, 2), 2),
-            _frac_term(-4, 2, flag=True),
-        ])
+        return ZetaCombination((
+            ZetaTerm(Fraction(1, 2), 1),
+            ZetaTerm(Fraction(-2), 1, two_pow_neg_s=True),
+            ZetaTerm(Fraction(1, 2), 2),
+            ZetaTerm(Fraction(-4), 2, two_pow_neg_s=True),
+        ))
     raise NoClosedFormError(
         f"no closed form for the alternating moment sum with m = {m}"
     )
@@ -251,20 +230,20 @@ def even_arg_moment_combination(m):
     """k^m-weighted sum over zeta(s, 2k); closed forms for m in {1, 2}."""
     _require_m(m, "even_arg_moment_combination")
     if m == 1:
-        return _combo([
-            _frac_term(Fraction(1, 8), 1),
-            _frac_term(Fraction(1, 4), 1, flag=True),
-            _frac_term(Fraction(1, 8), 2),
-            _frac_term(Fraction(-1, 4), 1, ZetaKind.HURWITZ, 0.5, True),
-            _frac_term(Fraction(-1, 8), 0, ZetaKind.HURWITZ, 0.5, True),
-        ])
+        return ZetaCombination((
+            ZetaTerm(Fraction(1, 8), 1),
+            ZetaTerm(Fraction(1, 4), 1, two_pow_neg_s=True),
+            ZetaTerm(Fraction(1, 8), 2),
+            ZetaTerm(Fraction(-1, 4), 1, 0.5, two_pow_neg_s=True),
+            ZetaTerm(Fraction(-1, 8), 0, 0.5, two_pow_neg_s=True),
+        ))
     if m == 2:
-        return _combo([
-            _frac_term(Fraction(-1, 24), 1),
-            _frac_term(Fraction(1, 4), 1, flag=True),
-            _frac_term(Fraction(1, 2), 2, flag=True),
-            _frac_term(Fraction(1, 24), 3),
-        ])
+        return ZetaCombination((
+            ZetaTerm(Fraction(-1, 24), 1),
+            ZetaTerm(Fraction(1, 4), 1, two_pow_neg_s=True),
+            ZetaTerm(Fraction(1, 2), 2, two_pow_neg_s=True),
+            ZetaTerm(Fraction(1, 24), 3),
+        ))
     raise NoClosedFormError(
         f"no closed form for the even-argument moment sum with m = {m}"
     )
@@ -317,11 +296,3 @@ def combination_split(s, m, *, tol=_DEFAULT_CLOSED_TOL):
     via_diff = 2.0 ** (-m - 1) * (plain - alt)
     direct = even_arg_moment_closed(s, m, tol=half)
     return via_diff, direct
-
-
-def _exact_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(float(x))

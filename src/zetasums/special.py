@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, TermBudgetError
+from .errors import DomainError
 
 EPS = 2.0 ** -52
 TOL_FLOOR = 2.0 ** -52
@@ -99,45 +99,13 @@ _EM_C = tuple(
 )
 
 
-# ---------------------------------------------------------------------------
-# Gamma via a fixed 15-term Lanczos approximation (g = 607/128).  Relative
-# error < 2e-15 on (0, 60] against reference values; contract asks 1e-13.
-
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-
 def gamma_fn(s):
-    """Gamma(s) for real s > 0."""
+    """Gamma(s) for real s > 0, by the standard library's math.gamma."""
     _require_positive(s, "gamma_fn", "s")
-    if s < 0.5:
-        # recurrence keeps the kernel evaluation inside its sweet spot
-        return gamma_fn(s + 1.0) / s
-    x = s - 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, 15):
-        acc += _LANCZOS_C[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    value = math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
-    if not math.isfinite(value):
-        raise DomainError("gamma_fn result exceeds double range")
-    return value
+    try:
+        return math.gamma(s)
+    except OverflowError:
+        raise DomainError("gamma_fn result exceeds double range") from None
 
 
 def pochhammer(a, n):
@@ -160,34 +128,10 @@ def _poch_raw(a, n):
     return prod
 
 
-# ---------------------------------------------------------------------------
-# Neumaier compensated accumulation.  gross tracks the sum of magnitudes so
-# callers can budget floating-point slop honestly.
-
-class NSum:
-    __slots__ = ("hi", "lo", "gross")
-
-    def __init__(self):
-        self.hi = 0.0
-        self.lo = 0.0
-        self.gross = 0.0
-
-    def add(self, x):
-        self.gross += abs(x)
-        t = self.hi + x
-        if abs(self.hi) >= abs(x):
-            self.lo += (self.hi - t) + x
-        else:
-            self.lo += (x - t) + self.hi
-        self.hi = t
-
-    def total(self):
-        return self.hi + self.lo
-
-
 # Rounding charge per unit of gross magnitude: term evaluation via libm pow
-# stays within ~0.55 ulp and compensated accumulation within ~1 ulp of the
-# gross, so 2 eps * gross is an honest ceiling on the arithmetic error.
+# stays within ~0.55 ulp and compensated (or fsum's exactly rounded)
+# accumulation within ~1 ulp of the gross, so 2 eps * gross is an honest
+# ceiling on the arithmetic error.
 _FP_SLOP_FACTOR = 2.0
 
 
@@ -332,15 +276,16 @@ def _hurwitz_pieces(s, pieces, budget):
     (coef, shift, alpha) pieces.  budget is split evenly between the pieces
     as kernel targets; err is the kernel bounds weighted by |coef|, and gross
     the magnitude the caller charges rounding slop on."""
-    acc = NSum()
-    err = 0.0
+    parts = []
+    err = gross = 0.0
     n = len(pieces)
     for coef, shift, alpha in pieces:
         weight = abs(coef)  # scales the piece's error contribution
         v, b = _hurwitz_core(s - shift, alpha, budget / (n * weight) if weight > 0 else budget)
-        acc.add(coef * v)
+        parts.append(coef * v)
+        gross += abs(coef * v)
         err += weight * b
-    return acc.total(), err, acc.gross
+    return math.fsum(parts), err, gross
 
 
 def hurwitz_zeta(s, alpha, tol):
@@ -352,9 +297,7 @@ def hurwitz_zeta(s, alpha, tol):
 
 
 def riemann_zeta(s, tol):
-    """zeta(s) for s > 1."""
-    _require_tol(tol)
-    _require_s(s, 1.0, "riemann_zeta")
+    """zeta(s) for s > 1: zeta(s, 1)."""
     return hurwitz_zeta(s, 1.0, tol)
 
 
@@ -642,60 +585,21 @@ def _lerch_slack(s):
 
 
 def _lerch_core(z, s, alpha, target):
-    """Lerch sum over z^n (n+alpha)^-s with certified bound; -1 <= z < 1.
+    """Lerch sum over z^n (n+alpha)^-s with certified bound; -1 <= z < 1,
+    and s > 0 unless z = 0.
 
-    Returns (value, bound).  Caller handles z = 1.  For s > 0 the summand is
-    completely monotone and _damped_lattice encloses the sum at a cost
-    independent of 1 - |z|, z = -1 included (Boole's summation at c = 0);
-    s <= 0 sums the geometric series term by term, |z| < 1.
+    Returns (value, bound).  For s > 0 the summand is completely monotone and
+    _damped_lattice encloses the sum at a cost independent of 1 - |z|, z = -1
+    included (Boole's summation at c = 0).  lerch_phi runs s <= 0 through
+    the series driver.
     """
     try:
         if z == 0.0:
             return alpha ** -s, EPS * alpha ** -s
-        q = abs(z)
-        if s > 0.0:
-            sign = 1.0 if z > 0.0 else -1.0
-            return _damped_lattice(_power_phi(s), s, sign, -math.log(q), alpha, 1.0, target)
-        acc = NSum()
-        weighted = 0.0  # sum of (n+3)*|t_n| for power-drift slop
-        zpow = 1.0
-        budget = term_budget()
-        n = 0
-        while True:
-            t = zpow * (n + alpha) ** -s
-            acc.add(t)
-            weighted += (n + 3.0) * abs(t)
-            # certified remainder: next-term magnitude over a geometric majorant
-            t_next = q ** (n + 1) * (n + 1 + alpha) ** -s
-            rho = q * (1.0 + 1.0 / (n + alpha)) ** -s
-            if rho < 1.0:
-                rem = t_next / (1.0 - rho)
-                slop = fp_slop(acc.gross) + EPS * weighted
-                if rem + slop <= target or rem <= EPS * abs(acc.total()):
-                    return acc.total(), rem + slop
-            n += 1
-            if n >= budget:
-                raise TermBudgetError("lerch series exceeded the term budget")
-            zpow *= z
+        sign = 1.0 if z > 0.0 else -1.0
+        return _damped_lattice(_power_phi(s), s, sign, -math.log(abs(z)), alpha, 1.0, target)
     except OverflowError:
         raise _beyond_double_range(s, alpha) from None
-
-
-def lerch_phi(z, s, alpha, tol):
-    """Lerch transcendent for real z in [-1, 1], alpha > 0 (s > 1 when |z| = 1)."""
-    _require_tol(tol)
-    if not (math.isfinite(z) and math.isfinite(s) and math.isfinite(alpha)):
-        raise DomainError("lerch_phi requires finite arguments")
-    _require_positive(alpha, "lerch_phi")
-    if abs(z) > 1.0:
-        raise DomainError("lerch_phi requires |z| <= 1")
-    if abs(z) == 1.0:
-        _require_s(s, 1.0, f"lerch_phi at z = {z:g}")
-    if z == 1.0:
-        return hurwitz_zeta(s, alpha, tol)
-    if z != -1.0 and 1.0 - abs(z) <= BOUNDARY_MARGIN:
-        raise DomainError("lerch_phi rejects |z| within 1e-12 of 1 (degenerate input)")
-    return _certified(*_lerch_core(z, s, alpha, 0.9 * tol.abs_tol), tol)
 
 
 def _certified(value, bound, tol):

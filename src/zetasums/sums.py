@@ -10,8 +10,9 @@ weighted lattices by Boole summation and lattice halving
 is the full certified error: enclosure half-width plus accumulated per-term
 evaluation error plus rounding slop.
 
-_RULES holds one row per family; _run_series is the summation loop shared by
-the direct route and the reciprocal-lattice transformations.
+_RULES holds one row per family; _run_series is the package's one series
+loop, shared by the direct route, the reciprocal-lattice transformations and
+lerch_phi at s <= 0.
 """
 
 import math
@@ -35,17 +36,23 @@ from .errors import DomainError, NoClosedFormError, TermBudgetError
 from .special import (
     BOUNDARY_MARGIN,
     EPS,
-    NSum,
     Tolerance,
     fp_slop,
     hurwitz_tail_bound,
+    hurwitz_zeta,
     term_budget,
     _EM_C,
     _EM_MAX_ORDER,
+    _beyond_double_range,
+    _certified,
     _damped_zeta,
     _hurwitz_core,
     _hurwitz_pieces,
+    _lerch_core,
     _poch_raw,
+    _require_positive,
+    _require_s,
+    _require_tol,
 )
 
 # families keep at least this many explicit terms so the direct route never
@@ -123,8 +130,7 @@ class SumSpec:
             raise DomainError("family must be a Family")
         if not isinstance(self.sign, Sign):
             raise DomainError("sign must be a Sign")
-        if not isinstance(self.tol, Tolerance):
-            raise DomainError("tol must be a Tolerance")
+        _require_tol(self.tol)
         _require_m(self.m, f"family {self.family.value}")
         for name in ("s", "a", "b", "c"):
             if not math.isfinite(getattr(self, name)):
@@ -320,13 +326,14 @@ def _strip_integral(s, A, h):
     for r in range(1, _STRIP_ORDER + 1):
         p = -s - (2 * r - 1)
         pieces.append((_EM_C[r] * _poch_raw(s, 2 * r - 1) * _int_power(_STRIP_SPLIT, A, h, p), -p))
-    acc = NSum()
-    for v, _ in pieces:
-        acc.add(v)
+    gross = charged = 0.0
+    for v, c in pieces:
+        gross += abs(v)
+        charged += c * abs(v)
     width = abs(_EM_C[_STRIP_ORDER + 1]) * _poch_raw(s, 2 * _STRIP_ORDER + 1) * abs(
         _int_power(_STRIP_SPLIT, A, h, -s - (2 * _STRIP_ORDER + 1))
     )
-    return acc.total(), width + fp_slop(acc.gross) + EPS * sum(c * abs(v) for v, c in pieces)
+    return math.fsum(v for v, _ in pieces), width + fp_slop(gross) + EPS * charged
 
 
 def _pair_gap(s, x, gap):
@@ -498,9 +505,9 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
         # one term of margin for the rounding in floor_crossing_arg
         raise TermBudgetError(over_budget.format(budget=budget))
     floor = 10.0 * tol
-    acc = NSum()
-    add = acc.add
-    term_err = 0.0
+    # the terms' Neumaier sum hi + lo and their summed magnitude gross, taken
+    # by += in order: a builtin sum() is compensated from Python 3.12 on
+    hi = lo = gross = term_err = 0.0
     n = 0
     next_check = first if stop is StopRule.EARLIEST else None
     far = None
@@ -508,18 +515,22 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
         if n >= budget:
             raise TermBudgetError(over_budget.format(budget=budget))
         value, err, probe = term(n)
-        add(value)
+        gross += abs(value)
+        t = hi + value
+        lo += (hi - t) + value if abs(hi) >= abs(value) else (value - t) + hi
+        hi = t
         term_err += err
         n += 1
         if next_check is None and n >= first and probe <= floor:
             next_check = n
         if next_check is not None and n >= next_check:
             mid, wid = tail(n)
-            total = term_err + wid + fp_slop(acc.gross + 2.0 * abs(mid))
+            total = term_err + wid + fp_slop(gross + 2.0 * abs(mid))
             if total <= tol:
-                acc.add(mid)
-                return SumResult(value=acc.total(), terms_used=n, tail_bound=total, method=method)
-            own = term_err + fp_slop(acc.gross)
+                t = hi + mid
+                lo += (hi - t) + mid if abs(hi) >= abs(mid) else (mid - t) + hi
+                return SumResult(value=t + lo, terms_used=n, tail_bound=total, method=method)
+            own = term_err + fp_slop(gross)
             hopeless = own > 0.5 * tol
             if not hopeless and far is None and wid < math.inf:
                 mid, wid = tail(budget)
@@ -529,6 +540,56 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
                     f"requested tolerance is unattainable in double precision for this {what}"
                 )
             next_check = n + max(cadence, n // 8)
+
+
+def lerch_phi(z, s, alpha, tol):
+    """Lerch transcendent for real z in [-1, 1], alpha > 0 (s > 1 when |z| = 1).
+
+    s <= 0 with 0 < |z| < 1 runs through _run_series: term n is
+    z^n (n + alpha)^-s, charged (n + 3 - s/2) EPS of itself, where -s/2 is
+    the rounding of n + alpha, which the power amplifies -s times.  Past k
+    terms every term is at most rho = q (1 + 1/(k + alpha))^-s times the one
+    before, so the rest lies within |t_k| / (1 - rho) of 0 once rho < 1.
+    """
+    _require_tol(tol)
+    if not (math.isfinite(z) and math.isfinite(s) and math.isfinite(alpha)):
+        raise DomainError("lerch_phi requires finite arguments")
+    _require_positive(alpha, "lerch_phi")
+    if abs(z) > 1.0:
+        raise DomainError("lerch_phi requires |z| <= 1")
+    if abs(z) == 1.0:
+        _require_s(s, 1.0, f"lerch_phi at z = {z:g}")
+    if z == 1.0:
+        return hurwitz_zeta(s, alpha, tol)
+    if z != -1.0 and 1.0 - abs(z) <= BOUNDARY_MARGIN:
+        raise DomainError("lerch_phi rejects |z| within 1e-12 of 1 (degenerate input)")
+    if s > 0.0 or z == 0.0:
+        return _certified(*_lerch_core(z, s, alpha, 0.9 * tol.abs_tol), tol)
+    q = abs(z)
+
+    def term(n):
+        t = z ** n * (n + alpha) ** -s
+        return t, (n + 3.0 - 0.5 * s) * EPS * abs(t), abs(t)
+
+    def tail(k):
+        rho = q * (1.0 + 1.0 / (k + alpha)) ** -s
+        if rho >= 1.0:
+            return 0.0, math.inf
+        try:
+            t = q ** k * (k + alpha) ** -s
+        except OverflowError:
+            # at the far probe, k = budget, (k + alpha)^-s alone can leave
+            # double range while q^k brings t back inside
+            t = math.exp(k * math.log(q) - s * math.log(k + alpha))
+        return 0.0, t / (1.0 - rho)
+
+    try:
+        return _run_series(
+            term, tail, tol.abs_tol, StopRule.EARLIEST, Method.DIRECT, None,
+            "lerch series exceeded the term budget ({budget})",
+        ).value
+    except OverflowError:
+        raise _beyond_double_range(s, alpha) from None
 
 
 def eval_direct(spec, *, stop=StopRule.EARLIEST):

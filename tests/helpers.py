@@ -1,9 +1,10 @@
-"""Elementary reference brackets used by the tests.
+"""Elementary reference brackets used by the tests, and the enclosure check
+the soundness tests share (assert_routes_enclose).
 
 Everything here is deliberately low-tech: partial sums plus convexity
-brackets, a Laplace-integral route through the package's tanh-sinh
-integrator, the same route by mpmath's quadrature at 30 and 40 digits (for
-the alternating affine sum; imported only there), and a decimal
+brackets, a Laplace-integral route through the tanh-sinh integrator of
+oracles.py, the same route by mpmath's quadrature at 30 and 40 digits (for
+the plain and alternating affine sums; imported only there), and a decimal
 Euler-Maclaurin sum far past double precision.
 Only the last shares anything with the library's own evaluators, and that is
 the exact Bernoulli fractions (checked against known values in
@@ -13,10 +14,12 @@ itself.
 """
 
 import math
+import os
 from decimal import Decimal, localcontext
+from unittest import mock
 
 from oracles import _tanh_sinh
-from zetasums import Sign, gamma_fn
+from zetasums import DomainError, Sign
 from zetasums.special import _BERN
 
 
@@ -43,8 +46,9 @@ def sandwich_hurwitz(s, alpha, n=10000):
 
 
 def decimal_hurwitz(s, alpha, digits=64):
-    """zeta(s, alpha) for the exact binary64 inputs s > 1, alpha > 0, as a
-    Decimal good to about `digits` significant digits.
+    """zeta(s, alpha) for s > 1, alpha > 0, each taken exactly as given, a
+    binary64 or a Decimal, as a Decimal good to about `digits` significant
+    digits.
 
     Explicit terms run to z = n + alpha >= 2(s + 60), so every Euler-Maclaurin
     correction ratio (s+2r-1)(s+2r)/(4 pi^2 z^2) through r = 30 stays below
@@ -55,7 +59,7 @@ def decimal_hurwitz(s, alpha, digits=64):
     with localcontext() as ctx:
         ctx.prec = digits + 12
         S, A = Decimal(s), Decimal(alpha)
-        n = max(0, math.ceil(2.0 * (s + 60.0) - alpha))
+        n = max(0, math.ceil(2.0 * (float(s) + 60.0) - float(alpha)))
         acc = sum((A + k) ** -S for k in range(n)) if n else Decimal(0)
         z = A + n
         zs = z ** -S
@@ -103,7 +107,7 @@ def quad_family_sum(s, a, b, c, sign, target=1e-11):
     (0, min(c/a, 1)) is integrated in t = x^(s-1).  Returns (value, err_bound).
     """
     plus = sign is Sign.PLUS
-    gam = gamma_fn(s)
+    gam = math.gamma(s)
     target_int = target * gam / 10.0
 
     x0 = max(8.0, 4.0 * (s - 1.0) / b)
@@ -159,30 +163,53 @@ def quad_family_sum(s, a, b, c, sign, target=1e-11):
     return val / gam, (err + tail) / gam
 
 
-def laplace_alternating_sum(s, a, b):
-    """sum_{k>=0} (-1)^k zeta(s, ka+b) for the exact binary64 inputs, as an
+def laplace_affine_sum(s, a, b, sign):
+    """sum_{k>=0} (+-1)^k zeta(s, ka+b) for the exact binary64 inputs, as an
     mpmath number, and the distance between its 30- and 40-digit values.
 
-    The Laplace route (1/Gamma(s)) * integral_0^inf x^(s-1) e^(-bx)
-    / ((1 - e^(-x)) (1 + e^(-ax))) dx by mpmath's quadrature; on (0, 1) in
-    u = x^(s-1), which turns x^(s-2) dx into dx/(s-1) du and so removes the
-    endpoint singularity that near s = 1 is too sharp for the rule.  Shares
-    nothing with the library's evaluators.  Needs mpmath.
+    The Laplace route (1/Gamma(s)) * integral_0^inf x^(s-1) g(x) dx,
+    g(x) = e^(-bx) / ((1 - e^(-x)) (1 -+ e^(-ax))), by mpmath's quadrature.
+    Near 0, x^(s-1) g(x) goes as x^(s-1-j), j = 2 for the plus sign (s > 2)
+    and 1 for the minus sign; on (0, 1) the substitution x = u^p,
+    p = 1/(s - j), turns x^(s-1) dx into p x^j du and so removes the endpoint
+    singularity that near s = j is too sharp for the rule.  Shares nothing
+    with the library's evaluators.  Needs mpmath.
     """
     import mpmath
+
+    plus = sign is Sign.PLUS
+    j = 2 if plus else 1
 
     def at(digits):
         with mpmath.workdps(digits):
             S, A, B = mpmath.mpf(s), mpmath.mpf(a), mpmath.mpf(b)
-            p = 1 / (S - 1)
+            p = 1 / (S - j)
 
             def g(x):
-                return mpmath.exp(-B * x) / (-mpmath.expm1(-x) * (1 + mpmath.exp(-A * x)))
+                lattice = -mpmath.expm1(-A * x) if plus else 1 + mpmath.exp(-A * x)
+                return mpmath.exp(-B * x) / (-mpmath.expm1(-x) * lattice)
 
-            # x = u^p: x^(s-1) dx = u * p u^(p-1) du = p x du
-            head = mpmath.quad(lambda u: p * u ** p * g(u ** p) if u > 0 else 0, [0, 1])
+            head = mpmath.quad(lambda u: p * (u ** p) ** j * g(u ** p) if u > 0 else 0, [0, 1])
             rest = mpmath.quad(lambda x: x ** (S - 1) * g(x), [1, 4, 16, 64, 256, mpmath.inf])
             return (head + rest) / mpmath.gamma(S)
 
     ref = at(30)
     return ref, abs(ref - at(40))
+
+
+def assert_routes_enclose(routes, args, tol, ref, ref_err=0):
+    """Each route(*args) ends within its tail_bound of ref, a high-precision
+    Decimal or mpmath number good to ref_err, or fails typed as
+    "unattainable".  A small term budget keeps every call short: a run that
+    would grind toward the default budget fails here as TermBudgetError.
+    The difference is taken in ref's own type, so ref is not rounded."""
+    exact = type(ref)
+    for name, route in routes.items():
+        try:
+            with mock.patch.dict(os.environ, {"ZS_TERM_BUDGET": "20000"}):
+                r = route(*args)
+        except DomainError as exc:
+            assert "unattainable" in str(exc), (name, args)
+            continue
+        assert r.tail_bound <= tol, (name, args)
+        assert abs(exact(r.value) - ref) <= exact(r.tail_bound) + ref_err, (name, args)

@@ -10,7 +10,7 @@ genuine two-route check.
 import math
 from dataclasses import dataclass
 
-from zetasums import DomainError, gamma_fn
+from zetasums import DomainError
 
 
 class QuadratureError(Exception):
@@ -123,7 +123,7 @@ def _laplace_quad(name, s, s_min, alpha, spec, denom):
         raise DomainError(f"{name} requires s >= {s_min}")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise DomainError("alpha must be positive")
-    gam = gamma_fn(s)
+    gam = math.gamma(s)
     target_integral = spec.target_abs * gam / 10.0
     cutoff = spec.upper_cutoff or _choose_cutoff(s, alpha, target_integral)
 

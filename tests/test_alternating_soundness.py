@@ -5,14 +5,11 @@ and the remainder of the pair-gap series), so their agreement with one
 another proves little; the Laplace integral by mpmath grades each alone."""
 
 import math
-import os
-from unittest import mock
 
 import pytest
 
-from helpers import laplace_alternating_sum
+from helpers import assert_routes_enclose, laplace_affine_sum
 from zetasums import (
-    DomainError,
     Family,
     Sign,
     SumSpec,
@@ -22,7 +19,7 @@ from zetasums import (
     s_pm_transformed,
 )
 
-mpmath = pytest.importorskip("mpmath")
+pytest.importorskip("mpmath")
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
@@ -41,21 +38,9 @@ _ROUTES = {
 
 
 def _grade_every_route(s, a, b, tol):
-    """Each route ends within its tail_bound of the reference, or fails typed
-    as "unattainable".  A small term budget keeps every call short: a run
-    that would grind toward the default budget fails here as TermBudgetError."""
-    ref, ref_err = laplace_alternating_sum(s, a, b)
+    ref, ref_err = laplace_affine_sum(s, a, b, Sign.MINUS)
     assert ref_err <= 1e-20 * abs(ref)
-    for name, route in _ROUTES.items():
-        try:
-            with mock.patch.dict(os.environ, {"ZS_TERM_BUDGET": "20000"}):
-                r = route(s, a, b, Tolerance(tol))
-        except DomainError as exc:
-            assert "unattainable" in str(exc), name
-            continue
-        assert r.tail_bound <= tol, name
-        # the difference is taken in mpmath, so the reference is not rounded
-        assert abs(mpmath.mpf(r.value) - ref) <= r.tail_bound + ref_err, name
+    assert_routes_enclose(_ROUTES, (s, a, b, Tolerance(tol)), tol, ref, ref_err)
 
 
 @hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)

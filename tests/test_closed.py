@@ -12,7 +12,8 @@ from zetasums import (
     NoClosedFormError,
     Sign,
     Tolerance,
-    ZetaKind,
+    ZetaCombination,
+    ZetaTerm,
     combination_split,
     eulerian_polynomial,
     even_arg_moment_closed,
@@ -42,7 +43,8 @@ class TestKappa:
         (term,) = kappa_combination().terms
         assert term.coefficient == 1
         assert term.s_shift == 1
-        assert term.kind is ZetaKind.ZETA
+        assert term.alpha == 1.0
+        assert not term.two_pow_neg_s
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -259,8 +261,35 @@ class TestCombinationEval:
         assert abs(v1 - v2) <= b1
 
     def test_unattainable_tolerance_raises(self):
-        with pytest.raises(DomainError):
-            moment_combination(2).evaluate_with_bound(5.0, Tolerance(1e-30))
+        with pytest.raises(DomainError, match="unattainable"):
+            moment_combination(2).evaluate_with_bound(5.0, Tolerance(2.0 ** -52))
+
+    def test_evaluate_rejects_a_bare_float_tol_and_nonfinite_s(self):
+        combo = kappa_combination()
+        with pytest.raises(DomainError, match="Tolerance"):
+            combo.evaluate_with_bound(4.0, 1e-8)
+        for s in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                combo.evaluate_with_bound(s, T12)
+
+    @pytest.mark.parametrize("args, match", [
+        ((1, 0), "Fraction"),
+        ((Fraction(0), 0), "nonzero"),
+        ((Fraction(1), -1), "s_shift"),
+        ((Fraction(1), 1.0), "s_shift"),
+        ((Fraction(1), 0, 0.0), "alpha"),
+        ((Fraction(1), 0, -2.0), "alpha"),
+        ((Fraction(1), 0, math.inf), "alpha"),
+    ])
+    def test_term_rejects(self, args, match):
+        with pytest.raises(DomainError, match=match):
+            ZetaTerm(*args)
+
+    def test_combination_rejects_empty_and_foreign_entries(self):
+        with pytest.raises(DomainError, match="at least one term"):
+            ZetaCombination(())
+        with pytest.raises(DomainError, match="ZetaTerm"):
+            ZetaCombination((ZetaTerm(Fraction(1), 1), (Fraction(1), 1, 1.0)))
 
     def test_split_rejects_a_bare_float_tol(self):
         # the tolerance is checked before anything reads it

@@ -21,7 +21,7 @@ from zetasums import (
     pochhammer,
     riemann_zeta,
 )
-from zetasums.special import _hurwitz_core, _lerch_core
+from zetasums.special import EPS, _hurwitz_core
 
 T12 = Tolerance(1e-12)
 
@@ -30,11 +30,17 @@ class TestGammaPochhammer:
     def test_gamma_half_is_sqrt_pi(self):
         assert math.isclose(gamma_fn(0.5), math.sqrt(math.pi), rel_tol=1e-13)
 
-    def test_gamma_matches_stdlib_across_range(self):
-        s = 0.03
-        while s <= 60.0:
-            assert math.isclose(gamma_fn(s), math.gamma(s), rel_tol=1e-13)
-            s += 0.37
+    def test_gamma_matches_mpmath_across_range(self):
+        # up to Gamma(171) = 7.3e306: Gamma is finite there, and so must
+        # gamma_fn be, with no intermediate overflow
+        mpmath = pytest.importorskip("mpmath")
+        for s in [0.03 + 0.37 * k for k in range(463)] + [150.0, 171.0]:
+            want = mpmath.gamma(mpmath.mpf(s), prec=133)  # 40 digits
+            assert abs(gamma_fn(s) - want) <= 1e-15 * want, s
+
+    def test_gamma_beyond_double_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="double range"):
+            gamma_fn(172.0)
 
     def test_gamma_integer_factorials(self):
         for n in range(1, 15):
@@ -240,8 +246,9 @@ class TestLerchPhi:
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
     @pytest.mark.parametrize("s", [0.0, -1.0, -2.0])
     def test_nonpositive_s_against_exact_forms(self, z, alpha, s):
-        # s <= 0 runs the term-by-term geometric series; sum z^n (n + alpha)^k,
-        # k = -s, is rational in z and alpha, and the bound must enclose it
+        # s <= 0 runs the term-by-term series on the series driver, which
+        # stops once its bound fits tol; sum z^n (n + alpha)^k, k = -s, is
+        # rational in z and alpha, and the bound must enclose it
         zq, aq = Fraction(z), Fraction(alpha)
         want = {
             0.0: 1 / (1 - zq),
@@ -249,16 +256,41 @@ class TestLerchPhi:
             -2.0: aq ** 2 / (1 - zq) + 2 * aq * zq / (1 - zq) ** 2
             + zq * (1 + zq) / (1 - zq) ** 3,
         }[s]
-        value, bound = _lerch_core(z, s, alpha, 1e-12)
-        assert abs(Fraction(value) - want) <= Fraction(bound)
         tol = 1e-9 * max(1.0, float(want))
-        assert abs(lerch_phi(z, s, alpha, Tolerance(tol)) - float(want)) <= 2.0 * tol
+        assert abs(Fraction(lerch_phi(z, s, alpha, Tolerance(tol))) - want) <= Fraction(tol)
+
+    @pytest.mark.parametrize("z, s, alpha", [
+        (0.00347844499614946, -80.0, 15.795470058838953),
+        (0.021422066431024456, -68.0, 5.718878708207933),
+    ])
+    def test_nonpositive_s_charges_the_rounding_of_n_plus_alpha(self, z, s, alpha):
+        # the power amplifies the rounding of n + alpha -s times, which a
+        # charge of (n + 3) EPS a term misses at both points: the tightest
+        # tolerance the ladder certifies must enclose the exact sum, whose
+        # terms past n = 150 are below 1e-160 of it
+        zq, aq = Fraction(z), Fraction(alpha)
+        terms = [zq ** n * (n + aq) ** int(-s) for n in range(150)]
+        want = sum(terms)
+        for k in range(64):
+            tol = 2.0 ** k * EPS * float(max(terms))
+            try:
+                value = lerch_phi(z, s, alpha, Tolerance(tol))
+            except DomainError as exc:
+                assert "unattainable" in str(exc)
+                continue
+            assert abs(Fraction(value) - want) <= Fraction(tol)
+            return
+        pytest.fail("no tolerance certified")
 
     def test_nonpositive_s_series_stops_at_the_term_budget(self, monkeypatch):
-        # 0.99^n needs ~4 000 terms to fall below 1e-12
+        # the tail's ratio bound 0.999 (1 + 1/(k + 1)) stays >= 1 up to
+        # k = 998, so 500 terms give neither an enclosure nor a floor to
+        # refuse on; the default budget certifies the same request
+        args = (0.999, -1.0, 1.0, Tolerance(1e-6))
+        assert math.isclose(lerch_phi(*args), 1e6, rel_tol=1e-12)
         monkeypatch.setenv("ZS_TERM_BUDGET", "500")
-        with pytest.raises(TermBudgetError, match="lerch series exceeded the term budget"):
-            lerch_phi(0.99, -1.0, 1.0, T12)
+        with pytest.raises(TermBudgetError, match=r"lerch series .* term budget \(500\)"):
+            lerch_phi(*args)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -269,3 +301,18 @@ class TestLerchPhi:
             lerch_phi(1.0, 1.0, 1.0, T12)  # |z| = 1 needs s > 1
         with pytest.raises(DomainError):
             lerch_phi(0.5, 2.0, 0.0, T12)
+        for args in ((math.nan, 2.0, 1.0), (0.5, -math.inf, 1.0), (0.5, 2.0, math.inf)):
+            with pytest.raises(DomainError, match="finite"):
+                lerch_phi(*args, T12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tol: hurwitz_zeta(1.0 + 1e-6, 1.0, tol),
+    lambda tol: dirichlet_eta(1.0 + 1e-6, tol),
+    lambda tol: lerch_phi(0.999, 2.0, 1.0, tol),  # the damped-lattice kernel
+    lambda tol: lerch_phi(0.999, -1.0, 1.0, tol),  # the series driver
+])
+def test_unattainable_at_the_tolerance_floor(call):
+    # 2^-52 is below the rounding floor of each of these values
+    with pytest.raises(DomainError, match="unattainable"):
+        call(Tolerance(2.0 ** -52))
