@@ -65,12 +65,16 @@ _BERNOULLI_MAX = 64
 
 
 def _build_bernoulli(n_max):
-    table = [Fraction(1)]
-    for m in range(1, n_max + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * table[j]
-        table.append(-acc / (m + 1))
+    """B_0 .. B_{n_max} from the tangent numbers T_k, on integers only
+    (Brent & Harvey 2011): B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    kmax = n_max // 2
+    t = [0] + [math.factorial(k - 1) for k in range(1, kmax + 1)]
+    for k in range(2, kmax + 1):
+        for j in range(k, kmax + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    table = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n_max - 1)
+    for k in range(1, kmax + 1):
+        table[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1))
     return tuple(table)
 
 
@@ -416,9 +420,11 @@ def _boole(phi, s, c, x0, hs, trunc, ref, target, exact=False):
             psi.append(hp * v)
             perr.append(hp * e)
             cpow.append(c ** i)
-        w = list(map(operator.mul, _BINOM[m], reversed(cpow)))
-        big = sum(map(operator.mul, w, psi))
-        err = sum(map(operator.mul, w, perr))
+        # a plain loop, not sum(): sum() compensates from Python 3.12 on
+        big = err = 0.0
+        for w, p, pe in zip(map(operator.mul, _BINOM[m], reversed(cpow)), psi, perr):
+            big += w * p
+            err += w * pe
         a = _BOOLE_A[n]
         # the rounding of M_m, of c^k and of the lattice point x0
         return a * big, abs(a) * (err + (xr + 2.0 * m + 6.0) * EPS * big)

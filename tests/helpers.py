@@ -6,9 +6,9 @@ brackets, a Laplace-integral route through the tanh-sinh integrator of
 oracles.py, the same route by mpmath's quadrature at 30 and 40 digits (for
 the plain and alternating affine sums; imported only there), and a decimal
 Euler-Maclaurin sum far past double precision.
-Only the last shares anything with the library's own evaluators, and that is
-the exact Bernoulli fractions (checked against known values in
-test_special); its split point, order and arithmetic are its own, so
+Only the last shares a method with the library's own evaluators; its
+Bernoulli fractions come from the textbook recurrence below, not from the
+library's table, and its split point, order and arithmetic are its own, so
 agreement is a genuine two-route check rather than the same code grading
 itself.
 """
@@ -16,11 +16,28 @@ itself.
 import math
 import os
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from unittest import mock
 
 from oracles import _tanh_sinh
 from zetasums import DomainError, Sign
-from zetasums.special import _BERN
+
+
+def bernoulli_recurrence(n_max):
+    """B_0 .. B_{n_max} (B_1 = -1/2) by sum_{j<=m} binom(m+1, j) B_j = 0, in
+    exact Fractions: O(n_max^2) operations, independent of the library's
+    tangent-number construction."""
+    table = [Fraction(1)]
+    for m in range(1, n_max + 1):
+        acc = Fraction(0)
+        for j in range(m):
+            acc += math.comb(m + 1, j) * table[j]
+        table.append(-acc / (m + 1))
+    return tuple(table)
+
+
+# B_0 .. B_60, for decimal_hurwitz's 30 corrections
+_REF_BERN = bernoulli_recurrence(60)
 
 
 def sandwich_hurwitz(s, alpha, n=10000):
@@ -66,7 +83,7 @@ def decimal_hurwitz(s, alpha, digits=64):
         acc += zs * z / (S - 1) + zs / 2
         poch, zpow, z2 = S, zs / z, z * z
         for r in range(1, 31):
-            b = _BERN[2 * r]
+            b = _REF_BERN[2 * r]
             acc += Decimal(b.numerator) / Decimal(b.denominator * math.factorial(2 * r)) * poch * zpow
             poch *= (S + 2 * r - 1) * (S + 2 * r)
             zpow /= z2
@@ -105,6 +122,12 @@ def quad_family_sum(s, a, b, c, sign, target=1e-11):
     factor 1/(1 - e^(-(c+ax))) turns over at x = c/a, far inside (0, X), so
     the rule runs on (0, c/a) and (c/a, X) apart; for s < 1.5 the head
     (0, min(c/a, 1)) is integrated in t = x^(s-1).  Returns (value, err_bound).
+
+    err_bound covers the rule's own rounding (see _tanh_sinh): one value of
+    the integrand, divided by Gamma(s), takes at most 24 roundings of EPS/2
+    (four libm calls within one ulp, math.gamma within two, and at most 12
+    sums, products and quotients), and exp's rounded argument adds b x,
+    2 b x in the head, where x = t^p is itself rounded.
     """
     plus = sign is Sign.PLUS
     gam = math.gamma(s)
@@ -148,17 +171,23 @@ def quad_family_sum(s, a, b, c, sign, target=1e-11):
     split = c / a if plus and 0.0 < c < a else 0.0
     if s < 1.5:
         split = min(split, 1.0) if split else 1.0
-    val, err = _tanh_sinh(lambda u: integrand(split + u), cutoff - split, 12, target_int)
+    val, err = _tanh_sinh(
+        lambda u: integrand(split + u), cutoff - split, 12, target_int,
+        lambda u: 24.0 + b * (split + u),
+    )
     if split:
         if s < 1.5:
             # x = t^p, p = 1/(s-1), turns x^(s-2) dx into p dt: the endpoint
             # singularity, too sharp for the rule in double near s = 1, is gone
             p = 1.0 / (s - 1.0)
             head, head_err = _tanh_sinh(
-                lambda t: p * smooth(t ** p), split ** (s - 1.0), 12, target_int
+                lambda t: p * smooth(t ** p), split ** (s - 1.0), 12, target_int,
+                lambda t: 24.0 + 2.0 * b * t ** p,
             )
         else:
-            head, head_err = _tanh_sinh(integrand, split, 12, target_int)
+            head, head_err = _tanh_sinh(
+                integrand, split, 12, target_int, lambda x: 24.0 + b * x
+            )
         val, err = val + head, err + head_err
     return val / gam, (err + tail) / gam
 

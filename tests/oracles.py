@@ -18,6 +18,11 @@ class QuadratureError(Exception):
 
 
 _U_SPAN = 6.0  # |u| beyond this the double-exponential weight is ~e^-600
+_EPS = math.ulp(1.0)
+# roundings of EPS/2 in one node's share of the sum: pi, cosh and four
+# products in the weight (7), the logistic pair sig and comp (exp, a sum and
+# a quotient, libm within one ulp: 4 each), the product w f and the fsum
+_NODE_OPS = 17
 
 
 @dataclass(frozen=True)
@@ -60,34 +65,41 @@ def _node(u, cutoff):
     return cutoff * sig, weight
 
 
-def _tanh_sinh(f, cutoff, levels, target):
+def _tanh_sinh(f, cutoff, levels, target, f_ops):
     """Integrate f over (0, cutoff).  Returns (value, err_estimate); raises
-    QuadratureError if successive refinements fail to settle below target."""
+    QuadratureError if successive refinements fail to settle below target.
+
+    err_estimate is the last refinement's change plus the rule's own
+    rounding.  The products w f are summed by math.fsum, which rounds once,
+    so each is charged _NODE_OPS + f_ops(x) roundings of EPS/2 of its
+    magnitude: _NODE_OPS for the weight, the product and the sum, f_ops(x),
+    the caller's count, for evaluating f at x.  Rounding in where a node
+    lands (x and the exponent pi sinh u) moves the rule, not its sum, and is
+    left to the refinement change."""
+    terms, charges = [], []
+
+    def add(u):
+        x, w = _node(u, cutoff)
+        if w > 0.0:
+            terms.append(w * f(x))
+            charges.append(abs(terms[-1]) * (_NODE_OPS + f_ops(x)))
+
     h = 1.0
     n_half = int(_U_SPAN)
-    total = 0.0
-    x, w = _node(0.0, cutoff)
-    total += w * f(x)
-    for i in range(1, n_half + 1):
-        for u in (i * h, -i * h):
-            x, w = _node(u, cutoff)
-            if w > 0.0:
-                total += w * f(x)
-    prev = total * h
+    for i in range(-n_half, n_half + 1):
+        add(float(i))
+    prev = math.fsum(terms)
     for level in range(1, levels + 1):
         h *= 0.5
-        add = 0.0
         u = h
         while u < _U_SPAN:
-            for uu in (u, -u):
-                x, w = _node(uu, cutoff)
-                if w > 0.0:
-                    add += w * f(x)
+            add(u)
+            add(-u)
             u += 2.0 * h
-        cur = 0.5 * prev + h * add
-        err = abs(cur - prev)
-        if err <= target and level >= 3:
-            return cur, err
+        cur = h * math.fsum(terms)
+        change = abs(cur - prev)
+        if change <= target and level >= 3:
+            return cur, change + 0.5 * _EPS * h * math.fsum(charges)
         prev = cur
     raise QuadratureError(
         f"quadrature did not settle to {target:g} within {levels} refinements"
@@ -130,7 +142,10 @@ def _laplace_quad(name, s, s_min, alpha, spec, denom):
     def f(x):
         return x ** (s - 1.0) * math.exp(-alpha * x) / denom(x)
 
-    val, err = _tanh_sinh(f, cutoff, spec.levels, target_integral)
+    # pow and exp 2 each, denom at most 3, alpha x, the product and the
+    # quotient 1 each, and the final division by Gamma(s) 5 (math.gamma
+    # within 2 ulps); exp's rounded argument adds alpha x
+    val, err = _tanh_sinh(f, cutoff, spec.levels, target_integral, lambda x: 15.0 + alpha * x)
     return val / gam, (err + target_integral) / gam
 
 

@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import decimal_hurwitz, in_bracket, sandwich_hurwitz, sandwich_lerch
+from helpers import (
+    bernoulli_recurrence,
+    decimal_hurwitz,
+    in_bracket,
+    sandwich_hurwitz,
+    sandwich_lerch,
+)
 from zetasums import (
     DomainError,
     TermBudgetError,
@@ -85,6 +91,14 @@ class TestBernoulli:
     def test_odd_indices_vanish(self):
         for n in range(3, 13, 2):
             assert bernoulli_fraction(n) == 0
+
+    def test_whole_table_against_two_references(self):
+        mpmath = pytest.importorskip("mpmath")
+        table = bernoulli_numbers(64)
+        assert table == bernoulli_recurrence(64)
+        for n, b in enumerate(table):
+            assert type(b) is Fraction
+            assert b == Fraction(*mpmath.bernfrac(n)), n
 
 
 class TestRiemannZeta:
