@@ -7,6 +7,7 @@ benchmark comparison failed, 2 usage or domain error.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -68,9 +69,12 @@ def _positive_float(value):
 
 def _float_list(value):
     try:
-        return [float(tok) for tok in value.split(",") if tok.strip()]
+        out = [float(tok) for tok in value.split(",") if tok.strip()]
     except ValueError:
+        out = []
+    if not out:
         raise argparse.ArgumentTypeError("expected comma-separated floats")
+    return out
 
 
 def _grid_range(value):
@@ -79,6 +83,8 @@ def _grid_range(value):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be lo:hi:step")
     lo, hi, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise argparse.ArgumentTypeError("grid lo, hi and step must be finite")
     if step <= 0.0 or hi < lo:
         raise argparse.ArgumentTypeError("grid needs step > 0 and hi >= lo")
     eps = 1e-9 * max(1.0, abs(hi))
@@ -228,8 +234,6 @@ def _coeff_rows(family, m_max):
         return "n,value", [
             ({"n": n, "value": v}, f"{n},{v}", f"B_{n} = {v}") for n, v in values
         ]
-    if family not in ("eulerian", "faulhaber"):
-        raise DomainError("table --family must be eulerian, faulhaber, or bernoulli")
     if family == "eulerian":
         tables = [(m, 0, eulerian_polynomial(m)) for m in range(1, m_max + 1)]
     else:

@@ -78,7 +78,7 @@ class ZetaCombination:
             (float(t.coefficient) * (pow2 if t.two_pow_neg_s else 1.0), t.s_shift, t.alpha)
             for t in self.terms
         ]
-        value, err, gross = _hurwitz_pieces(s, pieces, 0.45 * tol.abs_tol)
+        value, err, gross = _hurwitz_pieces(s, pieces)
         bound = err + fp_slop(2.0 * gross)
         if bound > tol.abs_tol:
             raise DomainError(

@@ -187,23 +187,24 @@ def _em_walk(s, z, head, hi, lo, gross, corr):
     return hi + lo, env + fp_slop(gross) + (s * EPS) ** 2 * gross
 
 
-def _hurwitz_core(s, alpha, target):
+def _hurwitz_core(s, alpha):
     """zeta(s, alpha) for s > 1, alpha > 0 with a certified absolute bound.
 
-    Returns (value, bound).  target is advisory: the split point grows until
-    the certified bound drops below it or the cap is hit; the achieved bound
-    is always reported honestly.  No domain validation here.
+    Returns (value, bound) of one Euler-Maclaurin pass.  No domain
+    validation here.
 
-    The first split point N puts z = N + alpha at or past 20 (2 ceil(s) for
-    s >= 10), where the corrections shrink fast; z = alpha when alpha is
-    already there, and that first pass, with no explicit terms, is taken
-    directly.  The rounding of n + alpha would grow by a factor s in
-    (n + alpha)^-s, so it is compensated to first order: x = fl(n + alpha)
-    misses by d exactly (Fast2Sum), and x^-s (1 - s d/x) is the term.
+    The split point N puts z = N + alpha at or past 20 (2 ceil(s) for
+    s >= 10), or N = _HURWITZ_N_CAP where that is not reached; z = alpha
+    when alpha is already there, and that pass, with no explicit terms, is
+    taken directly.  At z >= split each correction is below 0.072 of the
+    one before, so the envelope ends under 1e-5 of the head's rounding
+    charge: more explicit terms could not lower the bound.  The rounding of
+    n + alpha would grow by a factor s in (n + alpha)^-s, so it is
+    compensated to first order: x = fl(n + alpha) misses by d exactly
+    (Fast2Sum), and x^-s (1 - s d/x) is the term.
     """
     split = 20 if s < 10.0 else 2 * math.ceil(s)
     neg_s = -s
-    best = None
     if split <= alpha < math.inf:
         # z = alpha exactly, so dz = 0: the general pass's operations less those
         # on zeros
@@ -217,78 +218,57 @@ def _hurwitz_core(s, alpha, target):
         head = zs * alpha / (s - 1.0)
         half = 0.5 * zs
         hi = head + half
-        best = _em_walk(s, alpha, head, hi, (head - hi) + half, hi, _EM_C[1] * s * zs / alpha)
-        if best[1] <= target:
-            return best
-        n_terms = 1
-    elif alpha == math.inf:
+        return _em_walk(s, alpha, head, hi, (head - hi) + half, hi, _EM_C[1] * s * zs / alpha)
+    if alpha == math.inf:
         raise _beyond_double_range(s, alpha)
-    else:
-        n_terms = min(max(0, math.ceil(split - alpha)), _HURWITZ_N_CAP)
-    # explicit terms so far: Neumaier pair, and the sum of x^-s d/x
+    n_terms = min(math.ceil(split - alpha), _HURWITZ_N_CAP)
+    # explicit terms: Neumaier pair, and the sum of x^-s d/x
     part_hi = part_lo = drift = 0.0
-    n_done = 0
     try:
-        while True:
-            for n in map(float, range(n_done, n_terms)):
-                x = n + alpha
-                d = alpha - (x - n) if n >= alpha else n - (x - alpha)
-                t = x ** neg_s
-                drift += t * d / x
-                # terms fall with n, so part_hi >= t (or part_hi = 0, where the
-                # sum is exact): Fast2Sum needs no branch
-                hi = part_hi + t
-                part_lo += (part_hi - hi) + t
-                part_hi = hi
-            n_done = n_terms
-            z = n_terms + alpha
-            dz = (alpha - (z - n_terms) if n_terms >= alpha else n_terms - (z - alpha)) / z
-            zs = z ** neg_s
-            head = zs * z / (s - 1.0)
-            half = 0.5 * zs
-            lo = part_lo - s * drift - dz * ((s - 1.0) * head + s * half)
-            hi = part_hi + head
-            if part_hi >= head:
-                lo += (part_hi - hi) + head
-            else:
-                lo += (head - hi) + part_hi
-            # from here on hi >= head > half > |every correction| (z >= 20 and
-            # z >= 2s make the first correction < head/48): Fast2Sum needs no branch
-            t = hi + half
-            lo += (hi - t) + half
-            hi = t
-            # every explicit term is positive, so their sum is also their gross
-            gross = part_hi + part_lo + head + half
-            value, bound = _em_walk(
-                s, z, head, hi, lo, gross, _EM_C[1] * s * zs / z * (1.0 - (s + 1.0) * dz)
-            )
-            improved = best is None or bound < 0.5 * best[1]
-            if best is None or bound < best[1]:
-                best = (value, bound)
-            if bound <= target or n_terms >= _HURWITZ_N_CAP:
-                return best
-            if not improved:
-                # bound is rounding-floor limited; more terms only add gross
-                return best
-            n_terms = min(max(2 * n_terms, 1), _HURWITZ_N_CAP)
+        for n in map(float, range(n_terms)):
+            x = n + alpha
+            d = alpha - (x - n) if n >= alpha else n - (x - alpha)
+            t = x ** neg_s
+            drift += t * d / x
+            # terms fall with n, so part_hi >= t (or part_hi = 0, where the
+            # sum is exact): Fast2Sum needs no branch
+            hi = part_hi + t
+            part_lo += (part_hi - hi) + t
+            part_hi = hi
+        z = n_terms + alpha
+        dz = (alpha - (z - n_terms) if n_terms >= alpha else n_terms - (z - alpha)) / z
+        zs = z ** neg_s
+        head = zs * z / (s - 1.0)
+        half = 0.5 * zs
     except OverflowError:
         raise _beyond_double_range(s, alpha) from None
+    lo = part_lo - s * drift - dz * ((s - 1.0) * head + s * half)
+    hi = part_hi + head
+    if part_hi >= head:
+        lo += (part_hi - hi) + head
+    else:
+        lo += (head - hi) + part_hi
+    # from here on hi >= head > half > |every correction| (z >= 20 and
+    # z >= 2s make the first correction < head/48): Fast2Sum needs no branch
+    t = hi + half
+    lo += (hi - t) + half
+    hi = t
+    # every explicit term is positive, so their sum is also their gross
+    gross = part_hi + part_lo + head + half
+    return _em_walk(s, z, head, hi, lo, gross, _EM_C[1] * s * zs / z * (1.0 - (s + 1.0) * dz))
 
 
-def _hurwitz_pieces(s, pieces, budget):
+def _hurwitz_pieces(s, pieces):
     """(value, err, gross) of sum(coef * zeta(s - shift, alpha)) over the
-    (coef, shift, alpha) pieces.  budget is split evenly between the pieces
-    as kernel targets; err is the kernel bounds weighted by |coef|, and gross
-    the magnitude the caller charges rounding slop on."""
+    (coef, shift, alpha) pieces: err is the kernel bounds weighted by |coef|,
+    and gross the magnitude the caller charges rounding slop on."""
     parts = []
     err = gross = 0.0
-    n = len(pieces)
     for coef, shift, alpha in pieces:
-        weight = abs(coef)  # scales the piece's error contribution
-        v, b = _hurwitz_core(s - shift, alpha, budget / (n * weight) if weight > 0 else budget)
+        v, b = _hurwitz_core(s - shift, alpha)
         parts.append(coef * v)
         gross += abs(coef * v)
-        err += weight * b
+        err += abs(coef) * b
     return math.fsum(parts), err, gross
 
 
@@ -297,7 +277,7 @@ def hurwitz_zeta(s, alpha, tol):
     _require_tol(tol)
     _require_s(s, 1.0, "hurwitz_zeta")
     _require_positive(alpha, "hurwitz_zeta")
-    return _certified(*_hurwitz_core(s, alpha, 0.9 * tol.abs_tol), tol)
+    return _certified(*_hurwitz_core(s, alpha), tol)
 
 
 def riemann_zeta(s, tol):
@@ -340,7 +320,7 @@ def dirichlet_eta(s, tol):
     _require_tol(tol)
     _require_s(s, 1.0, "dirichlet_eta")
     factor = -math.expm1((1.0 - s) * math.log(2.0))  # 1 - 2^(1-s), stable near s=1
-    value, bound = _hurwitz_core(s, 1.0, 0.45 * tol.abs_tol / factor)
+    value, bound = _hurwitz_core(s, 1.0)
     return _certified(factor * value, factor * bound + EPS * abs(factor * value), tol)
 
 
@@ -354,7 +334,7 @@ def dirichlet_eta(s, tol):
 # no larger: the same envelope argument as Euler-Maclaurin's.  Plus sign:
 # P(q, X, h) = A(q, X, h) + 2q P(q^2, X + h, 2h) exactly, A the alternating
 # sum, so log2(1/c) halvings reach a decay fast enough for a short geometric
-# sum.  F is given by phi(x, i, target) -> (|F^(i)(x)|, certified error).
+# sum.  F is given by phi(x, i) -> (|F^(i)(x)|, certified error).
 
 # the plus sign halves while the decay per lattice step is below this
 _HALVING_STOP = 0.5
@@ -380,7 +360,7 @@ def _power_phi(s):
     """phi for F(x) = x^-s, s > 0: (s)_i x^(-s-i), within (i + 2) EPS."""
     poch = [1.0]
 
-    def phi(x, i, target):
+    def phi(x, i):
         while len(poch) <= i:
             poch.append(poch[-1] * (s + len(poch) - 1))
         v = poch[i] * x ** (-s - i)
@@ -396,27 +376,24 @@ def _power_phi(s):
 # is Boole's first point X + 0 h, whose rounding is the caller's to charge.
 
 
-def _boole(phi, s, c, x0, hs, trunc, ref, target, exact=False):
+def _boole(phi, s, c, x0, hs, trunc, ref, exact=False):
     """(value, err, done) of sum over t >= 0 of (-1)^t G(t), G(t) = e^(-ct) F(x0 + t hs),
     c < 1, by Boole's summation.  The first omitted correction T gives the
     remainder's midpoint T/2 and half-width |T|/2; the walk stops once |T|/2
     is at most trunc or _DAMPED_NEGLIGIBLE of ref plus the head G(0)/2
     (done), or at the first correction that does not shrink.
-    M_m = sum_i binom(m, i) c^(m-i) hs^i |F^(i)(x0)| is |G^(m)(0)|; for c < 1
-    the weights on hs^i |F^(i)| over all orders sum below 1, so a derivative
-    asked for target / (2 N + 2) spends at most its share of target.
+    M_m = sum_i binom(m, i) c^(m-i) hs^i |F^(i)(x0)| is |G^(m)(0)|.
     exact: x0 is the lattice origin itself, not a rounded lattice point."""
     xr = 0.0 if exact else s
     n_max = _EM_MAX_ORDER + 1
     psi, perr, cpow = [], [], []
-    share = target / (2 * n_max)
 
     def corr(n):
         m = 2 * n - 1
         while len(psi) <= m:
             i = len(psi)
             hp = hs ** i
-            v, e = phi(x0, i, share / hp)
+            v, e = phi(x0, i)
             psi.append(hp * v)
             perr.append(hp * e)
             cpow.append(c ** i)
@@ -451,8 +428,7 @@ def _boole(phi, s, c, x0, hs, trunc, ref, target, exact=False):
 def _alternating(phi, s, c, X, h, first, step, target):
     """(value, err) of sum over j >= 0 of (-e^-c)^j F(X + (first + j step) h),
     c < 1: explicit terms up to lattice coordinate _boole_start(s), Boole
-    summation past them.  target splits 1/2 truncation, 1/4 explicit terms,
-    1/4 derivatives."""
+    summation past them; the truncation stops at half of target."""
     hs = step * h
     lead = _boole_start(s) - (X + first * h) / hs  # -inf where X/hs overflows
     n_exp = math.ceil(lead) if lead > 0.0 else 0
@@ -464,7 +440,7 @@ def _alternating(phi, s, c, X, h, first, step, target):
         for j in range(n_exp):
             e = j * c
             w = math.exp(-e)
-            v, ev = phi(X + (first + j * step) * h, 0, 0.25 * target / (n_exp * w))
+            v, ev = phi(X + (first + j * step) * h, 0)
             terms.append(w * v if j % 2 == 0 else -w * v)
             gross += w * v
             err += w * ev + (s + e + 1.0) * EPS * w * v
@@ -478,7 +454,7 @@ def _alternating(phi, s, c, X, h, first, step, target):
         pre = math.exp(-e)
         b, b_err, done = _boole(
             phi, s, c, X + (first + n_exp * step) * h, hs,
-            0.5 * target / pre, gross / pre, 0.25 * target / pre, first == n_exp == 0,
+            0.5 * target / pre, gross / pre, first == n_exp == 0,
         )
         if done:
             break
@@ -502,7 +478,7 @@ def _geometric(phi, s, c, X, h, first, step, sign, target):
     while True:
         e = j * c
         w = math.exp(-e)
-        v, ev = phi(X + (first + j * step) * h, 0, 0.5 * target * (1.0 - q))
+        v, ev = phi(X + (first + j * step) * h, 0)
         terms.append(w * v if sign > 0.0 or j % 2 == 0 else -w * v)
         gross += w * v
         err += w * ev + (s + e + 1.0) * EPS * w * v
@@ -557,20 +533,19 @@ def _damped_zeta(s, sign, c, X, h, target):
 
     Plus-sign halving levels lie on each other's lattices, so one x recurs
     in bit-equal form: an order-0 result is kept for this call only and
-    reused when its bound meets the new target."""
+    reused."""
     seen = {}
     poch = [1.0]
 
-    def phi(x, i, target):
+    def phi(x, i):
         if i == 0:
-            hit = seen.get(x)
-            if hit is None or hit[1] > target:
-                hit = seen[x] = _hurwitz_core(s, x, target)
-            return hit
+            if x not in seen:
+                seen[x] = _hurwitz_core(s, x)
+            return seen[x]
         while len(poch) <= i:
             poch.append(poch[-1] * (s + (len(poch) - 1)))  # _poch_raw's order
         p = poch[i]
-        v, b = _hurwitz_core(s + i, x, target / p)
+        v, b = _hurwitz_core(s + i, x)
         return p * v, p * b + i * EPS * p * v
 
     value, bound = _damped_lattice(phi, s, sign, c, X, h, target)

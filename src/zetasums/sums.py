@@ -60,7 +60,6 @@ from .special import (
 MIN_EXPLICIT = 16
 _CHUNK = 8
 
-_TERMS_FRACTION = 0.45
 _TAIL_FRACTION = 0.45
 
 
@@ -171,11 +170,11 @@ class SumResult:
 # Tail enclosures.  Each returns (midpoint, halfwidth); halfwidth already
 # includes the inner zeta evaluation errors and local rounding slop.
 
-def _sum_pieces(s, pieces, budget, envelope=0.0):
+def _sum_pieces(s, pieces, envelope=0.0):
     """(midpoint, halfwidth) of sum(coef * zeta(s - shift, alpha)) over the
-    (coef, shift, alpha) pieces, the budget split evenly between them;
-    envelope is a truncation half-width to add to the evaluation errors."""
-    value, err, gross = _hurwitz_pieces(s, pieces, 0.8 * budget)
+    (coef, shift, alpha) pieces; envelope is a truncation half-width to add
+    to the evaluation errors."""
+    value, err, gross = _hurwitz_pieces(s, pieces)
     return value, envelope + err + fp_slop(gross)
 
 
@@ -225,7 +224,7 @@ def _even_arg_pieces(spec, K):
 
 def _exact_tail(pieces):
     """The rule tail that sums the exact tail pieces(spec, K)."""
-    return lambda spec, K, budget: _sum_pieces(spec.s, pieces(spec, K), budget)
+    return lambda spec, K, budget: _sum_pieces(spec.s, pieces(spec, K))
 
 
 def _lattice_order(s, A, h):
@@ -244,7 +243,7 @@ def _lattice_order(s, A, h):
     return best_j, best_env
 
 
-def _lattice_tail(s, A, h, budget, cap=math.inf):
+def _lattice_tail(s, A, h, cap=math.inf):
     """Euler-Maclaurin enclosure of sum(zeta(s, A + j*h), j >= 0); needs s > 2.
 
     The integrand is completely monotone in the lattice coordinate, so the
@@ -259,13 +258,13 @@ def _lattice_tail(s, A, h, budget, cap=math.inf):
     for r in range(1, best_j + 1):
         wr = _EM_C[r] * h ** (2 * r - 1) * _poch_raw(s, 2 * r - 1)
         pieces.append((wr, 1 - 2 * r, A))  # zeta(s + 2r - 1, A)
-    return _sum_pieces(s, pieces, budget, best_env)
+    return _sum_pieces(s, pieces, best_env)
 
 
 def _affine_tail(spec, K, budget):
     """Tail of the unit or affine lattice sum past K terms."""
     h, x0 = _RULES[spec.family].lattice(spec)
-    return _lattice_tail(spec.s, h * K + x0, h, budget)
+    return _lattice_tail(spec.s, h * K + x0, h)
 
 
 def _alt_affine_tail(spec, K, budget):
@@ -276,7 +275,7 @@ def _alt_affine_tail(spec, K, budget):
     h, x0 = _RULES[spec.family].lattice(spec)
     sign = 1.0 if K % 2 == 0 else -1.0
     if h == 1.0:
-        return _sum_pieces(spec.s, [(sign * 2.0 ** -spec.s, 0, (K + x0) / 2.0)], budget)
+        return _sum_pieces(spec.s, [(sign * 2.0 ** -spec.s, 0, (K + x0) / 2.0)])
     value, bound = _damped_zeta(spec.s, -1.0, 0.0, h * K + x0, h, budget)
     return sign * value, bound
 
@@ -611,17 +610,12 @@ def eval_direct(spec, *, stop=StopRule.EARLIEST):
     tol = spec.tol.abs_tol
     rule = _RULES[family]
     h, x0 = rule.lattice(spec)
-    count = None
-    est = MIN_EXPLICIT + 2 * _CHUNK
-    if stop is StopRule.TERM_FLOOR:
-        count = est = max(_floor_count(spec), MIN_EXPLICIT)
-    per_term = _TERMS_FRACTION * tol / est
+    count = max(_floor_count(spec), MIN_EXPLICIT) if stop is StopRule.TERM_FLOOR else None
     s, weight = spec.s, rule.weight
 
     def term(n):
         w = weight(spec, n)
-        inner_target = per_term / abs(w) if w != 0.0 else per_term
-        v, b = _hurwitz_core(s, h * n + x0, 0.8 * inner_target)
+        v, b = _hurwitz_core(s, h * n + x0)
         return w * v, abs(w) * b, v
 
     return _run_series(

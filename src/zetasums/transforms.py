@@ -67,21 +67,17 @@ def kappa_ab_transformed(s, a, b, tol, *, stop=StopRule.EARLIEST):
     spec = SumSpec(family=Family.GENERAL_AB, s=s, a=a, b=b, tol=tol)
     w = _prefactor(s, b, a, "a")
     tol_abs = tol.abs_tol
-    count = None
-    est = 4
-    if stop is StopRule.TERM_FLOOR:
-        count = est = _floor_count(spec, 1.0)
-    per_term = _TERMS_FRACTION * tol_abs / est
+    count = _floor_count(spec, 1.0) if stop is StopRule.TERM_FLOOR else None
 
     def term(n):
-        v, e = _hurwitz_core(s, (n + b) / a, 0.8 * per_term / w)
+        v, e = _hurwitz_core(s, (n + b) / a)
         return w * v, w * e, v
 
     # w * wid > tol fails the tail check whatever else it adds; 4 EPS for roundings
     cap = (1.0 + 4.0 * EPS) * tol_abs / w
 
     def tail(n):
-        mid, wid = _lattice_tail(s, (n + b) / a, 1.0 / a, _TAIL_FRACTION * tol_abs / w, cap)
+        mid, wid = _lattice_tail(s, (n + b) / a, 1.0 / a, cap)
         return w * mid, w * wid
 
     return _run_series(term, tail, tol_abs, stop, Method.TRANSFORMED, count, _OVER_BUDGET)
@@ -94,10 +90,7 @@ def kappa_ab_alt_transformed(s, a, b, tol, *, stop=StopRule.EARLIEST):
     spec = SumSpec(family=Family.GENERAL_AB_ALT, s=s, a=a, b=b, tol=tol)
     w = _prefactor(s, b, 2.0 * a, "(2a)")
     tol_abs = tol.abs_tol
-    floor = 10.0 * tol_abs
-    count = None
-    if stop is StopRule.TERM_FLOOR:
-        count = _floor_count(spec, 2.0)
+    count = _floor_count(spec, 2.0) if stop is StopRule.TERM_FLOOR else None
     tail_target = 0.45 * _TAIL_FRACTION * tol_abs
 
     def term(n):
@@ -105,7 +98,7 @@ def kappa_ab_alt_transformed(s, a, b, tol, *, stop=StopRule.EARLIEST):
         # x moves the gap by at most (s + 1) r of itself
         x = (n + b) / (2.0 * a)
         v, e = _pair_gap(s, x, 0.5)
-        probe = _hurwitz_core(s, x, 0.1 * floor)[0] if count is not None else 0.0
+        probe = _hurwitz_core(s, x)[0] if count is not None else 0.0
         return w * v, w * (e + (0.5 if n == 0 else 1.0) * (s + 1.0) * EPS * v), probe
 
     return _run_series(

@@ -7,6 +7,7 @@ from zetasums import (
     IDENTITY_KEYS,
     DomainError,
     Sign,
+    Tolerance,
     check_identity,
     default_grid,
     resolve_key,
@@ -73,6 +74,16 @@ class TestCheckIdentity:
             check_identity("2.1", s=4.0, a=1.0)
         with pytest.raises(DomainError, match="does not take parameter c"):
             check_identity("4.2", s=4.0, a=0.1, b=1.0, c=0.5)
+
+    def test_sign_must_be_a_sign(self):
+        with pytest.raises(DomainError, match="sign must be a Sign"):
+            check_identity("4.4", s=3.0, a=0.5, b=1.0, c=0.7, sign="plus")
+
+    def test_ladder_reraises_when_no_rung_certifies(self):
+        # 2^-52 sits below the rounding floor of zeta(2.001) ~ 1000 at every
+        # rung of the relaxation ladder
+        with pytest.raises(DomainError, match="unattainable"):
+            check_identity("2.1", s=2.001, tol=Tolerance(2.0 ** -52))
 
     def test_json_dict_shape(self):
         d = check_identity("2.2", s=1.5).to_json_dict()

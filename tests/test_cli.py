@@ -407,3 +407,43 @@ class TestTable:
         doc = json.loads(out)
         by_n = {row["n"]: row["value"] for row in doc["rows"]}
         assert by_n[12] == "-691/2730"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (("identity-check", "all"), "requires --grid default"),
+        (("identity-check", "2.1"), "needs --s"),
+        (("table", "--identity", "2.1"), "exactly one of --s-grid or --c-grid"),
+        (("table", "--identity", "2.1", "--s-grid", "3:4:1", "--c-grid", "0:1:1"),
+         "exactly one of --s-grid or --c-grid"),
+        (("table", "--identity", "4.4", "--c-grid", "0:1:0.5", "--a", "0.5", "--b", "1"),
+         "needs a fixed --s"),
+    ])
+    def test_missing_or_conflicting_options_exit_two(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err
+
+    # a non-finite grid bound once looped until memory ran out (an infinite
+    # hi) or swept nothing and exited 0 (a NaN, or an infinite step), and so
+    # did an empty --a-list
+    @pytest.mark.parametrize("argv, message", [
+        (("eval", "--family", "bogus", "--s", "3"), "unknown family 'bogus'"),
+        (("eval", "--family", "kappa", "--s", "3", "--tol", "-1"), "must be positive"),
+        (("benchmark", "--a-list", ","), "expected comma-separated floats"),
+        (("benchmark", "--a-list", "0.1,x"), "expected comma-separated floats"),
+        (("table", "--identity", "2.1", "--s-grid", "3:5"), "grid must be lo:hi:step"),
+        (("table", "--identity", "2.1", "--s-grid", "3:5:0"), "grid needs step > 0 and hi >= lo"),
+        (("table", "--identity", "2.1", "--s-grid", "5:3:1"), "grid needs step > 0 and hi >= lo"),
+    ] + [
+        (("table", "--identity", "2.1", f"--s-grid={grid}"), "must be finite")
+        for grid in ("3:inf:1", "-inf:3:1", "inf:inf:1", "3:nan:1", "nan:5:1", "3:5:inf",
+                     "3:5:nan")
+    ] + [
+        (("table", "--identity", "4.4", "--s", "3", "--c-grid", "0:nan:0.5"), "must be finite"),
+    ])
+    def test_bad_arguments_exit_two(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err

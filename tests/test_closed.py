@@ -295,3 +295,7 @@ class TestCombinationEval:
         # the tolerance is checked before anything reads it
         with pytest.raises(DomainError, match="Tolerance"):
             combination_split(4.0, 1, tol=1e-8)
+
+    def test_split_needs_both_routes(self):
+        with pytest.raises(NoClosedFormError, match="only m in"):
+            combination_split(4.0, 3)

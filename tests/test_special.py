@@ -74,6 +74,12 @@ class TestGammaPochhammer:
         with pytest.raises(DomainError):
             pochhammer(1.0, -1)
 
+    def test_pochhammer_rejects_infinite_a_and_overflow(self):
+        with pytest.raises(DomainError, match="finite a"):
+            pochhammer(math.inf, 2)
+        with pytest.raises(DomainError, match="exceeds double range"):
+            pochhammer(1e300, 3)
+
 
 class TestBernoulli:
     def test_b12_value(self):
@@ -87,6 +93,12 @@ class TestBernoulli:
             Fraction(0),
             Fraction(-1, 30),
         )
+
+    def test_index_past_the_table_is_rejected(self):
+        with pytest.raises(DomainError, match=r"\[0, 64\]"):
+            bernoulli_fraction(65)
+        with pytest.raises(DomainError, match=r"\[0, 64\]"):
+            bernoulli_numbers(65)
 
     def test_odd_indices_vanish(self):
         for n in range(3, 13, 2):
@@ -178,7 +190,7 @@ class TestHurwitzZeta:
     def test_kernel_encloses_at_inexact_split(self, s, alpha):
         # the rounding of n + alpha and N + alpha grows by a factor s in the
         # powers; uncompensated it broke the kernel's bound by up to 6x here
-        value, bound = _hurwitz_core(s, alpha, 1e-10)
+        value, bound = _hurwitz_core(s, alpha)
         assert abs(Decimal(value) - decimal_hurwitz(s, alpha)) <= Decimal(bound)
 
 
@@ -318,6 +330,9 @@ class TestLerchPhi:
         for args in ((math.nan, 2.0, 1.0), (0.5, -math.inf, 1.0), (0.5, 2.0, math.inf)):
             with pytest.raises(DomainError, match="finite"):
                 lerch_phi(*args, T12)
+        # the s <= 0 series: (n + alpha)^400 leaves double range at once
+        with pytest.raises(DomainError, match="exceeds double range"):
+            lerch_phi(0.5, -400.0, 1e3, Tolerance(1e-6))
 
 
 @pytest.mark.parametrize("call", [

@@ -101,6 +101,16 @@ class TestSumSpecInvariants:
             Tolerance(0.0)
         with pytest.raises(DomainError):
             Tolerance(-1e-8)
+        with pytest.raises(DomainError, match="finite"):
+            Tolerance(math.inf)
+
+    def test_family_and_spec_types_required(self):
+        with pytest.raises(DomainError, match="family must be a Family"):
+            SumSpec(family="kappa", s=3.0)
+        with pytest.raises(DomainError, match="unknown family"):
+            convergence_threshold("kappa")
+        with pytest.raises(DomainError, match="spec must be a SumSpec"):
+            eval_direct((Family.KAPPA, 3.0))
 
     def test_threshold_table(self):
         assert convergence_threshold(Family.KAPPA) == 2.0
@@ -196,6 +206,12 @@ class TestStoppingRules:
         assert term_budget() == 12345
         monkeypatch.delenv("ZS_TERM_BUDGET")
         assert term_budget() == default
+
+    @pytest.mark.parametrize("raw, match", [("abc", "must be an integer"), ("0", ">= 1")])
+    def test_budget_env_rejects_bad_values(self, monkeypatch, raw, match):
+        monkeypatch.setenv("ZS_TERM_BUDGET", raw)
+        with pytest.raises(DomainError, match=match):
+            term_budget()
 
 
 class TestFarProbe:
@@ -341,13 +357,12 @@ class TestTailBoundHonesty:
             s = rng.uniform(2.05, 8.0)
             a = math.exp(rng.uniform(math.log(0.01), math.log(2.0)))
             A, h = (rng.randrange(40) + rng.uniform(0.3, 3.0)) / a, 1.0 / a
-            budget = math.exp(rng.uniform(math.log(1e-14), math.log(1e-4)))
             env = _lattice_order(s, A, h)[1]
-            plain = _lattice_tail(s, A, h, budget)
+            plain = _lattice_tail(s, A, h)
             assert plain[1] >= env
             for cap in (env, math.nextafter(env, 0.0), math.nextafter(env, math.inf),
                         env * rng.uniform(0.1, 10.0)):
-                got = _lattice_tail(s, A, h, budget, cap)
+                got = _lattice_tail(s, A, h, cap)
                 assert got == ((0.0, math.inf) if env > cap else plain), (s, A, h, cap)
 
     @pytest.mark.parametrize("m", [1, 2])

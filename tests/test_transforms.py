@@ -207,6 +207,8 @@ class TestChooseMethod:
         sp = SumSpec(family=Family.KAPPA, s=4.0, tol=T8)
         with pytest.raises(DomainError):
             choose_method(sp)
+        with pytest.raises(DomainError, match="spec must be a SumSpec"):
+            choose_method((Family.GENERAL_AB, 4.0))
 
 
 class TestCompareMethods:
