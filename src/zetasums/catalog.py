@@ -4,7 +4,7 @@ reciprocal-lattice route.  check_identity runs both sides with certified
 bounds and passes iff the observed gap fits inside the combined budget.
 """
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 from .special import Tolerance, _require_tol
@@ -61,19 +61,14 @@ def resolve_key(name):
     raise DomainError(f"unknown identity {name!r}; known: {known}")
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity: str
-    params: dict
-    lhs_value: float
-    rhs_value: float
-    abs_diff: float
-    rel_diff: float
-    budget: float
-    passed: bool
+class IdentityReport(namedtuple(
+    "IdentityReport", "identity params lhs_value rhs_value abs_diff rel_diff budget passed"
+)):
+    __slots__ = ()
 
     def to_json_dict(self):
-        return asdict(self)
+        """The fields as a dict, its params a copy: mutating it leaves the report as it was."""
+        return dict(self._asdict(), params=dict(self.params))
 
 
 _LADDER = (1.0, 4.0, 16.0, 64.0, 256.0)

@@ -9,7 +9,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 
 from .errors import DomainError, NoClosedFormError, TermBudgetError, ZetaSumsError
 from .special import Tolerance, bernoulli_fraction
@@ -77,8 +76,11 @@ def _float_list(value):
     return out
 
 
+_GRID_MAX_POINTS = 10_000
+
+
 def _grid_range(value):
-    """Parse a lo:hi:step inclusive grid argument."""
+    """Parse a lo:hi:step inclusive grid argument of at most _GRID_MAX_POINTS points."""
     parts = value.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be lo:hi:step")
@@ -88,10 +90,13 @@ def _grid_range(value):
     if step <= 0.0 or hi < lo:
         raise argparse.ArgumentTypeError("grid needs step > 0 and hi >= lo")
     eps = 1e-9 * max(1.0, abs(hi))
-    out = []
-    while lo + len(out) * step <= hi + eps:
-        out.append(lo + len(out) * step)
-    return out
+    last = (hi + eps - lo) / step  # the last index k with lo + k*step <= hi + eps, to within 1
+    if last >= _GRID_MAX_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid has {last + 1:.6g} points; at most {_GRID_MAX_POINTS} are allowed"
+        )
+    # lo + k*step never falls as k grows, so the points kept are the first ones
+    return [x for x in (lo + k * step for k in range(int(last) + 2)) if x <= hi + eps]
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +128,7 @@ def cmd_eval(args):
         r = _run_transformed(spec, args.stop)
     else:
         r = eval_direct(spec, stop=args.stop)
-    record = dict(asdict(r), method=r.method.value)
+    record = dict(r._asdict(), method=r.method.value)
     text = (
         "value       {value:.10g}\n"
         "terms_used  {terms_used}\n"

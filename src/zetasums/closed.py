@@ -8,7 +8,7 @@ live here too since the combinations are built from them.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,36 +31,33 @@ def _require_m(m, name, lo=0):
         raise DomainError(f"{name} requires integer m in [{lo}, {_M_MAX}]")
 
 
-@dataclass(frozen=True)
-class ZetaTerm:
+class ZetaTerm(namedtuple("ZetaTerm", "coefficient s_shift alpha two_pow_neg_s")):
     """coefficient * [2^-s if two_pow_neg_s] * zeta(s - s_shift, alpha);
     alpha = 1 is Riemann's zeta."""
 
-    coefficient: Fraction
-    s_shift: int
-    alpha: float = 1.0
-    two_pow_neg_s: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.coefficient, Fraction):
+    def __new__(cls, coefficient, s_shift, alpha=1.0, two_pow_neg_s=False):
+        if not isinstance(coefficient, Fraction):
             raise DomainError("term coefficient must be a Fraction")
-        if self.coefficient == 0:
+        if coefficient == 0:
             raise DomainError("term coefficient must be nonzero")
-        if not isinstance(self.s_shift, int) or self.s_shift < 0:
+        if not isinstance(s_shift, int) or s_shift < 0:
             raise DomainError("s_shift must be a nonnegative integer")
-        _require_positive(self.alpha, "ZetaTerm")
+        _require_positive(alpha, "ZetaTerm")
+        return tuple.__new__(cls, (coefficient, s_shift, alpha, two_pow_neg_s))
 
 
-@dataclass(frozen=True)
-class ZetaCombination:
-    terms: tuple
+class ZetaCombination(namedtuple("ZetaCombination", "terms")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.terms:
+    def __new__(cls, terms):
+        if not terms:
             raise DomainError("combination must contain at least one term")
-        for t in self.terms:
+        for t in terms:
             if not isinstance(t, ZetaTerm):
                 raise DomainError("combination entries must be ZetaTerm")
+        return tuple.__new__(cls, (terms,))
 
     def evaluate_with_bound(self, s, tol):
         """(value, certified_bound) at exponent s; every shifted exponent must

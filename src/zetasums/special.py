@@ -17,7 +17,7 @@ lattice sums behind the Lerch kernel and the exp-weighted tails.
 import math
 import operator
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DomainError
@@ -44,17 +44,17 @@ def term_budget() -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(namedtuple("Tolerance", "abs_tol")):
     """Accuracy request: abs_tol is the certified absolute bound."""
 
-    abs_tol: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.abs_tol):
+    def __new__(cls, abs_tol):
+        if not math.isfinite(abs_tol):
             raise DomainError("abs_tol must be finite")
-        if self.abs_tol < TOL_FLOOR:
+        if abs_tol < TOL_FLOOR:
             raise DomainError("abs_tol must be at least 2^-52")
+        return tuple.__new__(cls, (abs_tol,))
 
 
 # ---------------------------------------------------------------------------

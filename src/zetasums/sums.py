@@ -16,9 +16,8 @@ lerch_phi at s <= 0.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import Callable, Optional
 
 from .closed import (
     _euler_tables,
@@ -113,57 +112,45 @@ def convergence_threshold(family, m=0, c=0.0, sign=Sign.PLUS):
     return rule.s_min + m if "m" in rule.params else rule.s_min
 
 
-@dataclass(frozen=True)
-class SumSpec:
-    family: Family
-    s: float
-    m: int = 0
-    a: float = 1.0
-    b: float = 1.0
-    c: float = 0.0
-    sign: Sign = Sign.PLUS
-    tol: Tolerance = Tolerance(1e-10)
+class SumSpec(namedtuple("SumSpec", "family s m a b c sign tol")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.family, Family):
+    def __new__(cls, family, s, m=0, a=1.0, b=1.0, c=0.0, sign=Sign.PLUS, tol=Tolerance(1e-10)):
+        if not isinstance(family, Family):
             raise DomainError("family must be a Family")
-        if not isinstance(self.sign, Sign):
+        if not isinstance(sign, Sign):
             raise DomainError("sign must be a Sign")
-        _require_tol(self.tol)
-        _require_m(self.m, f"family {self.family.value}")
-        for name in ("s", "a", "b", "c"):
-            if not math.isfinite(getattr(self, name)):
+        _require_tol(tol)
+        _require_m(m, f"family {family.value}")
+        for name, value in (("s", s), ("a", a), ("b", b), ("c", c)):
+            if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite")
-        for name in ("a", "b"):
-            if getattr(self, name) <= BOUNDARY_MARGIN:
+        for name, value in (("a", a), ("b", b)):
+            if value <= BOUNDARY_MARGIN:
                 raise DomainError(f"{name} must be > 0 (and not within 1e-12 of 0)")
-        if self.c < 0.0:
+        if c < 0.0:
             raise DomainError("c must be >= 0")
-        if 0.0 < self.c <= BOUNDARY_MARGIN:
+        if 0.0 < c <= BOUNDARY_MARGIN:
             raise DomainError("c is within 1e-12 of 0; use c = 0 exactly")
-        params = _RULES[self.family].params
-        for name in ("m", "a", "b", "c", "sign"):
-            value = getattr(self, name)
-            if name not in params and value != getattr(SumSpec, name):
+        params = _RULES[family].params
+        for name, value in (("m", m), ("a", a), ("b", b), ("c", c), ("sign", sign)):
+            if name not in params and value != _SPEC_DEFAULTS[name]:
                 users = [f.value for f, rule in _RULES.items() if name in rule.params]
                 raise DomainError(
-                    f"family {self.family.value} does not take {name}, got {name} = "
+                    f"family {family.value} does not take {name}, got {name} = "
                     f"{value.value if isinstance(value, Sign) else value}; families "
                     f"that take it: {', '.join(users)}"
                 )
-        need = convergence_threshold(self.family, self.m, self.c, self.sign)
-        if self.s - need <= BOUNDARY_MARGIN:
-            raise DomainError(
-                f"family {self.family.value} requires s > {need:g}, got s = {self.s}"
-            )
+        need = convergence_threshold(family, m, c, sign)
+        if s - need <= BOUNDARY_MARGIN:
+            raise DomainError(f"family {family.value} requires s > {need:g}, got s = {s}")
+        return tuple.__new__(cls, (family, s, m, a, b, c, sign, tol))
 
 
-@dataclass(frozen=True)
-class SumResult:
-    value: float
-    terms_used: int
-    tail_bound: float
-    method: Method
+# the defaults of SumSpec's signature by field name, for the "does not take" check
+_SPEC_DEFAULTS = dict(zip(SumSpec._fields[2:], SumSpec.__new__.__defaults__))
+
+SumResult = namedtuple("SumResult", "value terms_used tail_bound method")
 
 
 # ---------------------------------------------------------------------------
@@ -364,21 +351,13 @@ def _damped(spec, n):
     return (1.0 if spec.sign is Sign.PLUS else -1.0) ** n * math.exp(-spec.c * n)
 
 
-@dataclass(frozen=True)
-class _Rule:
-    """One family.  Term n >= 0 is weight(spec, n) * zeta(s, h*n + x0), with
-    (h, x0) = lattice(spec); tail(spec, n, budget) encloses what follows the
-    first n terms; closed(spec) is the exact ZetaCombination or None.  The
-    sum needs s > s_min, plus m where it takes m.  params names the SumSpec
-    fields among m, a, b, c and sign that the family reads; the others must
-    keep their defaults."""
-
-    s_min: float
-    params: frozenset
-    weight: Callable
-    lattice: Callable
-    tail: Callable
-    closed: Optional[Callable] = None
+# One family.  Term n >= 0 is weight(spec, n) * zeta(s, h*n + x0), with
+# (h, x0) = lattice(spec); tail(spec, n, budget) encloses what follows the
+# first n terms; closed(spec) is the exact ZetaCombination or None.  The sum
+# needs s > s_min, plus m where it takes m.  params names the SumSpec fields
+# among m, a, b, c and sign that the family reads; the others must keep their
+# defaults.
+_Rule = namedtuple("_Rule", "s_min params weight lattice tail closed", defaults=(None,))
 
 
 _RULES = {

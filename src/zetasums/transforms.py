@@ -10,7 +10,7 @@ SumResult with a certified tail_bound in the same sense as direct evaluation.
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 from .special import (
@@ -264,25 +264,24 @@ def choose_method(spec):
     return Method.TRANSFORMED if n_trans <= n_direct else Method.DIRECT
 
 
-@dataclass(frozen=True)
-class TransformReport:
-    lhs_value: float
-    rhs_value: float
-    lhs_terms: int
-    rhs_terms: int
-    agreement: float
-    speedup_estimate: float
+class TransformReport(namedtuple(
+    "TransformReport", "lhs_value rhs_value lhs_terms rhs_terms agreement speedup_estimate"
+)):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.agreement < 0.0:
+    def __new__(cls, lhs_value, rhs_value, lhs_terms, rhs_terms, agreement, speedup_estimate):
+        if agreement < 0.0:
             raise DomainError("agreement must be >= 0")
-        if self.lhs_terms < 1 or self.rhs_terms < 1:
+        if lhs_terms < 1 or rhs_terms < 1:
             raise DomainError("term counts must be >= 1")
-        if not self.speedup_estimate > 0.0:
+        if not speedup_estimate > 0.0:
             raise DomainError("speedup_estimate must be positive")
+        return tuple.__new__(
+            cls, (lhs_value, rhs_value, lhs_terms, rhs_terms, agreement, speedup_estimate)
+        )
 
     def to_json_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def _timed_compare(s, a, b, tol, stop):

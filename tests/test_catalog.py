@@ -92,6 +92,16 @@ class TestCheckIdentity:
             "abs_diff", "rel_diff", "budget", "passed",
         }
 
+    def test_json_dict_is_detached_from_the_report(self):
+        rep = check_identity("4.4", s=3.0, a=0.5, b=1.0, c=0.7)
+        d = rep.to_json_dict()
+        d["params"]["s"] = 99.0
+        d["params"]["extra"] = 1
+        d["passed"] = None
+        assert rep.params == {"s": 3.0, "a": 0.5, "b": 1.0, "c": 0.7, "sign": "plus"}
+        assert rep.passed is True
+        assert rep.to_json_dict()["params"] is not rep.params
+
     def test_report_is_conservative(self):
         # the recorded budget must dominate the observed discrepancy
         for key, kw in (

@@ -441,9 +441,34 @@ class TestUsageErrors:
                      "3:5:nan")
     ] + [
         (("table", "--identity", "4.4", "--s", "3", "--c-grid", "0:nan:0.5"), "must be finite"),
+        # about 10^18 points: the grid is refused before any is built
+        (("table", "--identity", "2.1", "--s-grid", "3:1e15:1e-3"),
+         "grid has 1e+18 points; at most 10000 are allowed"),
+        (("table", "--identity", "2.1", "--s-grid", "3:10003:1"),
+         "grid has 10001 points; at most 10000 are allowed"),
     ])
     def test_bad_arguments_exit_two(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             cli.main(list(argv))
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+
+def _grid_by_loop(lo, hi, step):
+    """The grid as the point-by-point loop builds it: the reference for _grid_range."""
+    eps = 1e-9 * max(1.0, abs(hi))
+    out = []
+    while lo + len(out) * step <= hi + eps:
+        out.append(lo + len(out) * step)
+    return out
+
+
+@pytest.mark.parametrize("lo, hi, step", [
+    (3.0, 5.0, 1.0), (0.0, 1.0, 0.1), (1.5, 1.5, 0.25), (0.0, 0.3, 0.1), (2.0, 2.95, 0.05),
+    (-1e6, 1e6, 250.0), (1e-3, 1.0, 1e-3), (0.0, 9999.0, 1.0), (0.0, 0.9999, 1e-4),
+    (1e6, 1e6 + 64.0, 8.0), (1e6, 1e6 + 1e-3, 1e-4), (-7.3, -1.1, 0.37),
+])
+def test_grid_range_keeps_the_loop_points(lo, hi, step):
+    grid = cli._grid_range(f"{lo!r}:{hi!r}:{step!r}")
+    assert grid == _grid_by_loop(lo, hi, step)
+    assert len(grid) <= cli._GRID_MAX_POINTS

@@ -47,24 +47,34 @@ def spec(family, s, **kw):
 
 class TestSumSpecInvariants:
     def test_family_threshold_enforced(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"family kappa requires s > 2, got s = 2.0"):
             spec(Family.KAPPA, 2.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"requires s > 4,"):
             spec(Family.MOMENT, 4.0, m=2)  # needs s > 4
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"requires s > 1,"):
             spec(Family.GENERAL_AB_ALT, 1.0, a=1.0, b=1.0)
 
-    def test_parameter_ranges(self):
-        with pytest.raises(DomainError):
-            spec(Family.GENERAL_AB, 3.0, a=0.0, b=1.0)
-        with pytest.raises(DomainError):
-            spec(Family.GENERAL_AB, 3.0, a=1.0, b=-2.0)
-        with pytest.raises(DomainError):
-            spec(Family.EXP_WEIGHTED, 3.0, c=-0.1)
-        with pytest.raises(DomainError):
-            spec(Family.MOMENT, 8.0, m=13)
-        with pytest.raises(DomainError):
-            spec(Family.KAPPA, float("nan"))
+    @pytest.mark.parametrize("family, kw, message", [
+        (Family.GENERAL_AB, dict(a=0.0, b=1.0), r"a must be > 0 \(and not within 1e-12 of 0\)"),
+        (Family.GENERAL_AB, dict(a=1.0, b=-2.0), r"b must be > 0"),
+        (Family.GENERAL_AB, dict(a=1e-13, b=1.0), r"a must be > 0"),
+        (Family.GENERAL_AB, dict(a=math.inf, b=1.0), r"a must be finite"),
+        (Family.GENERAL_AB, dict(a=1.0, b=math.nan), r"b must be finite"),
+        (Family.EXP_WEIGHTED, dict(c=-0.1), r"c must be >= 0"),
+        (Family.EXP_WEIGHTED, dict(c=1e-13), r"c is within 1e-12 of 0; use c = 0 exactly"),
+        (Family.EXP_WEIGHTED, dict(c=math.inf), r"c must be finite"),
+        (Family.EXP_WEIGHTED, dict(sign="minus"), r"sign must be a Sign"),
+        (Family.MOMENT, dict(m=13), r"family moment requires integer m in \[0, 12\]"),
+        (Family.MOMENT, dict(m=1.0), r"requires integer m"),
+    ])
+    def test_parameter_ranges(self, family, kw, message):
+        with pytest.raises(DomainError, match=message):
+            spec(family, 8.0, **kw)
+
+    def test_non_finite_s_rejected(self):
+        for s in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="s must be finite"):
+                spec(Family.KAPPA, s)
 
     def test_m_only_for_moment_families(self):
         # kappa-alt at s = 1.5 with m = 2 would be a divergent series
@@ -95,14 +105,19 @@ class TestSumSpecInvariants:
         assert spec(Family.EXP_WEIGHTED, 3.0, a=0.5, b=2.0, c=0.7, sign=Sign.MINUS).c == 0.7
 
     def test_tolerance_required(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="tol must be a Tolerance"):
             SumSpec(family=Family.KAPPA, s=3.0, tol=1e-8)
-        with pytest.raises(DomainError):
+        # a tuple with a Tolerance's fields is not a Tolerance
+        with pytest.raises(DomainError, match="tol must be a Tolerance"):
+            SumSpec(family=Family.KAPPA, s=3.0, tol=(1e-8,))
+        with pytest.raises(DomainError, match=r"abs_tol must be at least 2\^-52"):
             Tolerance(0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"abs_tol must be at least 2\^-52"):
             Tolerance(-1e-8)
-        with pytest.raises(DomainError, match="finite"):
-            Tolerance(math.inf)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="abs_tol must be finite"):
+                Tolerance(bad)
+        assert Tolerance(2.0 ** -52).abs_tol == 2.0 ** -52
 
     def test_family_and_spec_types_required(self):
         with pytest.raises(DomainError, match="family must be a Family"):

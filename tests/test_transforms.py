@@ -228,17 +228,18 @@ class TestCompareMethods:
             "speedup_estimate",
         ]
 
-    def test_report_validation(self):
-        with pytest.raises(DomainError):
-            TransformReport(
-                lhs_value=1.0, rhs_value=1.0, lhs_terms=10, rhs_terms=2,
-                agreement=-1e-9, speedup_estimate=5.0,
-            )
-        with pytest.raises(DomainError):
-            TransformReport(
-                lhs_value=1.0, rhs_value=1.0, lhs_terms=0, rhs_terms=2,
-                agreement=0.0, speedup_estimate=5.0,
-            )
+    @pytest.mark.parametrize("kw, message", [
+        (dict(agreement=-1e-9), "agreement must be >= 0"),
+        (dict(lhs_terms=0), "term counts must be >= 1"),
+        (dict(rhs_terms=0), "term counts must be >= 1"),
+        (dict(speedup_estimate=0.0), "speedup_estimate must be positive"),
+        (dict(speedup_estimate=math.nan), "speedup_estimate must be positive"),
+    ])
+    def test_report_validation(self, kw, message):
+        fields = dict(lhs_value=1.0, rhs_value=1.0, lhs_terms=10, rhs_terms=2,
+                      agreement=0.0, speedup_estimate=5.0)
+        with pytest.raises(DomainError, match=message):
+            TransformReport(**dict(fields, **kw))
 
 
 # each route with valid arguments, and the s threshold of its family
