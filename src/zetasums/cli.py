@@ -89,7 +89,8 @@ def _grid_range(value):
         raise argparse.ArgumentTypeError("grid lo, hi and step must be finite")
     if step <= 0.0 or hi < lo:
         raise argparse.ArgumentTypeError("grid needs step > 0 and hi >= lo")
-    eps = 1e-9 * max(1.0, abs(hi))
+    # slack for the rounding of lo + k*step, kept below a thousandth of a step
+    eps = min(1e-9 * max(1.0, abs(hi)), 1e-3 * step)
     last = (hi + eps - lo) / step  # the last index k with lo + k*step <= hi + eps, to within 1
     if last >= _GRID_MAX_POINTS:
         raise argparse.ArgumentTypeError(

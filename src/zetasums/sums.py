@@ -54,8 +54,9 @@ from .special import (
     _require_tol,
 )
 
-# families keep at least this many explicit terms so the direct route never
-# degenerates into the closed form it is meant to cross-check
+# the direct route checks its tail once at term 1, then from this term on
+# every _CHUNK terms; the "unattainable" refusal at half of tol waits for it
+# too, as one term's charge can exceed half of tol and still fit later
 MIN_EXPLICIT = 16
 _CHUNK = 8
 
@@ -249,9 +250,10 @@ def _lattice_tail(s, A, h, cap=math.inf):
 
 
 def _affine_tail(spec, K, budget):
-    """Tail of the unit or affine lattice sum past K terms."""
+    """Tail of the unit or affine lattice sum past K terms; (0.0, inf), with
+    no zeta evaluated, where the envelope alone exceeds tol."""
     h, x0 = _RULES[spec.family].lattice(spec)
-    return _lattice_tail(spec.s, h * K + x0, h)
+    return _lattice_tail(spec.s, h * K + x0, h, spec.tol.abs_tol)
 
 
 def _alt_affine_tail(spec, K, budget):
@@ -457,20 +459,24 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
     term(n) -> (contribution, error, probe) for term n >= 0; the probe is the
     bare zeta value TERM_FLOOR compares with 10 * tol.  tail(n) ->
     (midpoint, halfwidth) of all past the first n terms.  DIRECT checks the
-    tail every _CHUNK terms from MIN_EXPLICIT on, transformations after every
-    term; the gaps grow to n/8 once that is larger, so a tail slow to fit
-    costs O(log n) checks.  count, the predicted floor crossing, fails a
-    TERM_FLOOR request that cannot cross within the budget up front.
-    over_budget is the TermBudgetError message, formatted with the budget.
+    tail once at n = 1 under EARLIEST, then every _CHUNK terms from
+    MIN_EXPLICIT on, where TERM_FLOOR starts once the probe has crossed;
+    transformations check after every term.  The gaps grow to n/8 once that
+    is larger, so a tail slow to fit costs O(log n) checks.  count, the
+    predicted floor crossing, fails a TERM_FLOOR request that cannot cross
+    within the budget up front.  over_budget is the TermBudgetError message,
+    formatted with the budget.
 
     A request no run within the budget can certify fails with the
-    "unattainable" DomainError: once the per-term error eats half of tol, or
-    once the terms' own charges (their errors plus slop on their gross) and
-    far, the tail's own part (halfwidth plus slop on its midpoint) probed at
-    n = budget, add up to more than tol at a failed check: the charges only
-    grow and the tail's part only falls, so no check up to the budget can
-    pass.  The probe runs once, at the first failed check with a finite
-    halfwidth; an infinite one is a truncation the tail skipped, not a floor.
+    "unattainable" DomainError: once the per-term error eats half of tol
+    (for DIRECT from MIN_EXPLICIT on, as the first term alone may charge more
+    and a later check still fit), or once the terms' own charges (their
+    errors plus slop on their gross) and far, the tail's own part (halfwidth
+    plus slop on its midpoint) probed at n = budget, add up to more than tol
+    at a failed check: the charges only grow and the tail's part only falls,
+    so no check up to the budget can pass.  The probe runs once, at the
+    first failed check with a finite halfwidth; an infinite one is a
+    truncation the tail skipped, not a floor.
     """
     if not isinstance(stop, StopRule):
         raise DomainError("stop must be a StopRule")
@@ -487,7 +493,7 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
     # by += in order: a builtin sum() is compensated from Python 3.12 on
     hi = lo = gross = term_err = 0.0
     n = 0
-    next_check = first if stop is StopRule.EARLIEST else None
+    next_check = 1 if stop is StopRule.EARLIEST else None
     far = None
     while True:
         if n >= budget:
@@ -509,7 +515,7 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
                 lo += (hi - t) + mid if abs(hi) >= abs(mid) else (mid - t) + hi
                 return SumResult(value=t + lo, terms_used=n, tail_bound=total, method=method)
             own = term_err + fp_slop(gross)
-            hopeless = own > 0.5 * tol
+            hopeless = n >= first and own > 0.5 * tol
             if not hopeless and far is None and wid < math.inf:
                 mid, wid = tail(budget)
                 far = wid + fp_slop(2.0 * abs(mid))
@@ -517,7 +523,7 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
                 raise DomainError(
                     f"requested tolerance is unattainable in double precision for this {what}"
                 )
-            next_check = n + max(cadence, n // 8)
+            next_check = max(first, n + max(cadence, n // 8))
 
 
 def lerch_phi(z, s, alpha, tol):
@@ -573,11 +579,13 @@ def lerch_phi(z, s, alpha, tol):
 def eval_direct(spec, *, stop=StopRule.EARLIEST):
     """Evaluate the family sum by explicit terms plus a certified tail.
 
-    EARLIEST stops as soon as the certified enclosure fits the tolerance
-    (never before MIN_EXPLICIT explicit terms); TERM_FLOOR keeps adding terms
-    until the bare zeta value of the last term falls to 10 * abs_tol, which
-    reproduces conventional "count the terms that matter" accounting, then
-    continues past the floor if the enclosure does not yet fit.
+    EARLIEST stops as soon as the certified enclosure fits the tolerance,
+    checked at the first term and then every _CHUNK terms from MIN_EXPLICIT
+    on; every result keeps at least one explicit term.  TERM_FLOOR keeps
+    adding terms until the bare zeta value of the last term falls to
+    10 * abs_tol, which reproduces conventional "count the terms that matter"
+    accounting, then continues past the floor if the enclosure does not yet
+    fit.
     """
     if not isinstance(spec, SumSpec):
         raise DomainError("spec must be a SumSpec")

@@ -390,9 +390,9 @@ class TestTable:
                  '{"abs_diff": 0.0, "identity": "2.1", "lhs": 1.2020569031595942, '
                  '"pass": true, "rhs": 1.2020569031595942, "s": 4.0}]\n'),
         ("text", "PASS 2.1 s=3.0 lhs=1.644934067 rhs=1.644934067 abs_diff=0 "
-                 "budget=3.732374962e-15\n"
+                 "budget=4.404766493e-15\n"
                  "PASS 2.1 s=4.0 lhs=1.202056903 rhs=1.202056903 abs_diff=0 "
-                 "budget=2.671784766e-15\n"),
+                 "budget=2.921682805e-15\n"),
     ])
     def test_identity_table_bytes(self, capsys, fmt, want):
         code, out, err = run(capsys, "table", "--identity", "2.1", "--s-grid", "3:4:1",
@@ -456,7 +456,7 @@ class TestUsageErrors:
 
 def _grid_by_loop(lo, hi, step):
     """The grid as the point-by-point loop builds it: the reference for _grid_range."""
-    eps = 1e-9 * max(1.0, abs(hi))
+    eps = min(1e-9 * max(1.0, abs(hi)), 1e-3 * step)
     out = []
     while lo + len(out) * step <= hi + eps:
         out.append(lo + len(out) * step)
@@ -472,3 +472,9 @@ def test_grid_range_keeps_the_loop_points(lo, hi, step):
     grid = cli._grid_range(f"{lo!r}:{hi!r}:{step!r}")
     assert grid == _grid_by_loop(lo, hi, step)
     assert len(grid) <= cli._GRID_MAX_POINTS
+
+
+def test_fine_grid_at_large_hi_stops_at_hi():
+    # the slack once scaled with hi alone: 1e-3 here, ten steps past hi
+    grid = cli._grid_range("1000000:1000000.001:0.0001")
+    assert len(grid) == 11 and grid[-1] == 1000000.001

@@ -123,7 +123,7 @@ def test_boole_sums_do_not_depend_on_the_python_version():
     )
     r = eval_direct(spec, stop=StopRule.EARLIEST)
     assert (r.value.hex(), r.terms_used, r.tail_bound.hex()) == (
-        "0x1.94e2a20eb12bcp+3", 16, "0x1.63c974f884a6dp-33",
+        "0x1.94e2a20ec0408p+3", 1, "0x1.8346b3c960d14p-33",
     )
 
 
@@ -227,7 +227,7 @@ def test_small_c_in_bounded_time(direct, sign):
     assert time.perf_counter() - start < 2.0
     assert r.tail_bound <= 1e-10
     if direct:
-        assert r.terms_used == 16
+        assert r.terms_used == 1  # the check at term 1 fits
 
 
 @pytest.mark.parametrize("K", [5, 6])
@@ -299,8 +299,9 @@ class TestTermFloor:
 
 def test_tail_checks_thin_out_when_the_tail_is_slow_to_fit():
     # a tail that never fits and terms whose error trips the "unattainable"
-    # test past n = 10 000: the checks grow apart, O(log n) of them.  The
-    # tail's width is infinite, so the far probe never runs
+    # test past n = 10 000: after the one check at term 1 the checks grow
+    # apart, O(log n) of them.  The tail's width is infinite, so the far
+    # probe never runs
     from zetasums.sums import Method, _run_series
 
     checks = []
@@ -312,7 +313,7 @@ def test_tail_checks_thin_out_when_the_tail_is_slow_to_fit():
     with pytest.raises(DomainError, match="unattainable"):
         _run_series(lambda n: (0.0, 5e-5, 1.0), tail, 1.0, StopRule.EARLIEST,
                     Method.DIRECT, None, "over budget")
-    assert checks[:7] == [16, 24, 32, 40, 48, 56, 64]
+    assert checks[:8] == [1, 16, 24, 32, 40, 48, 56, 64]
     assert checks[-1] >= 10_000 and len(checks) < 100
 
 

@@ -143,7 +143,7 @@ class TestEvalDirectValues:
         r = eval_direct(spec(Family.KAPPA_ALT, 2.0))
         assert math.isclose(r.value, 1.2337005501361697, rel_tol=1e-12)
         assert r.method is Method.DIRECT
-        assert r.terms_used >= MIN_EXPLICIT
+        assert r.terms_used >= 1
 
     def test_matches_closed_forms(self):
         cases = [
@@ -195,10 +195,15 @@ class TestStoppingRules:
             assert hurwitz_tail_bound(s, 0.8 * a_star) >= 10.0 * tol
 
     def test_budget_exhaustion_raises(self, monkeypatch):
+        # at a = 3 the lattice tail's envelope fits tol only from term 16 on,
+        # so the check at term 1 fails and the budget ends before the next
+        monkeypatch.delenv("ZS_TERM_BUDGET", raising=False)
+        sp = spec(Family.GENERAL_AB, 2.5, a=3.0, b=1.0, tol=T8)
+        assert eval_direct(sp).terms_used == MIN_EXPLICIT
         monkeypatch.setenv("ZS_TERM_BUDGET", "3")
         assert term_budget() == 3
         with pytest.raises(TermBudgetError):
-            eval_direct(spec(Family.GENERAL_AB, 2.5, a=0.01, b=1.0, tol=T8))
+            eval_direct(sp)
 
     def test_floor_count_past_budget_fails_at_once(self, monkeypatch):
         # the floor sits ~4e14 terms out, so the default budget cannot reach it
@@ -227,6 +232,82 @@ class TestStoppingRules:
         monkeypatch.setenv("ZS_TERM_BUDGET", raw)
         with pytest.raises(DomainError, match=match):
             term_budget()
+
+
+class TestFirstCheck:
+    @pytest.mark.parametrize("method, stop, crossing, want", [
+        # the direct route checks once at term 1, then every 8 terms from 16
+        (Method.DIRECT, StopRule.EARLIEST, 0, [1, 16, 24, 32, 40, 48, 56, 64, 72, 81]),
+        # TERM_FLOOR starts where the probe crosses 10 tol, never before 16
+        (Method.DIRECT, StopRule.TERM_FLOOR, 0, [16, 24, 32, 40, 48, 56, 64, 72, 81, 91]),
+        (Method.DIRECT, StopRule.TERM_FLOOR, 20, [20, 28, 36, 44, 52, 60, 68, 76, 85, 95]),
+        # transformations check after every term until the gaps reach n/8
+        (Method.TRANSFORMED, StopRule.EARLIEST, 0, list(range(1, 17)) + [18, 20]),
+    ])
+    def test_check_schedule(self, monkeypatch, method, stop, crossing, want):
+        # a tail that never fits and never probes (infinite width): the loop
+        # checks on its schedule until the budget ends it
+        from zetasums.sums import _run_series
+
+        monkeypatch.setenv("ZS_TERM_BUDGET", "100")
+        checks = []
+
+        def tail(n):
+            checks.append(n)
+            return 0.0, math.inf
+
+        with pytest.raises(TermBudgetError, match="over budget"):
+            _run_series(lambda n: (0.0, 0.0, 100.0 if n + 1 < crossing else 0.0), tail, 1.0,
+                        stop, method, None, "over budget")
+        assert checks[:len(want)] == want
+
+    def test_half_tol_refusal_waits_for_the_regular_schedule(self, monkeypatch):
+        # the first term alone charges about 1.4e-9, more than half of every
+        # ladder rung's tol: refused at term 1 by the 0.5 tol rule, the shifted
+        # sum would fail; its check at term 16 fits on a relaxed rung
+        monkeypatch.delenv("ZS_TERM_BUDGET", raising=False)
+        assert check_identity("2.3", s=6.376871133776569, a=0.10707628641657692,
+                              tol=Tolerance(1.0270408662223447e-11)).passed
+
+    def test_capped_lattice_check_makes_no_kernel_call(self, monkeypatch):
+        # general-ab at a = 3: the tail's envelope past term 1 exceeds tol, so
+        # the check returns (0, inf) without evaluating a zeta piece; past 16
+        # it fits and evaluates its pieces
+        import zetasums.special as special
+        from zetasums.sums import _affine_tail
+
+        sp = spec(Family.GENERAL_AB, 2.5, a=3.0, b=1.0, tol=T8)
+        assert _lattice_order(sp.s, sp.a + sp.b, sp.a)[1] > sp.tol.abs_tol
+        kernel, calls = special._hurwitz_core, []
+        monkeypatch.setattr(special, "_hurwitz_core",
+                            lambda *args: (calls.append(args), kernel(*args))[1])
+        assert _affine_tail(sp, 1, 0.45 * sp.tol.abs_tol) == (0.0, math.inf)
+        assert calls == []
+        mid, wid = _affine_tail(sp, MIN_EXPLICIT, 0.45 * sp.tol.abs_tol)
+        assert wid <= sp.tol.abs_tol and len(calls) >= 2
+
+    def test_direct_results_keep_an_explicit_term(self):
+        # check_identity compares the direct route with the closed form: a
+        # direct result of no explicit term would be the closed form itself
+        from zetasums.sums import _RULES
+
+        rng = random.Random(20261019)
+        at_first = 0
+        for _ in range(60):
+            family = rng.choice(list(Family))
+            kw = dict(m=rng.randrange(1, 3), a=rng.uniform(0.05, 3.0), b=rng.uniform(0.3, 3.0),
+                      c=rng.uniform(0.01, 2.0), sign=rng.choice(list(Sign)))
+            kw = {k: v for k, v in kw.items() if k in _RULES[family].params}
+            s = convergence_threshold(family, kw.get("m", 0), kw.get("c", 0.0),
+                                      kw.get("sign", Sign.PLUS)) + rng.uniform(0.5, 6.0)
+            tol = Tolerance(10.0 ** rng.uniform(-12.0, -4.0))
+            try:
+                r = eval_direct(spec(family, s, tol=tol, **kw))
+            except (DomainError, TermBudgetError):
+                continue
+            assert r.terms_used >= 1, (family, s, kw, tol)
+            at_first += r.terms_used == 1
+        assert at_first >= 10  # the check at term 1 is exercised
 
 
 class TestFarProbe:
