@@ -3,8 +3,9 @@
 A ZetaCombination is the symbolic object (exact Fractions, integer shifts of
 the exponent, optional 2^-s prefactor per term); the *_closed functions
 evaluate the matching combination at a concrete exponent with a certified
-budget.  Exact coefficient families (Eulerian numbers, power-sum polynomials)
-live here too since the combinations are built from them.
+budget.  The moment families' exact tail builders live here, with the
+power-sum and Euler polynomials they are built from: past K terms they are
+the direct route's tails, and at K = 0 the closed forms.
 """
 
 import math
@@ -17,10 +18,9 @@ from .special import (
     BOUNDARY_MARGIN,
     Tolerance,
     bernoulli_fraction,
-    fp_slop,
-    _hurwitz_pieces,
     _require_positive,
     _require_tol,
+    _sum_terms,
 )
 
 _M_MAX = 12
@@ -70,13 +70,7 @@ class ZetaCombination(namedtuple("ZetaCombination", "terms")):
                 raise DomainError(
                     f"combination needs s > {t.s_shift + 1}, got s = {s}"
                 )
-        pow2 = 2.0 ** -s
-        pieces = [
-            (float(t.coefficient) * (pow2 if t.two_pow_neg_s else 1.0), t.s_shift, t.alpha)
-            for t in self.terms
-        ]
-        value, err, gross = _hurwitz_pieces(s, pieces)
-        bound = err + fp_slop(2.0 * gross)
+        value, bound = _sum_terms(s, self.terms)
         if bound > tol.abs_tol:
             raise DomainError(
                 "requested tolerance is unattainable in double precision for this combination"
@@ -151,8 +145,85 @@ def _euler_tables(m):
 
 
 # ---------------------------------------------------------------------------
-# Combination builders.  Each one is the exact finite form of the matching
-# infinite sum; evaluation happens through ZetaCombination.
+# The moment families' exact tails past K terms, as (coefficient, shift,
+# alpha, two_pow_neg_s) terms with Fraction coefficients: the direct route
+# sums them at K in floats, and at K = 0 they are the closed forms.
+
+@lru_cache(maxsize=None)
+def _tail_coeffs(m, p, q, scale=1):
+    """The K-independent parts of the tail past K of sum(n^m (p + q (-1)^(n-1))
+    zeta(s, n), n >= 1) / scale: sum(n > K) n^-s (W(n) - W(K)), with W(n) =
+    (p S_m(n) + q (-1)^(n-1) E_m(n + 1)/2) / scale, S_m the power-sum and E_m
+    the Euler polynomial.  Returns (den, P, Q, rest): -W(K) is
+    (P(K) + (-1)^K Q(K + 1)) / den, P and Q ascending integers; rest holds
+    S_m's c_d zeta(s - d, K + 1), and E_m(x + 1)'s e_d 2^(d-1) 2^-s
+    zeta(s - d, .) over odd n minus even n, on lattice 0 (K + 1), 1 and 2
+    (the odd and even half lattice)."""
+    p, q = Fraction(p, scale), Fraction(q, scale)
+    dense = _faulhaber_fracs(m)
+    e_poly, shifted = _euler_tables(m)
+    P = [-p * c for c in dense] if p else []
+    Q = [q * c / 2 for c in e_poly] if q else []
+    den = math.lcm(*(c.denominator for c in P + Q))
+    rest = [(p * c, d, 0, False) for d, c in enumerate(dense) if p and c]
+    for d, c in enumerate(shifted):
+        w = q * c * 2 ** d / 2
+        if w:
+            rest += [(w, d, 1, True), (-w, d, 2, True)]
+    return den, tuple(int(c * den) for c in P), tuple(int(c * den) for c in Q), tuple(rest)
+
+
+def _tail_terms(K, den, P, Q, rest):
+    """The tail past K from _tail_coeffs' parts, zeta(s, K + 1)'s
+    coefficient computed in integers."""
+    c0 = Fraction(sum(c * K ** d for d, c in enumerate(P))
+                  + (-1) ** K * sum(c * (K + 1) ** d for d, c in enumerate(Q)), den)
+    x = (K + 1.0, (K + 1) // 2 + 0.5, K // 2 + 1.0)
+    terms = [(c, d, x[i], flag) for c, d, i, flag in rest]
+    return [(c0, 0, x[0], False)] + terms if c0 else terms
+
+
+def _moment_terms(m, K):
+    """Exact tail of sum(k^m zeta(s, k), k > K); m = 0 is kappa."""
+    return _tail_terms(K, *_tail_coeffs(m, 1, 0))
+
+
+def _moment_alt_terms(m, K):
+    """Exact tail of sum((-1)^(k-1) k^m zeta(s, k), k > K); m = 0 is kappa-alt."""
+    return _tail_terms(K, *_tail_coeffs(m, 0, 1))
+
+
+def _even_arg_terms(m, K):
+    """Exact tail of sum(k^m zeta(s, 2k), k > K): 2^(-m-1) times the plain
+    moment tail past 2K minus the alternating one, as k^m is
+    2^(-m-1) (1 - (-1)^(n-1)) n^m at n = 2k, and that weight is 0 at odd n."""
+    return _tail_terms(2 * K, *_tail_coeffs(m, 1, -1, 2 ** (m + 1)))
+
+
+# zeta(s - d), 2^-s zeta(s - d) and 2^-s zeta(s - d, 1/2): the terms at K = 0
+_AT_ZERO = ((1.0, False), (1.0, True), (0.5, True))
+
+
+@lru_cache(maxsize=None)
+def _closed(build, m):
+    """build's exact tail at K = 0 in its fewest terms, as a ZetaCombination:
+    like terms merged exactly, then at each shift d the coefficients (C, B, A)
+    of _AT_ZERO moved along 2^-s zeta(s - d, 1/2) = 2^-d zeta(s - d) -
+    2^-s zeta(s - d) to (C - t 2^-d, B + t, A + t) for the t in
+    (0, -A, -B, C 2^d) that leaves the fewest nonzero, the first on a tie."""
+    merged = {}
+    for c, d, alpha, flag in build(m, 0):
+        merged[d, alpha, flag] = merged.get((d, alpha, flag), 0) + c
+    terms = []
+    for d in sorted({key[0] for key in merged}):
+        c, b, a = (merged.get((d, *form), Fraction(0)) for form in _AT_ZERO)
+        best = min(
+            ((c - Fraction(t, 2 ** d), b + t, a + t) for t in (0, -a, -b, c * 2 ** d)),
+            key=lambda cba: sum(map(bool, cba)),
+        )
+        terms += [ZetaTerm(w, d, *form) for w, form in zip(best, _AT_ZERO) if w]
+    return ZetaCombination(tuple(terms))
+
 
 def kappa_combination():
     """sum over k >= 1 of zeta(s, k)  ==  zeta(s-1): the m = 0 moment sum."""
@@ -160,11 +231,9 @@ def kappa_combination():
 
 
 def kappa_alt_combination():
-    """sum over k >= 1 of (-1)^(k-1) zeta(s, k)  ==  (1 - 2^-s) zeta(s)."""
-    return ZetaCombination((
-        ZetaTerm(Fraction(1), 0),
-        ZetaTerm(Fraction(-1), 0, two_pow_neg_s=True),
-    ))
+    """sum over k >= 1 of (-1)^(k-1) zeta(s, k)  ==  (1 - 2^-s) zeta(s)
+    ==  2^-s zeta(s, 1/2): the m = 0 alternating moment sum."""
+    return _closed(_moment_alt_terms, 0)
 
 
 def shifted_combination(a):
@@ -190,60 +259,27 @@ def moment_combination(m):
     weighted sum telescopes into sum_d c_d zeta(s-d) over its powers.
     """
     _require_m(m, "moment_combination")
-    dense = _faulhaber_fracs(m)
-    terms = []
-    for d in range(1, m + 2):
-        if dense[d] != 0:
-            terms.append(ZetaTerm(dense[d], d))
-    return ZetaCombination(tuple(terms))
+    return _closed(_moment_terms, m)
 
 
 def moment_alt_combination(m):
-    """Alternating k^m-weighted sum; closed forms exist only for m in {1, 2}."""
+    """Alternating k^m-weighted sum; closed forms are served for m in {1, 2}."""
     _require_m(m, "moment_alt_combination")
     if m == 0:
         raise NoClosedFormError(
             "m = 0 alternating sum is the plain alternating family; use kappa_alt_closed"
         )
-    if m == 1:
-        return ZetaCombination((
-            ZetaTerm(Fraction(1), 1, 0.5, two_pow_neg_s=True),
-            ZetaTerm(Fraction(1, 2), 0, 0.5, two_pow_neg_s=True),
-            ZetaTerm(Fraction(-1), 1, two_pow_neg_s=True),
-        ))
-    if m == 2:
-        return ZetaCombination((
-            ZetaTerm(Fraction(1, 2), 1),
-            ZetaTerm(Fraction(-2), 1, two_pow_neg_s=True),
-            ZetaTerm(Fraction(1, 2), 2),
-            ZetaTerm(Fraction(-4), 2, two_pow_neg_s=True),
-        ))
-    raise NoClosedFormError(
-        f"no closed form for the alternating moment sum with m = {m}"
-    )
+    if m > 2:
+        raise NoClosedFormError(f"no closed form for the alternating moment sum with m = {m}")
+    return _closed(_moment_alt_terms, m)
 
 
 def even_arg_moment_combination(m):
-    """k^m-weighted sum over zeta(s, 2k); closed forms for m in {1, 2}."""
+    """k^m-weighted sum over zeta(s, 2k); closed forms are served for m in {1, 2}."""
     _require_m(m, "even_arg_moment_combination")
-    if m == 1:
-        return ZetaCombination((
-            ZetaTerm(Fraction(1, 8), 1),
-            ZetaTerm(Fraction(1, 4), 1, two_pow_neg_s=True),
-            ZetaTerm(Fraction(1, 8), 2),
-            ZetaTerm(Fraction(-1, 4), 1, 0.5, two_pow_neg_s=True),
-            ZetaTerm(Fraction(-1, 8), 0, 0.5, two_pow_neg_s=True),
-        ))
-    if m == 2:
-        return ZetaCombination((
-            ZetaTerm(Fraction(-1, 24), 1),
-            ZetaTerm(Fraction(1, 4), 1, two_pow_neg_s=True),
-            ZetaTerm(Fraction(1, 2), 2, two_pow_neg_s=True),
-            ZetaTerm(Fraction(1, 24), 3),
-        ))
-    raise NoClosedFormError(
-        f"no closed form for the even-argument moment sum with m = {m}"
-    )
+    if m not in (1, 2):
+        raise NoClosedFormError(f"no closed form for the even-argument moment sum with m = {m}")
+    return _closed(_even_arg_terms, m)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +317,11 @@ def even_arg_moment_closed(s, m, *, tol=_DEFAULT_CLOSED_TOL):
 
 
 def combination_split(s, m, *, tol=_DEFAULT_CLOSED_TOL):
-    """Two independent routes to the even-argument sum: the half-difference of
-    the plain and alternating moment closed forms, and its direct closed form.
-    Returns (difference_route, direct_route)."""
+    """(difference_route, direct_route): the half-difference of the plain and
+    alternating moment closed forms, and the even-argument closed form.  Both
+    come from the exact tail builders at K = 0; the independent check of the
+    identity is the direct route (check_identity's even-m1 and even-m2,
+    tests/test_family_soundness.py)."""
     _require_tol(tol)
     if m not in (1, 2):
         raise NoClosedFormError("combination_split needs both routes; only m in {1, 2}")

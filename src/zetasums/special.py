@@ -258,18 +258,25 @@ def _hurwitz_core(s, alpha):
     return _em_walk(s, z, head, hi, lo, gross, _EM_C[1] * s * zs / z * (1.0 - (s + 1.0) * dz))
 
 
-def _hurwitz_pieces(s, pieces):
-    """(value, err, gross) of sum(coef * zeta(s - shift, alpha)) over the
-    (coef, shift, alpha) pieces: err is the kernel bounds weighted by |coef|,
-    and gross the magnitude the caller charges rounding slop on."""
+def _sum_terms(s, terms, envelope=0.0):
+    """(value, halfwidth) of sum(c [2^-s] zeta(s - shift, alpha)) over the
+    (c, shift, alpha, two_pow_neg_s) terms, c a Fraction or a float, plus
+    envelope, a truncation half-width: the one evaluator of closed forms and
+    tails.  Its one rounding charge is fp_slop(gross): fsum rounds once,
+    within EPS/2 of gross, and each part carries at most three roundings of
+    EPS/2 of itself, two in its coefficient (a Fraction's conversion, or
+    2^-s times a dyadic one; the lattice tail's shrinking Euler-Maclaurin
+    corrections aside) and one in its product with the zeta value."""
+    pow2 = 2.0 ** -s
     parts = []
     err = gross = 0.0
-    for coef, shift, alpha in pieces:
+    for c, shift, alpha, two_pow_neg_s in terms:
+        coef = float(c) * pow2 if two_pow_neg_s else float(c)
         v, b = _hurwitz_core(s - shift, alpha)
         parts.append(coef * v)
         gross += abs(coef * v)
         err += abs(coef) * b
-    return math.fsum(parts), err, gross
+    return math.fsum(parts), envelope + err + fp_slop(gross)
 
 
 def hurwitz_zeta(s, alpha, tol):

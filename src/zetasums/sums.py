@@ -20,8 +20,9 @@ from collections import namedtuple
 from enum import Enum
 
 from .closed import (
-    _euler_tables,
-    _faulhaber_fracs,
+    _even_arg_terms,
+    _moment_alt_terms,
+    _moment_terms,
     _require_m,
     even_arg_moment_combination,
     kappa_alt_combination,
@@ -46,12 +47,12 @@ from .special import (
     _certified,
     _damped_zeta,
     _hurwitz_core,
-    _hurwitz_pieces,
     _lerch_core,
     _poch_raw,
     _require_positive,
     _require_s,
     _require_tol,
+    _sum_terms,
 )
 
 # the direct route checks its tail once at term 1, then from this term on
@@ -158,61 +159,10 @@ SumResult = namedtuple("SumResult", "value terms_used tail_bound method")
 # Tail enclosures.  Each returns (midpoint, halfwidth); halfwidth already
 # includes the inner zeta evaluation errors and local rounding slop.
 
-def _sum_pieces(s, pieces, envelope=0.0):
-    """(midpoint, halfwidth) of sum(coef * zeta(s - shift, alpha)) over the
-    (coef, shift, alpha) pieces; envelope is a truncation half-width to add
-    to the evaluation errors."""
-    value, err, gross = _hurwitz_pieces(s, pieces)
-    return value, envelope + err + fp_slop(gross)
-
-
-def _moment_pieces(spec, K):
-    """Exact tail of sum(k^m zeta(s,k), k > K) as (coefficient, s_shift,
-    alpha) pieces: the k^m weights telescope into zeta values at K+1 with
-    power-sum polynomial coefficients."""
-    m = spec.m
-    dense = _faulhaber_fracs(m)
-    s_mk = float(sum(f * K ** d for d, f in enumerate(dense)))  # S_m(K), exact then rounded
-    pieces = [(-s_mk, 0, K + 1.0)]
-    for d in range(1, m + 2):
-        if dense[d] != 0:
-            pieces.append((float(dense[d]), d, K + 1.0))
-    return pieces
-
-
-def _moment_alt_pieces(spec, K):
-    """Exact tail of sum((-1)^(k-1) k^m zeta(s,k), k > K) as pieces, via the
-    alternating power-sum polynomial: zeta values on the half-integer lattice
-    at K/2."""
-    s, m = spec.s, spec.m
-    e_poly, shifted = _euler_tables(m)  # E_m(x) and E_m(x+1)
-    u_odd = (K + 1) // 2 + 0.5
-    u_even = K // 2 + 1.0
-    e_at = float(sum(f * (K + 1) ** d for d, f in enumerate(e_poly)))  # E_m(K+1)
-    pieces = []
-    for d in range(m + 1):
-        if shifted[d] == 0:
-            continue
-        w = 0.5 * float(shifted[d]) * 2.0 ** (d - s)
-        pieces.append((w, d, u_odd))
-        pieces.append((-w, d, u_even))
-    sign = -1.0 if (K - 1) % 2 == 0 else 1.0  # -(-1)^(K-1)
-    pieces.append((0.5 * sign * e_at, 0, K + 1.0))
-    return pieces
-
-
-def _even_arg_pieces(spec, K):
-    """Exact tail of sum(k^m zeta(s,2k), k > K) as pieces: with n = 2k, the
-    even n past 2K, so 2^(-m-1) times the plain moment tail past 2K minus the
-    alternating one.  The alternating tail is far smaller, so nothing cancels."""
-    half = 2.0 ** (-spec.m - 1)
-    return ([(half * w, d, x) for w, d, x in _moment_pieces(spec, 2 * K)]
-            + [(-half * w, d, x) for w, d, x in _moment_alt_pieces(spec, 2 * K)])
-
-
-def _exact_tail(pieces):
-    """The rule tail that sums the exact tail pieces(spec, K)."""
-    return lambda spec, K, budget: _sum_pieces(spec.s, pieces(spec, K))
+def _exact_tail(spec, K, budget):
+    """Tail of an integer-lattice family past K terms: its exact builder's
+    terms at K, summed in floats."""
+    return _sum_terms(spec.s, _RULES[spec.family].exact(spec.m, K))
 
 
 def _lattice_order(s, A, h):
@@ -242,11 +192,11 @@ def _lattice_tail(s, A, h, cap=math.inf):
     best_j, best_env = _lattice_order(s, A, h)
     if best_env > cap:
         return 0.0, math.inf
-    pieces = [(1.0 / (h * (s - 1.0)), 1, A), (0.5, 0, A)]
+    terms = [(1.0 / (h * (s - 1.0)), 1, A, False), (0.5, 0, A, False)]
     for r in range(1, best_j + 1):
         wr = _EM_C[r] * h ** (2 * r - 1) * _poch_raw(s, 2 * r - 1)
-        pieces.append((wr, 1 - 2 * r, A))  # zeta(s + 2r - 1, A)
-    return _sum_pieces(s, pieces, best_env)
+        terms.append((wr, 1 - 2 * r, A, False))  # zeta(s + 2r - 1, A)
+    return _sum_terms(s, terms, best_env)
 
 
 def _affine_tail(spec, K, budget):
@@ -264,7 +214,7 @@ def _alt_affine_tail(spec, K, budget):
     h, x0 = _RULES[spec.family].lattice(spec)
     sign = 1.0 if K % 2 == 0 else -1.0
     if h == 1.0:
-        return _sum_pieces(spec.s, [(sign * 2.0 ** -spec.s, 0, (K + x0) / 2.0)])
+        return _sum_terms(spec.s, [(sign, 0, (K + x0) / 2.0, True)])
     value, bound = _damped_zeta(spec.s, -1.0, 0.0, h * K + x0, h, budget)
     return sign * value, bound
 
@@ -358,30 +308,31 @@ def _damped(spec, n):
 # first n terms; closed(spec) is the exact ZetaCombination or None.  The sum
 # needs s > s_min, plus m where it takes m.  params names the SumSpec fields
 # among m, a, b, c and sign that the family reads; the others must keep their
-# defaults.
-_Rule = namedtuple("_Rule", "s_min params weight lattice tail closed", defaults=(None,))
+# defaults.  exact(m, K) is an integer-lattice family's exact tail past K,
+# which _exact_tail sums and whose K = 0 form is closed.
+_Rule = namedtuple("_Rule", "s_min params weight lattice tail closed exact", defaults=(None, None))
 
 
 _RULES = {
     Family.KAPPA: _Rule(
-        2.0, frozenset(), _plain, lambda spec: (1.0, 1.0), _exact_tail(_moment_pieces),
-        lambda spec: kappa_combination(),
+        2.0, frozenset(), _plain, lambda spec: (1.0, 1.0), _exact_tail,
+        lambda spec: kappa_combination(), _moment_terms,
     ),
     Family.KAPPA_ALT: _Rule(
-        1.0, frozenset(), _alternating, lambda spec: (1.0, 1.0), _exact_tail(_moment_alt_pieces),
-        lambda spec: kappa_alt_combination(),
+        1.0, frozenset(), _alternating, lambda spec: (1.0, 1.0), _exact_tail,
+        lambda spec: kappa_alt_combination(), _moment_alt_terms,
     ),
     Family.MOMENT: _Rule(
-        2.0, frozenset({"m"}), _plain, lambda spec: (1.0, 1.0), _exact_tail(_moment_pieces),
-        lambda spec: moment_combination(spec.m),
+        2.0, frozenset({"m"}), _plain, lambda spec: (1.0, 1.0), _exact_tail,
+        lambda spec: moment_combination(spec.m), _moment_terms,
     ),
     Family.MOMENT_ALT: _Rule(
-        1.0, frozenset({"m"}), _alternating, lambda spec: (1.0, 1.0),
-        _exact_tail(_moment_alt_pieces), lambda spec: moment_alt_combination(spec.m),
+        1.0, frozenset({"m"}), _alternating, lambda spec: (1.0, 1.0), _exact_tail,
+        lambda spec: moment_alt_combination(spec.m), _moment_alt_terms,
     ),
     Family.EVEN_ARG_MOMENT: _Rule(
-        2.0, frozenset({"m"}), _plain, lambda spec: (2.0, 2.0), _exact_tail(_even_arg_pieces),
-        lambda spec: even_arg_moment_combination(spec.m),
+        2.0, frozenset({"m"}), _plain, lambda spec: (2.0, 2.0), _exact_tail,
+        lambda spec: even_arg_moment_combination(spec.m), _even_arg_terms,
     ),
     Family.SHIFTED: _Rule(
         2.0, frozenset({"a"}), _plain, lambda spec: (1.0, spec.a), _affine_tail,

@@ -390,9 +390,9 @@ class TestTable:
                  '{"abs_diff": 0.0, "identity": "2.1", "lhs": 1.2020569031595942, '
                  '"pass": true, "rhs": 1.2020569031595942, "s": 4.0}]\n'),
         ("text", "PASS 2.1 s=3.0 lhs=1.644934067 rhs=1.644934067 abs_diff=0 "
-                 "budget=4.404766493e-15\n"
+                 "budget=3.674269023e-15\n"
                  "PASS 2.1 s=4.0 lhs=1.202056903 rhs=1.202056903 abs_diff=0 "
-                 "budget=2.921682805e-15\n"),
+                 "budget=2.387862305e-15\n"),
     ])
     def test_identity_table_bytes(self, capsys, fmt, want):
         code, out, err = run(capsys, "table", "--identity", "2.1", "--s-grid", "3:4:1",

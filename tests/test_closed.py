@@ -17,19 +17,29 @@ from zetasums import (
     combination_split,
     eulerian_polynomial,
     even_arg_moment_closed,
+    even_arg_moment_combination,
     faulhaber_coeffs,
     hurwitz_zeta,
     kappa_alt_closed,
+    kappa_alt_combination,
     kappa_closed,
     kappa_combination,
     moment_alt_closed,
+    moment_alt_combination,
     moment_closed,
     moment_combination,
     riemann_zeta,
     shifted_alt_closed,
     shifted_closed,
 )
-from zetasums.closed import _euler_tables
+from zetasums.closed import (
+    _AT_ZERO,
+    _euler_tables,
+    _even_arg_terms,
+    _moment_alt_terms,
+    _moment_terms,
+)
+from zetasums.special import EPS, _hurwitz_core, _sum_terms
 
 T12 = Tolerance(1e-12)
 
@@ -299,3 +309,123 @@ class TestCombinationEval:
     def test_split_needs_both_routes(self):
         with pytest.raises(NoClosedFormError, match="only m in"):
             combination_split(4.0, 3)
+
+
+def _t(c, d, alpha=1.0, two_pow_neg_s=False):
+    return ZetaTerm(Fraction(c), d, alpha, two_pow_neg_s)
+
+
+# The closed forms as hand-typed tables before one exact builder served both
+# them and the direct route's tails, with each sum's s_min: the independent
+# reference of the builder at K = 0.
+_OLD_TABLES = {
+    "kappa": (kappa_combination, 2.0, [_t(1, 1)]),
+    "kappa-alt": (kappa_alt_combination, 1.0, [_t(1, 0), _t(-1, 0, 1.0, True)]),
+    "moment-0": (lambda: moment_combination(0), 2.0, [_t(1, 1)]),
+    "moment-1": (lambda: moment_combination(1), 3.0, [_t("1/2", 1), _t("1/2", 2)]),
+    "moment-2": (lambda: moment_combination(2), 4.0,
+                 [_t("1/6", 1), _t("1/2", 2), _t("1/3", 3)]),
+    "moment-3": (lambda: moment_combination(3), 5.0,
+                 [_t("1/4", 2), _t("1/2", 3), _t("1/4", 4)]),
+    "moment-alt-1": (lambda: moment_alt_combination(1), 2.0, [
+        _t(1, 1, 0.5, True), _t("1/2", 0, 0.5, True), _t(-1, 1, 1.0, True),
+    ]),
+    "moment-alt-2": (lambda: moment_alt_combination(2), 3.0, [
+        _t("1/2", 1), _t(-2, 1, 1.0, True), _t("1/2", 2), _t(-4, 2, 1.0, True),
+    ]),
+    "even-arg-1": (lambda: even_arg_moment_combination(1), 3.0, [
+        _t("1/8", 1), _t("1/4", 1, 1.0, True), _t("1/8", 2),
+        _t("-1/4", 1, 0.5, True), _t("-1/8", 0, 0.5, True),
+    ]),
+    "even-arg-2": (lambda: even_arg_moment_combination(2), 4.0, [
+        _t("-1/24", 1), _t("1/4", 1, 1.0, True), _t("1/2", 2, 1.0, True), _t("1/24", 3),
+    ]),
+}
+
+
+def _folded(terms):
+    """{(shift, two_pow_neg_s): coefficient} of the terms with every
+    2^-s zeta(s - d, 1/2) written as 2^-d zeta(s - d) - 2^-s zeta(s - d)."""
+    out = {}
+    for t in terms:
+        parts = [(t.coefficient, t.two_pow_neg_s)]
+        if t.alpha == 0.5:
+            assert t.two_pow_neg_s
+            parts = [(t.coefficient / 2 ** t.s_shift, False), (-t.coefficient, True)]
+        else:
+            assert t.alpha == 1.0
+        for c, flag in parts:
+            out[t.s_shift, flag] = out.get((t.s_shift, flag), 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _in_builder_order(terms):
+    return tuple(sorted(terms, key=lambda t: (t.s_shift, _AT_ZERO.index(t[2:]))))
+
+
+# (builder, lattice point of term k, sign of term k)
+_BUILDERS = {
+    "moment": (_moment_terms, lambda k: k, lambda k: 1),
+    "moment-alt": (_moment_alt_terms, lambda k: k, lambda k: (-1) ** (k - 1)),
+    "even-arg": (_even_arg_terms, lambda k: 2 * k, lambda k: 1),
+}
+
+
+class TestExactBuilder:
+    @pytest.mark.parametrize("name", sorted(_OLD_TABLES))
+    def test_closed_form_is_the_old_table_after_the_fold(self, name):
+        build, _, table = _OLD_TABLES[name]
+        assert _folded(build().terms) == _folded(table)
+
+    def test_shapes(self):
+        # the rewrite keeps these two tables as they were, and takes
+        # kappa-alt and even-arg m = 1 to fewer terms
+        for name in ("moment-alt-1", "even-arg-2"):
+            build, _, table = _OLD_TABLES[name]
+            assert build().terms == _in_builder_order(table), name
+        assert kappa_alt_combination().terms == (_t(1, 0, 0.5, True),)
+        assert even_arg_moment_combination(1).terms == (
+            _t("-1/8", 0, 0.5, True), _t("1/2", 1, 1.0, True), _t("1/8", 2),
+        )
+
+    @pytest.mark.parametrize("name", sorted(_OLD_TABLES))
+    def test_no_closed_bound_is_looser_than_the_old_table(self, name):
+        # the old table in the builder's term order, so that the same terms
+        # sum their bounds in the same order
+        build, s_min, table = _OLD_TABLES[name]
+        new, old = build(), ZetaCombination(_in_builder_order(table))
+        loose = Tolerance(1.0)
+        for i in range(41):
+            s = s_min + 1e-3 * 8000.0 ** (i / 40)
+            v_new, b_new = new.evaluate_with_bound(s, loose)
+            v_old, b_old = old.evaluate_with_bound(s, loose)
+            assert b_new <= b_old, s
+            assert abs(v_new - v_old) <= b_new + b_old, s
+
+    @pytest.mark.parametrize("family", sorted(_BUILDERS))
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 6, 12])
+    def test_consecutive_tails_differ_by_one_term(self, family, m):
+        # T(K) - T(K + 1) is term K + 1: this grades the tail at every K on
+        # its own, as the closed form is the same builder at K = 0
+        build, point, sign = _BUILDERS[family]
+        s_min = m + (1.0 if family == "moment-alt" else 2.0)
+        for s in (s_min + 0.5, s_min + 3.0):
+            for K in (0, 1, 2, 5, 16):
+                hi, hi_err = _sum_terms(s, build(m, K))
+                lo, lo_err = _sum_terms(s, build(m, K + 1))
+                w = float(sign(K + 1) * (K + 1) ** m)
+                v, b = _hurwitz_core(s, float(point(K + 1)))
+                gap = math.fsum([hi, -lo, -w * v])
+                assert abs(gap) <= hi_err + lo_err + abs(w) * b + EPS * abs(w * v), (s, K)
+
+    def test_two_pow_neg_s_coefficients_are_dyadic(self):
+        # such a coefficient converts exactly, so it rounds only in 2^-s and
+        # in their product: the single charge of _sum_terms counts on it
+        combos = [build().terms for build, _, _ in _OLD_TABLES.values()]
+        for build, _, _ in _BUILDERS.values():
+            combos += [build(m, K) for m in range(13) for K in (0, 1, 2, 5, 16)]
+        for terms in combos:
+            for c, _, _, two_pow_neg_s in terms:
+                if two_pow_neg_s:
+                    den = Fraction(c).denominator
+                    assert den & (den - 1) == 0, c

@@ -3,9 +3,11 @@ against an exact reference: the family's ZetaCombination, its Fraction
 coefficients and 2^-s taken in Decimal, and every zeta(s - shift, alpha)
 from the decimal Euler-Maclaurin sum at 70 digits with s - shift formed in
 Decimal.  The closed route evaluates the same combination in binary64, so
-the reference grades its kernel calls and rounding charges; the direct
-route's explicit terms and exact tails share nothing with it but the
-identity, which its agreement checks as well."""
+the reference grades its kernel calls and rounding charges.  The direct
+route's explicit terms share nothing with it but the identity, which its
+agreement checks as well; its exact tails are the same builder past K >= 1
+terms, which tests/test_closed.py grades on its own (consecutive tails
+differ by one term, and K = 0 matches the earlier hand-typed tables)."""
 
 import math
 from decimal import Decimal, localcontext
