@@ -12,6 +12,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from operator import truediv
 
 from .errors import DomainError, NoClosedFormError
 from .special import (
@@ -146,19 +147,24 @@ def _euler_tables(m):
 
 # ---------------------------------------------------------------------------
 # The moment families' exact tails past K terms, as (coefficient, shift,
-# alpha, two_pow_neg_s) terms with Fraction coefficients: the direct route
-# sums them at K in floats, and at K = 0 they are the closed forms.
+# alpha, two_pow_neg_s) terms: exact, with Fraction coefficients, at K = 0
+# they are the closed forms; with float ones, the direct route sums them at K.
 
 @lru_cache(maxsize=None)
-def _tail_coeffs(m, p, q, scale=1):
+def _tail_coeffs(m, p, q, scale=1, exact=False):
     """The K-independent parts of the tail past K of sum(n^m (p + q (-1)^(n-1))
     zeta(s, n), n >= 1) / scale: sum(n > K) n^-s (W(n) - W(K)), with W(n) =
     (p S_m(n) + q (-1)^(n-1) E_m(n + 1)/2) / scale, S_m the power-sum and E_m
-    the Euler polynomial.  Returns (den, P, Q, rest): -W(K) is
-    (P(K) + (-1)^K Q(K + 1)) / den, P and Q ascending integers; rest holds
-    S_m's c_d zeta(s - d, K + 1), and E_m(x + 1)'s e_d 2^(d-1) 2^-s
+    the Euler polynomial.  Returns (den, P, Q, rest, ratio): -W(K) is
+    ratio(P(K) + (-1)^K Q(K + 1), den), P and Q ascending integers; rest
+    holds S_m's c_d zeta(s - d, K + 1), and E_m(x + 1)'s e_d 2^(d-1) 2^-s
     zeta(s - d, .) over odd n minus even n, on lattice 0 (K + 1), 1 and 2
-    (the odd and even half lattice)."""
+    (the odd and even half lattice).  Unless exact, the coefficients are
+    float() of the exact ones, converted here once: ratio is then int / int
+    true division, which rounds as float() of the Fraction does."""
+    if not exact:
+        den, P, Q, rest, _ = _tail_coeffs(m, p, q, scale, True)
+        return den, P, Q, tuple((float(c), d, i, flag) for c, d, i, flag in rest), truediv
     p, q = Fraction(p, scale), Fraction(q, scale)
     dense = _faulhaber_fracs(m)
     e_poly, shifted = _euler_tables(m)
@@ -170,34 +176,35 @@ def _tail_coeffs(m, p, q, scale=1):
         w = q * c * 2 ** d / 2
         if w:
             rest += [(w, d, 1, True), (-w, d, 2, True)]
-    return den, tuple(int(c * den) for c in P), tuple(int(c * den) for c in Q), tuple(rest)
+    P, Q = (tuple(int(c * den) for c in poly) for poly in (P, Q))
+    return den, P, Q, tuple(rest), Fraction
 
 
-def _tail_terms(K, den, P, Q, rest):
+def _tail_terms(K, den, P, Q, rest, ratio):
     """The tail past K from _tail_coeffs' parts, zeta(s, K + 1)'s
     coefficient computed in integers."""
-    c0 = Fraction(sum(c * K ** d for d, c in enumerate(P))
-                  + (-1) ** K * sum(c * (K + 1) ** d for d, c in enumerate(Q)), den)
+    c0 = ratio(sum(c * K ** d for d, c in enumerate(P))
+               + (-1) ** K * sum(c * (K + 1) ** d for d, c in enumerate(Q)), den)
     x = (K + 1.0, (K + 1) // 2 + 0.5, K // 2 + 1.0)
     terms = [(c, d, x[i], flag) for c, d, i, flag in rest]
     return [(c0, 0, x[0], False)] + terms if c0 else terms
 
 
-def _moment_terms(m, K):
+def _moment_terms(m, K, exact=False):
     """Exact tail of sum(k^m zeta(s, k), k > K); m = 0 is kappa."""
-    return _tail_terms(K, *_tail_coeffs(m, 1, 0))
+    return _tail_terms(K, *_tail_coeffs(m, 1, 0, 1, exact))
 
 
-def _moment_alt_terms(m, K):
+def _moment_alt_terms(m, K, exact=False):
     """Exact tail of sum((-1)^(k-1) k^m zeta(s, k), k > K); m = 0 is kappa-alt."""
-    return _tail_terms(K, *_tail_coeffs(m, 0, 1))
+    return _tail_terms(K, *_tail_coeffs(m, 0, 1, 1, exact))
 
 
-def _even_arg_terms(m, K):
+def _even_arg_terms(m, K, exact=False):
     """Exact tail of sum(k^m zeta(s, 2k), k > K): 2^(-m-1) times the plain
     moment tail past 2K minus the alternating one, as k^m is
     2^(-m-1) (1 - (-1)^(n-1)) n^m at n = 2k, and that weight is 0 at odd n."""
-    return _tail_terms(2 * K, *_tail_coeffs(m, 1, -1, 2 ** (m + 1)))
+    return _tail_terms(2 * K, *_tail_coeffs(m, 1, -1, 2 ** (m + 1), exact))
 
 
 # zeta(s - d), 2^-s zeta(s - d) and 2^-s zeta(s - d, 1/2): the terms at K = 0
@@ -212,7 +219,7 @@ def _closed(build, m):
     2^-s zeta(s - d) to (C - t 2^-d, B + t, A + t) for the t in
     (0, -A, -B, C 2^d) that leaves the fewest nonzero, the first on a tie."""
     merged = {}
-    for c, d, alpha, flag in build(m, 0):
+    for c, d, alpha, flag in build(m, 0, exact=True):
         merged[d, alpha, flag] = merged.get((d, alpha, flag), 0) + c
     terms = []
     for d in sorted({key[0] for key in merged}):

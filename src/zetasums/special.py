@@ -310,6 +310,12 @@ def hurwitz_tail_bound(s, alpha):
     """
     _require_s(s, 1.0, "hurwitz_tail_bound")
     _require_positive(alpha, "hurwitz_tail_bound")
+    return _tail_bound(s, alpha)
+
+
+def _tail_bound(s, alpha):
+    """hurwitz_tail_bound without its input checks, for callers that hold
+    s > 1 and alpha > 0 already."""
     try:
         tail = alpha ** (1.0 - s) / (s - 1.0)
         bound = alpha ** -s + tail

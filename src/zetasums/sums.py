@@ -2,8 +2,9 @@
 
 Every family is a sum over k of weight(k) * zeta(s, arg(k)).  The evaluator
 adds explicit terms, then encloses the remainder: integer-lattice families by
-exact telescoped tail identities, unit/affine lattices by Euler-Maclaurin
-over the lattice with an enveloping remainder, alternating unit lattices by
+exact telescoped tail identities, unit lattices by the shifted sum's exact
+identity, affine lattices by Euler-Maclaurin over the lattice with an
+enveloping remainder, alternating unit lattices by
 the exact half-lattice identity, and alternating affine and exponentially
 weighted lattices by Boole summation and lattice halving
 (special._damped_lattice, at c = 0 for the alternating ones).  tail_bound
@@ -38,7 +39,6 @@ from .special import (
     EPS,
     Tolerance,
     fp_slop,
-    hurwitz_tail_bound,
     hurwitz_zeta,
     term_budget,
     _EM_C,
@@ -53,6 +53,7 @@ from .special import (
     _require_s,
     _require_tol,
     _sum_terms,
+    _tail_bound,
 )
 
 # the direct route checks its tail once at term 1, then from this term on
@@ -62,6 +63,8 @@ MIN_EXPLICIT = 16
 _CHUNK = 8
 
 _TAIL_FRACTION = 0.45
+
+_UNATTAINABLE = "requested tolerance is unattainable in double precision for this {}"
 
 
 class Family(Enum):
@@ -166,42 +169,61 @@ def _exact_tail(spec, K, budget):
 
 
 def _lattice_order(s, A, h):
-    """(order, envelope) of _lattice_tail's enclosure: the order minimizing a
-    cheap upper bound on the first omitted correction, and that bound."""
+    """(order, envelope, weights) of _lattice_tail's enclosure: the order j
+    minimizing the bound |w_{j+1}| hurwitz_tail_bound(s + 2j + 1, A) on the
+    first omitted correction, that bound, and the weights w_1 .. w_j of the
+    corrections kept, w_r = C_r h^(2r-1) (s)_(2r-1).
+
+    One pass: the Pochhammer symbol is a running product, multiplied in
+    _poch_raw's order, and the tail bound skips its input checks (s > 2 and
+    A > 0 hold here), so every figure has the bits of the separate calls."""
     best_j, best_env = 0, None
+    weights = []
+    poch = s  # (s)_1
     for j in range(_EM_MAX_ORDER + 1):
+        if j:
+            poch *= s + (2 * j - 1)
+            poch *= s + 2 * j
         try:
-            hp = h ** (2 * j + 1)
+            w = _EM_C[j + 1] * h ** (2 * j + 1) * poch
         except OverflowError:
             break  # h > 1: every later order overflows too
-        env = (abs(_EM_C[j + 1]) * hp * _poch_raw(s, 2 * j + 1)
-               * hurwitz_tail_bound(s + 2 * j + 1, A))
+        weights.append(w)
+        env = abs(w) * _tail_bound(s + 2 * j + 1, A)
         if best_env is None or env < best_env:
             best_j, best_env = j, env
-    return best_j, best_env
+    return best_j, best_env, weights[:best_j]
 
 
 def _lattice_tail(s, A, h, cap=math.inf):
-    """Euler-Maclaurin enclosure of sum(zeta(s, A + j*h), j >= 0); needs s > 2.
+    """Enclosure of sum(zeta(s, A + j*h), j >= 0); needs s > 2.
 
-    The integrand is completely monotone in the lattice coordinate, so the
-    remainder after any correction order is enveloped by the first omitted
-    correction.  A caller that can use no half-width above cap gets
-    (0.0, inf) without the zeta evaluations when the envelope alone exceeds it.
+    At unit spacing it is exactly zeta(s - 1, A) + (1 - A) zeta(s, A), the
+    shifted sum's identity from A: no envelope, and never capped.  Elsewhere
+    it is Euler-Maclaurin over the lattice.  The integrand is completely
+    monotone in the lattice coordinate, so the remainder after any correction
+    order is enveloped by the first omitted correction.  A caller that can use
+    no half-width above cap gets (0.0, inf) without the zeta evaluations when
+    the envelope alone exceeds it.
     """
-    best_j, best_env = _lattice_order(s, A, h)
-    if best_env > cap:
+    if h == 1.0:
+        terms = [(1.0, 1, A, False)]
+        if A != 1.0:
+            terms.append((1.0 - A, 0, A, False))
+        return _sum_terms(s, terms)
+    _, env, weights = _lattice_order(s, A, h)
+    if env > cap:
         return 0.0, math.inf
     terms = [(1.0 / (h * (s - 1.0)), 1, A, False), (0.5, 0, A, False)]
-    for r in range(1, best_j + 1):
-        wr = _EM_C[r] * h ** (2 * r - 1) * _poch_raw(s, 2 * r - 1)
-        terms.append((wr, 1 - 2 * r, A, False))  # zeta(s + 2r - 1, A)
-    return _sum_terms(s, terms, best_env)
+    # zeta(s + 2r - 1, A) for r = 1, 2, ...
+    terms += [(w, 1 - 2 * r, A, False) for r, w in enumerate(weights, 1)]
+    return _sum_terms(s, terms, env)
 
 
 def _affine_tail(spec, K, budget):
-    """Tail of the unit or affine lattice sum past K terms; (0.0, inf), with
-    no zeta evaluated, where the envelope alone exceeds tol."""
+    """Tail of the unit or affine lattice sum past K terms: exact at unit
+    spacing; elsewhere (0.0, inf), with no zeta evaluated, where the
+    envelope alone exceeds tol."""
     h, x0 = _RULES[spec.family].lattice(spec)
     return _lattice_tail(spec.s, h * K + x0, h, spec.tol.abs_tol)
 
@@ -419,15 +441,16 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
     formatted with the budget.
 
     A request no run within the budget can certify fails with the
-    "unattainable" DomainError: once the per-term error eats half of tol
+    "unattainable" DomainError at a failed check: once the terms' own
+    charges, their errors plus slop on their gross, exceed tol (such a check
+    evaluates neither the tail nor the probe); once they exceed half of tol
     (for DIRECT from MIN_EXPLICIT on, as the first term alone may charge more
-    and a later check still fit), or once the terms' own charges (their
-    errors plus slop on their gross) and far, the tail's own part (halfwidth
-    plus slop on its midpoint) probed at n = budget, add up to more than tol
-    at a failed check: the charges only grow and the tail's part only falls,
-    so no check up to the budget can pass.  The probe runs once, at the
-    first failed check with a finite halfwidth; an infinite one is a
-    truncation the tail skipped, not a floor.
+    and a later check still fit); or once they and far, the tail's own part
+    (halfwidth plus slop on its midpoint) probed at n = budget, add up to
+    more than tol.  The charges only grow and the tail's part only falls, so
+    no check up to the budget can pass.  The probe runs once, at the first
+    failed check with a finite halfwidth; an infinite one is a truncation
+    the tail skipped, not a floor.
     """
     if not isinstance(stop, StopRule):
         raise DomainError("stop must be a StopRule")
@@ -459,21 +482,21 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
         if next_check is None and n >= first and probe <= floor:
             next_check = n
         if next_check is not None and n >= next_check:
+            own = term_err + fp_slop(gross)
+            if own > tol:  # the check fails whatever the tail or the probe gives
+                raise DomainError(_UNATTAINABLE.format(what))
             mid, wid = tail(n)
             total = term_err + wid + fp_slop(gross + 2.0 * abs(mid))
             if total <= tol:
                 t = hi + mid
                 lo += (hi - t) + mid if abs(hi) >= abs(mid) else (mid - t) + hi
                 return SumResult(value=t + lo, terms_used=n, tail_bound=total, method=method)
-            own = term_err + fp_slop(gross)
             hopeless = n >= first and own > 0.5 * tol
             if not hopeless and far is None and wid < math.inf:
                 mid, wid = tail(budget)
                 far = wid + fp_slop(2.0 * abs(mid))
             if hopeless or far is not None and own + far > tol:
-                raise DomainError(
-                    f"requested tolerance is unattainable in double precision for this {what}"
-                )
+                raise DomainError(_UNATTAINABLE.format(what))
             next_check = max(first, n + max(cadence, n // 8))
 
 

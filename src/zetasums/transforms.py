@@ -63,7 +63,8 @@ def _prefactor(s, b, spacing, name):
 def kappa_ab_transformed(s, a, b, tol, *, stop=StopRule.EARLIEST):
     """sum over k >= 0 of zeta(s, ka+b) via the reciprocal lattice:
     a^-s * sum over n >= 0 of zeta(s, (n+b)/a), tail enclosed by
-    Euler-Maclaurin on the (b/a, 1/a) lattice.  Requires s > 2."""
+    Euler-Maclaurin on the (b/a, 1/a) lattice, exactly at a = 1.  Requires
+    s > 2."""
     spec = SumSpec(family=Family.GENERAL_AB, s=s, a=a, b=b, tol=tol)
     w = _prefactor(s, b, a, "a")
     tol_abs = tol.abs_tol

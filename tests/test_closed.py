@@ -418,12 +418,26 @@ class TestExactBuilder:
                 gap = math.fsum([hi, -lo, -w * v])
                 assert abs(gap) <= hi_err + lo_err + abs(w) * b + EPS * abs(w * v), (s, K)
 
+    @pytest.mark.parametrize("family", sorted(_BUILDERS))
+    def test_float_plan_is_the_exact_plan_converted(self, family):
+        # the direct route's tails take float coefficients converted once per
+        # m, and zeta(s, K + 1)'s as an int / int division: float() of the
+        # exact plan's Fractions, bit for bit
+        build = _BUILDERS[family][0]
+        for m in range(13):
+            for K in (0, 1, 2, 5, 16, 10 ** 7):
+                floats, exact = build(m, K), build(m, K, exact=True)
+                assert all(type(c) is float for c, *_ in floats)
+                assert [(float(c).hex(), *rest) for c, *rest in exact] == [
+                    (c.hex(), *rest) for c, *rest in floats
+                ], (m, K)
+
     def test_two_pow_neg_s_coefficients_are_dyadic(self):
         # such a coefficient converts exactly, so it rounds only in 2^-s and
         # in their product: the single charge of _sum_terms counts on it
         combos = [build().terms for build, _, _ in _OLD_TABLES.values()]
         for build, _, _ in _BUILDERS.values():
-            combos += [build(m, K) for m in range(13) for K in (0, 1, 2, 5, 16)]
+            combos += [build(m, K, exact=True) for m in range(13) for K in (0, 1, 2, 5, 16)]
         for terms in combos:
             for c, _, _, two_pow_neg_s in terms:
                 if two_pow_neg_s:

@@ -33,7 +33,8 @@ from zetasums import (
     shifted_closed,
     term_budget,
 )
-from zetasums.special import EPS
+from zetasums.closed import shifted_combination
+from zetasums.special import EPS, _EM_C, _EM_MAX_ORDER, _hurwitz_core, _poch_raw, _sum_terms
 from zetasums.sums import _int_power, _lattice_order, _lattice_tail, _tail_for
 
 T8 = Tolerance(1e-8)
@@ -264,10 +265,28 @@ class TestFirstCheck:
     def test_half_tol_refusal_waits_for_the_regular_schedule(self, monkeypatch):
         # the first term alone charges about 1.4e-9, more than half of every
         # ladder rung's tol: refused at term 1 by the 0.5 tol rule, the shifted
-        # sum would fail; its check at term 16 fits on a relaxed rung
+        # sum would fail; its check at term 1 fits on the last rung
         monkeypatch.delenv("ZS_TERM_BUDGET", raising=False)
         assert check_identity("2.3", s=6.376871133776569, a=0.10707628641657692,
                               tol=Tolerance(1.0270408662223447e-11)).passed
+
+    @pytest.mark.parametrize("method", [Method.DIRECT, Method.TRANSFORMED])
+    def test_hopeless_check_skips_the_tail(self, monkeypatch, method):
+        # the first term's own charge, 2, already exceeds tol = 1: no check
+        # can fit, so the first one refuses without the tail or the probe,
+        # also under a budget that ends before MIN_EXPLICIT
+        from zetasums.sums import _run_series
+
+        def tail(n):
+            raise AssertionError(f"tail({n}) evaluated")
+
+        for budget in ("8", "1000"):
+            monkeypatch.setenv("ZS_TERM_BUDGET", budget)
+            terms = []
+            with pytest.raises(DomainError, match="unattainable"):
+                _run_series(lambda n: (terms.append(n), (1.0, 2.0, 1.0))[1], tail, 1.0,
+                            StopRule.EARLIEST, method, None, "over budget")
+            assert terms == [0]
 
     def test_capped_lattice_check_makes_no_kernel_call(self, monkeypatch):
         # general-ab at a = 3: the tail's envelope past term 1 exceeds tol, so
@@ -515,3 +534,103 @@ class TestTailBoundHonesty:
         trans = kappa_ab_alt_transformed(s, a, b, tol)
         for r in (direct, trans):
             assert abs(r.value - ref) <= r.tail_bound, r.method
+
+
+def _two_pass_lattice_tail(s, A, h, cap=math.inf):
+    """_lattice_tail away from unit spacing as it was written before its
+    one-pass order choice: the reference the one pass must match bit for bit."""
+    best_j, best_env = _two_pass_lattice_order(s, A, h)
+    if best_env > cap:
+        return 0.0, math.inf
+    terms = [(1.0 / (h * (s - 1.0)), 1, A, False), (0.5, 0, A, False)]
+    for r in range(1, best_j + 1):
+        wr = _EM_C[r] * h ** (2 * r - 1) * _poch_raw(s, 2 * r - 1)
+        terms.append((wr, 1 - 2 * r, A, False))
+    return _sum_terms(s, terms, best_env)
+
+
+def _two_pass_lattice_order(s, A, h):
+    best_j, best_env = 0, None
+    for j in range(_EM_MAX_ORDER + 1):
+        try:
+            hp = h ** (2 * j + 1)
+        except OverflowError:
+            break
+        env = (abs(_EM_C[j + 1]) * hp * _poch_raw(s, 2 * j + 1)
+               * hurwitz_tail_bound(s + 2 * j + 1, A))
+        if best_env is None or env < best_env:
+            best_j, best_env = j, env
+    return best_j, best_env
+
+
+def _bits(tail, *args):
+    """A tail's (value, width) in float.hex, or the error it raised."""
+    try:
+        return tuple(map(float.hex, tail(*args)))
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestLatticeTail:
+    @pytest.mark.parametrize("s", [2.001, 2.5, 3.0, 6.0, 20.0])
+    @pytest.mark.parametrize("a", [0.125, 0.5, 1.0, 2.0, 3.375])
+    def test_unit_spacing_tails_differ_by_one_term(self, s, a):
+        # T(K) - T(K + 1) is zeta(s, K + a): this grades the exact tail at
+        # every K on its own (K + a is exact for these a)
+        for K in (0, 1, 2, 5, 16):
+            hi, hi_err = _lattice_tail(s, K + a, 1.0)
+            lo, lo_err = _lattice_tail(s, K + 1 + a, 1.0)
+            v, b = _hurwitz_core(s, K + a)
+            gap = math.fsum([hi, -lo, -v])
+            assert abs(gap) <= hi_err + lo_err + b, (K, gap)
+
+    def test_unit_spacing_tail_at_zero_is_the_closed_form(self):
+        # at K = 0 the exact tail is shifted_combination(a), bit for bit, so
+        # check_identity("2.3") compares one explicit term plus the tail at
+        # K = 1 with it
+        rng = random.Random(20261019)
+        loose = Tolerance(1e300)
+        for _ in range(300):
+            s, a = 2.0 + 10.0 ** rng.uniform(-3.0, 1.3), 10.0 ** rng.uniform(-1.0, 1.0)
+            for a in (a, 1.0):
+                got = _lattice_tail(s, a, 1.0, cap=0.0)  # never capped
+                want = shifted_combination(a).evaluate_with_bound(s, loose)
+                assert tuple(map(float.hex, got)) == tuple(map(float.hex, want)), (s, a)
+
+    @pytest.mark.parametrize("s, a", [(3.0, 0.5), (4.0, 0.25), (2.5, 2.0)])
+    def test_shifted_certifies_at_the_first_term(self, s, a):
+        # the Euler-Maclaurin tail fitted tol 1e-10 only from term 16 on
+        r = eval_direct(spec(Family.SHIFTED, s, a=a))
+        assert r.terms_used == 1
+        assert abs(r.value - shifted_closed(s, a)) <= r.tail_bound + 1e-12
+
+    def test_one_pass_matches_the_two_pass_code(self):
+        # 20 000 random (s, A, h, cap): h up to 10^1.5, and past 10^12, where
+        # h^(2j+1) leaves double range and the orders stop; A up to 1e12,
+        # where the tail bounds underflow, and at s > 300 down to 1e-3,
+        # where they overflow.  Every fourth point sums the tail as well
+        rng = random.Random(20261020)
+        seen = set()
+        for i in range(20000):
+            s = 2.0 + 10.0 ** rng.uniform(-6.0, 1.7 if i % 50 else 2.6)
+            A = 10.0 ** rng.uniform(-3.0, 12.0)
+            h = 10.0 ** (rng.uniform(-3.0, 1.5) if i % 100 else rng.uniform(12.0, 20.0))
+            cap = 10.0 ** rng.uniform(-300.0, 2.0) if rng.random() < 0.5 else math.inf
+            j, env = _two_pass_lattice_order(s, A, h)
+            order, envelope, weights = _lattice_order(s, A, h)
+            assert (order, envelope.hex()) == (j, env.hex()), (s, A, h)
+            assert len(weights) == order
+            if i % 4 == 0:
+                args = (s, A, h, cap)
+                assert _bits(_lattice_tail, *args) == _bits(_two_pass_lattice_tail, *args), args
+            seen.add("capped" if env > cap else "fits")
+            t = s + 2 * _EM_MAX_ORDER + 1  # the last order's tail bound
+            try:
+                seen.add("underflow" if A ** (1.0 - t) / (t - 1.0) < 2.0 ** -1022 else "normal")
+            except OverflowError:
+                seen.add("overflow")
+            try:
+                h ** (2 * _EM_MAX_ORDER + 1)
+            except OverflowError:
+                seen.add("orders stop")
+        assert seen == {"capped", "fits", "underflow", "normal", "overflow", "orders stop"}
