@@ -115,10 +115,11 @@ def cmd_eval(args):
         tol=Tolerance(args.tol),
     )
     if args.method == "auto":
-        # a closed form where one exists, else the cheaper series route
+        # a closed form where one exists and certifies tol, else the cheaper
+        # series route, whose own error is the one reported if it fails too
         try:
             r = _closed_route(spec)
-        except NoClosedFormError:
+        except (NoClosedFormError, DomainError):
             if spec.family in _TRANSFORMED and choose_method(spec) is Method.TRANSFORMED:
                 r = _run_transformed(spec, args.stop)
             else:

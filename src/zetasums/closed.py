@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import truediv
 
-from .errors import DomainError, NoClosedFormError
+from .errors import DomainError
 from .special import (
     BOUNDARY_MARGIN,
     Tolerance,
@@ -240,7 +240,7 @@ def kappa_combination():
 def kappa_alt_combination():
     """sum over k >= 1 of (-1)^(k-1) zeta(s, k)  ==  (1 - 2^-s) zeta(s)
     ==  2^-s zeta(s, 1/2): the m = 0 alternating moment sum."""
-    return _closed(_moment_alt_terms, 0)
+    return moment_alt_combination(0)
 
 
 def shifted_combination(a):
@@ -270,22 +270,15 @@ def moment_combination(m):
 
 
 def moment_alt_combination(m):
-    """Alternating k^m-weighted sum; closed forms are served for m in {1, 2}."""
+    """sum over k >= 1 of (-1)^(k-1) k^m zeta(s, k), its coefficients from the
+    Euler polynomial E_m; m = 0 is kappa-alt."""
     _require_m(m, "moment_alt_combination")
-    if m == 0:
-        raise NoClosedFormError(
-            "m = 0 alternating sum is the plain alternating family; use kappa_alt_closed"
-        )
-    if m > 2:
-        raise NoClosedFormError(f"no closed form for the alternating moment sum with m = {m}")
     return _closed(_moment_alt_terms, m)
 
 
 def even_arg_moment_combination(m):
-    """k^m-weighted sum over zeta(s, 2k); closed forms are served for m in {1, 2}."""
+    """sum over k >= 1 of k^m zeta(s, 2k): 2^(-m-1) (plain - alternating moment sum)."""
     _require_m(m, "even_arg_moment_combination")
-    if m not in (1, 2):
-        raise NoClosedFormError(f"no closed form for the even-argument moment sum with m = {m}")
     return _closed(_even_arg_terms, m)
 
 
@@ -330,8 +323,6 @@ def combination_split(s, m, *, tol=_DEFAULT_CLOSED_TOL):
     identity is the direct route (check_identity's even-m1 and even-m2,
     tests/test_family_soundness.py)."""
     _require_tol(tol)
-    if m not in (1, 2):
-        raise NoClosedFormError("combination_split needs both routes; only m in {1, 2}")
     half = Tolerance(tol.abs_tol * 0.5)
     plain = moment_closed(s, m, tol=half)
     alt = moment_alt_closed(s, m, tol=half)

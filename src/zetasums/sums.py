@@ -26,8 +26,6 @@ from .closed import (
     _moment_terms,
     _require_m,
     even_arg_moment_combination,
-    kappa_alt_combination,
-    kappa_combination,
     moment_alt_combination,
     moment_combination,
     shifted_alt_combination,
@@ -336,14 +334,6 @@ _Rule = namedtuple("_Rule", "s_min params weight lattice tail closed exact", def
 
 
 _RULES = {
-    Family.KAPPA: _Rule(
-        2.0, frozenset(), _plain, lambda spec: (1.0, 1.0), _exact_tail,
-        lambda spec: kappa_combination(), _moment_terms,
-    ),
-    Family.KAPPA_ALT: _Rule(
-        1.0, frozenset(), _alternating, lambda spec: (1.0, 1.0), _exact_tail,
-        lambda spec: kappa_alt_combination(), _moment_alt_terms,
-    ),
     Family.MOMENT: _Rule(
         2.0, frozenset({"m"}), _plain, lambda spec: (1.0, 1.0), _exact_tail,
         lambda spec: moment_combination(spec.m), _moment_terms,
@@ -375,6 +365,9 @@ _RULES = {
         lambda spec: (spec.a, spec.b), _damped_tail,
     ),
 }
+# kappa and kappa-alt are the moment sums at m = 0, the only m they take
+_RULES[Family.KAPPA] = _RULES[Family.MOMENT]._replace(params=frozenset())
+_RULES[Family.KAPPA_ALT] = _RULES[Family.MOMENT_ALT]._replace(params=frozenset())
 
 
 def _tail_for(spec, n_taken, budget):

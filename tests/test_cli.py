@@ -64,9 +64,9 @@ class TestEval:
         (("kappa-alt", "--s", "1.5"), "CLOSED_FORM"),
         (("moment", "--m", "3", "--s", "6.5"), "CLOSED_FORM"),
         (("moment-alt", "--m", "2", "--s", "4"), "CLOSED_FORM"),
-        (("moment-alt", "--m", "3", "--s", "5"), "DIRECT"),
+        (("moment-alt", "--m", "3", "--s", "5"), "CLOSED_FORM"),
         (("even-arg-moment", "--m", "1", "--s", "4"), "CLOSED_FORM"),
-        (("even-arg-moment", "--m", "3", "--s", "6"), "DIRECT"),
+        (("even-arg-moment", "--m", "3", "--s", "6"), "CLOSED_FORM"),
         (("shifted", "--s", "3", "--a", "0.5"), "CLOSED_FORM"),
         (("shifted-alt", "--s", "2", "--a", "0.3"), "CLOSED_FORM"),
         (("general-ab", "--s", "4", "--a", "0.01"), "TRANSFORMED"),
@@ -80,6 +80,21 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--family", *argv, "--format", "json")
         assert code == 0
         assert json.loads(out)["method"] == method
+
+    @pytest.mark.parametrize("argv", [
+        ("moment", "--m", "12", "--s", "14.5", "--tol", "1e-14"),
+        ("moment-alt", "--m", "12", "--s", "13.5", "--tol", "1e-12"),
+    ])
+    def test_auto_falls_back_where_the_closed_form_cannot_certify_tol(self, capsys, argv):
+        # the closed form's cancellation costs more than tol; the direct
+        # route's exact tail certifies at its first term
+        code, _, err = run(capsys, "eval", "--family", *argv, "--method", "closed")
+        assert code == 2 and "unattainable" in err
+        code, out, _ = run(capsys, "eval", "--family", *argv, "--format", "json")
+        assert code == 0
+        r = json.loads(out)
+        assert r["method"] == "DIRECT" and r["terms_used"] == 1
+        assert r["tail_bound"] <= float(argv[-1])
 
     def test_floor_count_beyond_double_range_is_a_typed_error(self, capsys, monkeypatch):
         # near s = 1 the floor crossing overflows a double; it counts as past
@@ -116,6 +131,8 @@ class TestEval:
         ("general-ab", "--a", "0.5", "--b", "1e-11", "--method", "direct"),
         ("general-ab", "--a", "1e308", "--b", "1", "--method", "direct"),  # 2a + b = inf
         ("shifted", "--a", "1e-11", "--method", "closed"),
+        # the closed route fails, and so does the direct one auto falls back to
+        ("shifted", "--a", "1e-11", "--method", "auto"),
         ("exp-weighted", "--a", "0.5", "--b", "1e-11", "--c", "0.5", "--method", "auto"),
         ("exp-weighted", "--a", "0.5", "--b", "1e-11", "--c", "0.5", "--method", "direct"),
         ("exp-weighted", "--a", "0.5", "--b", "1e-11", "--c", "0.5", "--method", "transformed"),

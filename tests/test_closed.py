@@ -9,13 +9,16 @@ from helpers import quad_family_sum
 from oracles import brute_power_sum
 from zetasums import (
     DomainError,
-    NoClosedFormError,
+    Family,
     Sign,
+    SumSpec,
     Tolerance,
     ZetaCombination,
     ZetaTerm,
     combination_split,
+    convergence_threshold,
     eulerian_polynomial,
+    eval_direct,
     even_arg_moment_closed,
     even_arg_moment_combination,
     faulhaber_coeffs,
@@ -40,6 +43,7 @@ from zetasums.closed import (
     _moment_terms,
 )
 from zetasums.special import EPS, _hurwitz_core, _sum_terms
+from zetasums.sums import _closed_route
 
 T12 = Tolerance(1e-12)
 
@@ -217,11 +221,9 @@ class TestMomentAlt:
         )
         assert math.isclose(moment_alt_closed(5.0, 2), want, rel_tol=1e-13)
 
-    def test_no_closed_form_outside_m_one_two(self):
-        with pytest.raises(NoClosedFormError):
-            moment_alt_closed(6.0, 3)
-        with pytest.raises(NoClosedFormError):
-            moment_alt_closed(6.0, 0)
+    def test_m_zero_is_kappa_alt_and_m_three_has_five_terms(self):
+        assert moment_alt_combination(0) == kappa_alt_combination()
+        assert len(moment_alt_combination(3).terms) == 5
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -248,9 +250,9 @@ class TestEvenArgMoment:
         )
         assert math.isclose(even_arg_moment_closed(5.0, 2), want, rel_tol=1e-12)
 
-    def test_no_closed_form_outside_m_one_two(self):
-        with pytest.raises(NoClosedFormError):
-            even_arg_moment_closed(6.0, 3)
+    def test_m_zero_has_two_terms_and_m_three_five(self):
+        assert len(even_arg_moment_combination(0).terms) == 2
+        assert len(even_arg_moment_combination(3).terms) == 5
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -263,6 +265,16 @@ class TestCombinationEval:
     def test_split_routes_agree(self):
         lhs, rhs = combination_split(5.0, 1)
         assert abs(lhs - rhs) <= 1e-12
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_split_routes_agree_within_their_bounds(self, m):
+        s, loose = m + 3.5, Tolerance(1.0)
+        b_plain = moment_combination(m).evaluate_with_bound(s, loose)[1]
+        b_alt = moment_alt_combination(m).evaluate_with_bound(s, loose)[1]
+        b_even = even_arg_moment_combination(m).evaluate_with_bound(s, loose)[1]
+        lhs, rhs = combination_split(s, m, tol=Tolerance(1e-9))
+        # the half-difference rounds once more, in its subtraction
+        assert abs(lhs - rhs) <= 2.0 ** (-m - 1) * (b_plain + b_alt) + b_even + EPS * abs(lhs)
 
     def test_bound_is_honest(self):
         combo = moment_combination(2)
@@ -306,8 +318,9 @@ class TestCombinationEval:
         with pytest.raises(DomainError, match="Tolerance"):
             combination_split(4.0, 1, tol=1e-8)
 
-    def test_split_needs_both_routes(self):
-        with pytest.raises(NoClosedFormError, match="only m in"):
+    def test_split_needs_s_past_both_routes(self):
+        # m = 3 needs s > 5, as the plain moment form reaches zeta(s - 4)
+        with pytest.raises(DomainError, match="combination needs s >"):
             combination_split(4.0, 3)
 
 
@@ -417,6 +430,19 @@ class TestExactBuilder:
                 v, b = _hurwitz_core(s, float(point(K + 1)))
                 gap = math.fsum([hi, -lo, -w * v])
                 assert abs(gap) <= hi_err + lo_err + abs(w) * b + EPS * abs(w * v), (s, K)
+
+    @pytest.mark.parametrize("family", [Family.MOMENT_ALT, Family.EVEN_ARG_MOMENT])
+    @pytest.mark.parametrize("m", range(13))
+    def test_closed_form_agrees_with_direct_for_every_m(self, family, m):
+        # the direct route at a tol relative to the sum, so that its bound
+        # stays tight where the sum is small
+        for gap in (0.02, 0.1, 0.5, 1.0, 3.0, 8.0):
+            s = convergence_threshold(family, m) + gap
+            closed = _closed_route(SumSpec(family, s, m=m, tol=Tolerance(1.0)))
+            tol = Tolerance(max(1e-12 * abs(closed.value), 2.0 ** -52))
+            direct = eval_direct(SumSpec(family, s, m=m, tol=tol))
+            assert closed.terms_used == (1 if (family, m) == (Family.MOMENT_ALT, 0) else m + 2)
+            assert abs(closed.value - direct.value) <= closed.tail_bound + direct.tail_bound, s
 
     @pytest.mark.parametrize("family", sorted(_BUILDERS))
     def test_float_plan_is_the_exact_plan_converted(self, family):

@@ -36,10 +36,14 @@ _CASES = [
     (Family.MOMENT, 1),
     (Family.MOMENT, 2),
     (Family.MOMENT, 3),
+    (Family.MOMENT_ALT, 0),
     (Family.MOMENT_ALT, 1),
     (Family.MOMENT_ALT, 2),
+    (Family.MOMENT_ALT, 6),
+    (Family.EVEN_ARG_MOMENT, 0),
     (Family.EVEN_ARG_MOMENT, 1),
     (Family.EVEN_ARG_MOMENT, 2),
+    (Family.EVEN_ARG_MOMENT, 6),
     (Family.SHIFTED, 0),
     (Family.SHIFTED_ALT, 0),
 ]

@@ -35,7 +35,7 @@ from zetasums import (
 )
 from zetasums.closed import shifted_combination
 from zetasums.special import EPS, _EM_C, _EM_MAX_ORDER, _hurwitz_core, _poch_raw, _sum_terms
-from zetasums.sums import _int_power, _lattice_order, _lattice_tail, _tail_for
+from zetasums.sums import _closed_route, _int_power, _lattice_order, _lattice_tail, _tail_for
 
 T8 = Tolerance(1e-8)
 T10 = Tolerance(1e-10)
@@ -157,6 +157,16 @@ class TestEvalDirectValues:
         for sp, want in cases:
             r = eval_direct(sp)
             assert abs(r.value - want) <= r.tail_bound + 1e-12, sp.family
+
+    def test_kappa_rows_are_the_moment_rows_at_m_zero(self):
+        for kappa, moment, s in ((Family.KAPPA, Family.MOMENT, 3.5),
+                                 (Family.KAPPA_ALT, Family.MOMENT_ALT, 1.5)):
+            for tol in (Tolerance(1e-6), Tolerance(1e-13)):
+                for route in (eval_direct, _closed_route):
+                    got = route(SumSpec(kappa, s, tol=tol))
+                    want = route(SumSpec(moment, s, m=0, tol=tol))
+                    assert got == want, (kappa, tol, route)
+                    assert got.value.hex() == want.value.hex()
 
     def test_matches_integral_route(self):
         cases = [
