@@ -15,11 +15,9 @@ from .special import Tolerance, bernoulli_fraction
 from .closed import eulerian_polynomial, faulhaber_coeffs
 from .sums import Family, Method, Sign, StopRule, SumSpec, eval_direct, _closed_route
 from .transforms import _TRANSFORMED, _run_transformed, _timed_compare, choose_method
-from .catalog import IDENTITY_KEYS, check_identity, default_grid, resolve_key
+from .catalog import DEFAULT_IDENTITY_TOL, IDENTITY_KEYS, check_identity, default_grid, resolve_key
 
 # eval shares the benchmark's accuracy anchor; identity checks run tighter
-_EVAL_DEFAULT_TOL = 1e-8
-_IDENTITY_DEFAULT_TOL = 1e-10
 _BENCH_DEFAULT_TOL = 1e-8
 
 
@@ -309,7 +307,7 @@ def _build_parser():
     p_eval.add_argument("--b", type=_positive_float, default=1.0)
     p_eval.add_argument("--c", type=float, default=0.0)
     p_eval.add_argument("--sign", type=_sign, default=Sign.PLUS)
-    p_eval.add_argument("--tol", type=_positive_float, default=_EVAL_DEFAULT_TOL)
+    p_eval.add_argument("--tol", type=_positive_float, default=_BENCH_DEFAULT_TOL)
     p_eval.add_argument(
         "--method", choices=("auto", "direct", "closed", "transformed"), default="auto"
     )
@@ -325,7 +323,7 @@ def _build_parser():
     p_id.add_argument("--b", type=_positive_float, default=None)
     p_id.add_argument("--c", type=float, default=None)
     p_id.add_argument("--sign", type=_sign, default=None)
-    p_id.add_argument("--tol", type=_positive_float, default=_IDENTITY_DEFAULT_TOL)
+    p_id.add_argument("--tol", type=_positive_float, default=DEFAULT_IDENTITY_TOL.abs_tol)
     p_id.add_argument("--grid", choices=("default",), default=None)
     p_id.add_argument("--format", choices=("text", "json"), default="text")
     p_id.add_argument("--output", default=None)
@@ -356,7 +354,7 @@ def _build_parser():
     p_table.add_argument("--b", type=_positive_float, default=None)
     p_table.add_argument("--c", type=float, default=None)
     p_table.add_argument("--sign", type=_sign, default=None)
-    p_table.add_argument("--tol", type=_positive_float, default=_IDENTITY_DEFAULT_TOL)
+    p_table.add_argument("--tol", type=_positive_float, default=DEFAULT_IDENTITY_TOL.abs_tol)
     p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_table.add_argument("--output", default=None)
     p_table.set_defaults(run=cmd_table)

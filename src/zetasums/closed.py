@@ -19,6 +19,7 @@ from .special import (
     BOUNDARY_MARGIN,
     Tolerance,
     bernoulli_fraction,
+    _certified,
     _require_positive,
     _require_tol,
     _sum_terms,
@@ -66,17 +67,11 @@ class ZetaCombination(namedtuple("ZetaCombination", "terms")):
         _require_tol(tol)
         if not math.isfinite(s):
             raise DomainError("s must be finite")
-        for t in self.terms:
-            if s - t.s_shift - 1.0 <= BOUNDARY_MARGIN:
-                raise DomainError(
-                    f"combination needs s > {t.s_shift + 1}, got s = {s}"
-                )
+        shift = max(t.s_shift for t in self.terms)
+        if s - shift - 1.0 <= BOUNDARY_MARGIN:
+            raise DomainError(f"combination needs s > {shift + 1}, got s = {s}")
         value, bound = _sum_terms(s, self.terms)
-        if bound > tol.abs_tol:
-            raise DomainError(
-                "requested tolerance is unattainable in double precision for this combination"
-            )
-        return value, bound
+        return _certified(value, bound, tol, "this combination"), bound
 
     def evaluate(self, s, tol):
         return self.evaluate_with_bound(s, tol)[0]

@@ -190,8 +190,8 @@ def _em_walk(s, z, head, hi, lo, gross, corr):
 def _hurwitz_core(s, alpha):
     """zeta(s, alpha) for s > 1, alpha > 0 with a certified absolute bound.
 
-    Returns (value, bound) of one Euler-Maclaurin pass.  No domain
-    validation here.
+    Returns (value, bound) of one Euler-Maclaurin pass, DomainError where a
+    step leaves double range (alpha = inf too).  No domain validation here.
 
     The split point N puts z = N + alpha at or past 20 (2 ceil(s) for
     s >= 10), or N = _HURWITZ_N_CAP where that is not reached; z = alpha
@@ -205,26 +205,24 @@ def _hurwitz_core(s, alpha):
     """
     split = 20 if s < 10.0 else 2 * math.ceil(s)
     neg_s = -s
-    if split <= alpha < math.inf:
-        # z = alpha exactly, so dz = 0: the general pass's operations less those
-        # on zeros
-        zs = alpha ** neg_s
-        if zs < _NORMAL_MIN:
-            # alpha^-s lost its bits to underflow, and head and half with it.
-            # zeta lies within alpha^-s (< 2 _NORMAL_MIN) above the integral
-            # alpha^(1-s)/(s-1); 1 - s and s - 1 are exact, pow and / round
-            head = alpha ** (1.0 - s) / (s - 1.0)
-            return head, fp_slop(head) + 2.0 * _NORMAL_MIN
-        head = zs * alpha / (s - 1.0)
-        half = 0.5 * zs
-        hi = head + half
-        return _em_walk(s, alpha, head, hi, (head - hi) + half, hi, _EM_C[1] * s * zs / alpha)
-    if alpha == math.inf:
-        raise _beyond_double_range(s, alpha)
-    n_terms = min(math.ceil(split - alpha), _HURWITZ_N_CAP)
-    # explicit terms: Neumaier pair, and the sum of x^-s d/x
-    part_hi = part_lo = drift = 0.0
     try:
+        if split <= alpha < math.inf:
+            # z = alpha exactly, so dz = 0: the general pass's operations less those
+            # on zeros
+            zs = alpha ** neg_s
+            if zs < _NORMAL_MIN:
+                # alpha^-s lost its bits to underflow, and head and half with it.
+                # zeta lies within alpha^-s (< 2 _NORMAL_MIN) above the integral
+                # alpha^(1-s)/(s-1); 1 - s and s - 1 are exact, pow and / round
+                head = alpha ** (1.0 - s) / (s - 1.0)
+                return head, fp_slop(head) + 2.0 * _NORMAL_MIN
+            head = zs * alpha / (s - 1.0)
+            half = 0.5 * zs
+            hi = head + half
+            return _em_walk(s, alpha, head, hi, (head - hi) + half, hi, _EM_C[1] * s * zs / alpha)
+        n_terms = min(math.ceil(split - alpha), _HURWITZ_N_CAP)
+        # explicit terms: Neumaier pair, and the sum of x^-s d/x
+        part_hi = part_lo = drift = 0.0
         for n in map(float, range(n_terms)):
             x = n + alpha
             d = alpha - (x - n) if n >= alpha else n - (x - alpha)
@@ -240,22 +238,22 @@ def _hurwitz_core(s, alpha):
         zs = z ** neg_s
         head = zs * z / (s - 1.0)
         half = 0.5 * zs
+        lo = part_lo - s * drift - dz * ((s - 1.0) * head + s * half)
+        hi = part_hi + head
+        if part_hi >= head:
+            lo += (part_hi - hi) + head
+        else:
+            lo += (head - hi) + part_hi
+        # from here on hi >= head > half > |every correction| (z >= 20 and
+        # z >= 2s make the first correction < head/48): Fast2Sum needs no branch
+        t = hi + half
+        lo += (hi - t) + half
+        hi = t
+        # every explicit term is positive, so their sum is also their gross
+        gross = part_hi + part_lo + head + half
+        return _em_walk(s, z, head, hi, lo, gross, _EM_C[1] * s * zs / z * (1.0 - (s + 1.0) * dz))
     except OverflowError:
         raise _beyond_double_range(s, alpha) from None
-    lo = part_lo - s * drift - dz * ((s - 1.0) * head + s * half)
-    hi = part_hi + head
-    if part_hi >= head:
-        lo += (part_hi - hi) + head
-    else:
-        lo += (head - hi) + part_hi
-    # from here on hi >= head > half > |every correction| (z >= 20 and
-    # z >= 2s make the first correction < head/48): Fast2Sum needs no branch
-    t = hi + half
-    lo += (hi - t) + half
-    hi = t
-    # every explicit term is positive, so their sum is also their gross
-    gross = part_hi + part_lo + head + half
-    return _em_walk(s, z, head, hi, lo, gross, _EM_C[1] * s * zs / z * (1.0 - (s + 1.0) * dz))
 
 
 def _sum_terms(s, terms, envelope=0.0):
@@ -394,7 +392,7 @@ def _boole(phi, s, c, x0, hs, trunc, ref, exact=False):
     c < 1, by Boole's summation.  The first omitted correction T gives the
     remainder's midpoint T/2 and half-width |T|/2; the walk stops once |T|/2
     is at most trunc or _DAMPED_NEGLIGIBLE of ref plus the head G(0)/2
-    (done), or at the first correction that does not shrink.
+    (done), or at the first correction that does not shrink or overflows.
     M_m = sum_i binom(m, i) c^(m-i) hs^i |F^(i)(x0)| is |G^(m)(0)|.
     exact: x0 is the lattice origin itself, not a rounded lattice point."""
     xr = 0.0 if exact else s
@@ -427,7 +425,10 @@ def _boole(phi, s, c, x0, hs, trunc, ref, exact=False):
     for n in range(2, n_max + 1):
         if 0.5 * abs(t) <= stop:
             break
-        nxt, nxt_err = corr(n)
+        try:
+            nxt, nxt_err = corr(n)
+        except OverflowError:
+            break  # hs^i or F^(i) leaves double range; t stays the first omitted one
         if abs(nxt) >= abs(t):
             break
         parts.append(t)
@@ -596,11 +597,12 @@ def _lerch_core(z, s, alpha, target):
         raise _beyond_double_range(s, alpha) from None
 
 
-def _certified(value, bound, tol):
+_UNATTAINABLE = "requested tolerance is unattainable in double precision for {}"
+
+
+def _certified(value, bound, tol, what="these inputs"):
     if bound > tol.abs_tol:
-        raise DomainError(
-            "requested tolerance is unattainable in double precision for these inputs"
-        )
+        raise DomainError(_UNATTAINABLE.format(what))
     return value
 
 

@@ -41,7 +41,7 @@ from .special import (
     term_budget,
     _EM_C,
     _EM_MAX_ORDER,
-    _beyond_double_range,
+    _UNATTAINABLE,
     _certified,
     _damped_zeta,
     _hurwitz_core,
@@ -61,8 +61,6 @@ MIN_EXPLICIT = 16
 _CHUNK = 8
 
 _TAIL_FRACTION = 0.45
-
-_UNATTAINABLE = "requested tolerance is unattainable in double precision for this {}"
 
 
 class Family(Enum):
@@ -443,15 +441,16 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
     more than tol.  The charges only grow and the tail's part only falls, so
     no check up to the budget can pass.  The probe runs once, at the first
     failed check with a finite halfwidth; an infinite one is a truncation
-    the tail skipped, not a floor.
+    the tail skipped, not a floor.  An OverflowError in a term or a tail
+    ends typed, naming the route, not its value, as beyond double range.
     """
     if not isinstance(stop, StopRule):
         raise DomainError("stop must be a StopRule")
     budget = term_budget()
     if method is Method.DIRECT:
-        first, cadence, what = MIN_EXPLICIT, _CHUNK, "sum"
+        first, cadence, what = MIN_EXPLICIT, _CHUNK, "this sum"
     else:
-        first, cadence, what = 1, 1, "transformation"
+        first, cadence, what = 1, 1, "this transformation"
     if stop is StopRule.TERM_FLOOR and count is not None and count > budget + 1:
         # one term of margin for the rounding in floor_crossing_arg
         raise TermBudgetError(over_budget.format(budget=budget))
@@ -462,35 +461,38 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
     n = 0
     next_check = 1 if stop is StopRule.EARLIEST else None
     far = None
-    while True:
-        if n >= budget:
-            raise TermBudgetError(over_budget.format(budget=budget))
-        value, err, probe = term(n)
-        gross += abs(value)
-        t = hi + value
-        lo += (hi - t) + value if abs(hi) >= abs(value) else (value - t) + hi
-        hi = t
-        term_err += err
-        n += 1
-        if next_check is None and n >= first and probe <= floor:
-            next_check = n
-        if next_check is not None and n >= next_check:
-            own = term_err + fp_slop(gross)
-            if own > tol:  # the check fails whatever the tail or the probe gives
-                raise DomainError(_UNATTAINABLE.format(what))
-            mid, wid = tail(n)
-            total = term_err + wid + fp_slop(gross + 2.0 * abs(mid))
-            if total <= tol:
-                t = hi + mid
-                lo += (hi - t) + mid if abs(hi) >= abs(mid) else (mid - t) + hi
-                return SumResult(value=t + lo, terms_used=n, tail_bound=total, method=method)
-            hopeless = n >= first and own > 0.5 * tol
-            if not hopeless and far is None and wid < math.inf:
-                mid, wid = tail(budget)
-                far = wid + fp_slop(2.0 * abs(mid))
-            if hopeless or far is not None and own + far > tol:
-                raise DomainError(_UNATTAINABLE.format(what))
-            next_check = max(first, n + max(cadence, n // 8))
+    try:
+        while True:
+            if n >= budget:
+                raise TermBudgetError(over_budget.format(budget=budget))
+            value, err, probe = term(n)
+            gross += abs(value)
+            t = hi + value
+            lo += (hi - t) + value if abs(hi) >= abs(value) else (value - t) + hi
+            hi = t
+            term_err += err
+            n += 1
+            if next_check is None and n >= first and probe <= floor:
+                next_check = n
+            if next_check is not None and n >= next_check:
+                own = term_err + fp_slop(gross)
+                if own > tol:  # the check fails whatever the tail or the probe gives
+                    raise DomainError(_UNATTAINABLE.format(what))
+                mid, wid = tail(n)
+                total = term_err + wid + fp_slop(gross + 2.0 * abs(mid))
+                if total <= tol:
+                    t = hi + mid
+                    lo += (hi - t) + mid if abs(hi) >= abs(mid) else (mid - t) + hi
+                    return SumResult(value=t + lo, terms_used=n, tail_bound=total, method=method)
+                hopeless = n >= first and own > 0.5 * tol
+                if not hopeless and far is None and wid < math.inf:
+                    mid, wid = tail(budget)
+                    far = wid + fp_slop(2.0 * abs(mid))
+                if hopeless or far is not None and own + far > tol:
+                    raise DomainError(_UNATTAINABLE.format(what))
+                next_check = max(first, n + max(cadence, n // 8))
+    except OverflowError:
+        raise DomainError(f"a term or tail of {what} exceeds double range") from None
 
 
 def lerch_phi(z, s, alpha, tol):
@@ -534,13 +536,10 @@ def lerch_phi(z, s, alpha, tol):
             t = math.exp(k * math.log(q) - s * math.log(k + alpha))
         return 0.0, t / (1.0 - rho)
 
-    try:
-        return _run_series(
-            term, tail, tol.abs_tol, StopRule.EARLIEST, Method.DIRECT, None,
-            "lerch series exceeded the term budget ({budget})",
-        ).value
-    except OverflowError:
-        raise _beyond_double_range(s, alpha) from None
+    return _run_series(
+        term, tail, tol.abs_tol, StopRule.EARLIEST, Method.DIRECT, None,
+        "lerch series exceeded the term budget ({budget})",
+    ).value
 
 
 def eval_direct(spec, *, stop=StopRule.EARLIEST):

@@ -57,6 +57,10 @@ class TestCheckIdentity:
         assert check_identity("4.2", s=4.0, a=0.1, b=1.0).passed
         assert check_identity("4.4", s=3.0, a=0.5, b=1.0, c=0.7, sign=Sign.PLUS).passed
         assert check_identity("corollary", s=2.0, a=1.5, sign=Sign.MINUS).passed
+        # spacing 1e40: a^8 leaves double range inside both sides' Boole walks
+        assert check_identity(
+            "4.4", s=1.01, a=1e40, b=1.0, c=1e-3, sign=Sign.PLUS, tol=Tolerance(1e-6)
+        ).passed
 
     def test_moment_keys_carry_m(self):
         rep = check_identity("3.2", s=4.5)

@@ -158,6 +158,12 @@ class TestEval:
         # the reciprocal lattice (n + b)/(2a) starts at inf
         (("general-ab-alt", "--a", "1.5e-12", "--b", "1e300", "--s", "2.5", "--tol", "1e-4",
           "--method", "transformed"), "double range"),
+        # a strip integral's (K + x)^-s, 5e-9^-40, overflowed on the reciprocal lattice
+        (("general-ab-alt", "--a", "1", "--b", "1e-8", "--s", "40", "--method", "transformed"),
+         "double range"),
+        # a^8 overflowed Boole's walk in the tails of both routes
+        *((("exp-weighted", "--a", "1e40", "--b", "1", "--c", "0.001", "--s", "1.01", "--tol",
+            "1e-6", "--method", method), None) for method in ("auto", "direct", "transformed")),
     ])
     def test_extreme_affine_inputs_end_typed(self, capsys, argv, error):
         start = time.perf_counter()
@@ -169,15 +175,24 @@ class TestEval:
             return
         assert code == 0 and err == ""
         r = json.loads(out)
-        # the weights alternate on one point b: the sum is zeta(s, b)/(1 + e^-c),
-        # and zeta(s, b) lies within b^-s (below 1e-450) above b^(1-s)/(s - 1)
         mpmath = pytest.importorskip("mpmath")
         s, b = float(argv[argv.index("--s") + 1]), mpmath.mpf(1e300)
         c = float(argv[argv.index("--c") + 1]) if "--c" in argv else 0.0
+        tol = float(argv[argv.index("--tol") + 1])
         with mpmath.workdps(40):
-            want = b ** (1 - s) / (s - 1) / (1 + mpmath.exp(-c))
+            z = mpmath.exp(-c)
+            if "1e300" in argv:
+                # the weights alternate on one point b: the sum is zeta(s, b)/(1 + e^-c),
+                # and zeta(s, b) lies within b^-s (below 1e-450) above b^(1-s)/(s - 1)
+                want = b ** (1 - s) / (s - 1) / (1 + z)
+            else:
+                # past k = 0, zeta(s, 1e40 k + 1) is (1e40 k)^(1-s)/(s - 1) within
+                # 1e-40 of itself: the rest is a Lerch transcendent
+                ms = mpmath.mpf(s)
+                want = mpmath.zeta(ms) + mpmath.mpf(1e40) ** (1 - ms) * z * mpmath.lerchphi(
+                    z, ms - 1, 1) / (ms - 1)
             assert abs(r["value"] - want) <= r["tail_bound"]
-        assert r["tail_bound"] <= 1e-4
+        assert r["tail_bound"] <= tol
 
     @pytest.mark.parametrize("budget", ["20000", None])
     def test_lerch_floor_count_past_budget_fails_at_once(self, capsys, monkeypatch, budget):

@@ -199,8 +199,10 @@ class TestMoment:
             assert combo == want, m
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            moment_closed(4.0, 3)  # needs s > m + 2
+        # the threshold named is the combination's, past its largest shift
+        # m + 1, not the first term's out of range
+        with pytest.raises(DomainError, match=r"needs s > 5, got s = 4\.0"):
+            moment_closed(4.0, 3)
         with pytest.raises(DomainError):
             moment_closed(5.0, 13)
 
@@ -228,6 +230,8 @@ class TestMomentAlt:
     def test_domain(self):
         with pytest.raises(DomainError):
             moment_alt_closed(2.0, 1)  # needs s > m + 1
+        with pytest.raises(DomainError, match=r"needs s > 7, got s = 3\.0"):
+            moment_alt_closed(3.0, 6)
 
 
 class TestEvenArgMoment:
@@ -320,7 +324,7 @@ class TestCombinationEval:
 
     def test_split_needs_s_past_both_routes(self):
         # m = 3 needs s > 5, as the plain moment form reaches zeta(s - 4)
-        with pytest.raises(DomainError, match="combination needs s >"):
+        with pytest.raises(DomainError, match="combination needs s > 5,"):
             combination_split(4.0, 3)
 
 
