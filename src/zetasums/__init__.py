@@ -1,142 +1,22 @@
 """Certified evaluation of zeta-family sums: direct summation with rigorous
 truncation bounds, exact closed forms, and fast reciprocal-lattice
 transformations.
+
+Each module lists its public names once, in its __all__; the package
+re-exports exactly those.
 """
 
-from .errors import (
-    DomainError,
-    NoClosedFormError,
-    TermBudgetError,
-    ZetaSumsError,
-)
-from .special import (
-    DEFAULT_TERM_BUDGET,
-    Tolerance,
-    bernoulli_fraction,
-    bernoulli_numbers,
-    dirichlet_eta,
-    gamma_fn,
-    hurwitz_tail_bound,
-    hurwitz_zeta,
-    pochhammer,
-    riemann_zeta,
-    term_budget,
-)
-from .sums import (
-    MIN_EXPLICIT,
-    Family,
-    Method,
-    Sign,
-    StopRule,
-    SumResult,
-    SumSpec,
-    convergence_threshold,
-    eval_direct,
-    floor_crossing_arg,
-    lerch_phi,
-)
-from .closed import (
-    ZetaCombination,
-    ZetaTerm,
-    combination_split,
-    eulerian_polynomial,
-    even_arg_moment_closed,
-    even_arg_moment_combination,
-    faulhaber_coeffs,
-    kappa_alt_closed,
-    kappa_alt_combination,
-    kappa_closed,
-    kappa_combination,
-    moment_alt_closed,
-    moment_alt_combination,
-    moment_closed,
-    moment_combination,
-    shifted_alt_closed,
-    shifted_alt_combination,
-    shifted_closed,
-    shifted_combination,
-)
-from .transforms import (
-    TransformReport,
-    choose_method,
-    compare_methods,
-    corollary_b_equals_a,
-    kappa_ab_alt_transformed,
-    kappa_ab_transformed,
-    s_pm_transformed,
-    term_count_estimate,
-)
-from .catalog import (
-    ALIASES,
-    DEFAULT_IDENTITY_TOL,
-    IDENTITY_KEYS,
-    IdentityReport,
-    check_identity,
-    default_grid,
-    resolve_key,
-)
+from . import catalog, closed, errors, special, sums, transforms
+from .errors import *
+from .special import *
+from .sums import *
+from .closed import *
+from .transforms import *
+from .catalog import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALIASES",
-    "DEFAULT_IDENTITY_TOL",
-    "DEFAULT_TERM_BUDGET",
-    "DomainError",
-    "Family",
-    "IDENTITY_KEYS",
-    "IdentityReport",
-    "MIN_EXPLICIT",
-    "Method",
-    "NoClosedFormError",
-    "Sign",
-    "StopRule",
-    "SumResult",
-    "SumSpec",
-    "TermBudgetError",
-    "Tolerance",
-    "TransformReport",
-    "ZetaCombination",
-    "ZetaSumsError",
-    "ZetaTerm",
-    "bernoulli_fraction",
-    "bernoulli_numbers",
-    "check_identity",
-    "choose_method",
-    "combination_split",
-    "compare_methods",
-    "convergence_threshold",
-    "corollary_b_equals_a",
-    "default_grid",
-    "dirichlet_eta",
-    "eulerian_polynomial",
-    "eval_direct",
-    "even_arg_moment_closed",
-    "even_arg_moment_combination",
-    "faulhaber_coeffs",
-    "floor_crossing_arg",
-    "gamma_fn",
-    "hurwitz_tail_bound",
-    "hurwitz_zeta",
-    "kappa_ab_alt_transformed",
-    "kappa_ab_transformed",
-    "kappa_alt_closed",
-    "kappa_alt_combination",
-    "kappa_closed",
-    "kappa_combination",
-    "lerch_phi",
-    "moment_alt_closed",
-    "moment_alt_combination",
-    "moment_closed",
-    "moment_combination",
-    "pochhammer",
-    "resolve_key",
-    "riemann_zeta",
-    "s_pm_transformed",
-    "shifted_alt_closed",
-    "shifted_alt_combination",
-    "shifted_closed",
-    "shifted_combination",
-    "term_budget",
-    "term_count_estimate",
-]
+__all__ = (
+    errors.__all__ + special.__all__ + sums.__all__
+    + closed.__all__ + transforms.__all__ + catalog.__all__
+)

@@ -6,10 +6,15 @@ bounds and passes iff the observed gap fits inside the combined budget.
 
 from collections import namedtuple
 
-from .errors import DomainError
+from .errors import DomainError, UnattainableError
 from .special import Tolerance, _require_tol
 from .sums import _RULES, Family, Sign, StopRule, SumSpec, eval_direct, _affine, _closed_route
 from .transforms import _run_transformed
+
+__all__ = [
+    "DEFAULT_IDENTITY_TOL", "IDENTITY_KEYS", "ALIASES", "resolve_key", "IdentityReport",
+    "check_identity", "default_grid",
+]
 
 DEFAULT_IDENTITY_TOL = Tolerance(1e-10)
 
@@ -76,14 +81,15 @@ _LADDER = (1.0, 4.0, 16.0, 64.0, 256.0)
 
 def _with_ladder(run, tol_abs):
     """Run an evaluation, relaxing the requested tolerance geometrically when
-    the request sits below the double-precision floor for these magnitudes.
-    The returned bound is always the achieved one, so the pass/fail budget
-    stays honest regardless of which rung succeeded."""
+    the request sits below the double-precision floor for these magnitudes:
+    only an UnattainableError climbs the ladder, as no looser tol mends any
+    other refusal.  The returned bound is always the achieved one, so the
+    pass/fail budget stays honest regardless of which rung succeeded."""
     last = None
     for factor in _LADDER:
         try:
             return run(Tolerance(tol_abs * factor))
-        except DomainError as exc:
+        except UnattainableError as exc:
             last = exc
     raise last
 

@@ -292,6 +292,15 @@ def cmd_table(args):
 
 # ---------------------------------------------------------------------------
 
+def _point_options(parser, ab, c, sign, tol):
+    """Add the point options --a, --b (both defaulting to ab), --c, --sign and --tol."""
+    parser.add_argument("--a", type=_positive_float, default=ab)
+    parser.add_argument("--b", type=_positive_float, default=ab)
+    parser.add_argument("--c", type=float, default=c)
+    parser.add_argument("--sign", type=_sign, default=sign)
+    parser.add_argument("--tol", type=_positive_float, default=tol)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="zetasums",
@@ -303,11 +312,7 @@ def _build_parser():
     p_eval.add_argument("--family", type=_family, required=True)
     p_eval.add_argument("--s", type=float, required=True)
     p_eval.add_argument("--m", type=int, default=0)
-    p_eval.add_argument("--a", type=_positive_float, default=1.0)
-    p_eval.add_argument("--b", type=_positive_float, default=1.0)
-    p_eval.add_argument("--c", type=float, default=0.0)
-    p_eval.add_argument("--sign", type=_sign, default=Sign.PLUS)
-    p_eval.add_argument("--tol", type=_positive_float, default=_BENCH_DEFAULT_TOL)
+    _point_options(p_eval, 1.0, 0.0, Sign.PLUS, _BENCH_DEFAULT_TOL)
     p_eval.add_argument(
         "--method", choices=("auto", "direct", "closed", "transformed"), default="auto"
     )
@@ -319,11 +324,7 @@ def _build_parser():
     p_id = sub.add_parser("identity-check", help="verify a two-route identity")
     p_id.add_argument("identity", help="catalog key, alias, or 'all'")
     p_id.add_argument("--s", type=float, default=None)
-    p_id.add_argument("--a", type=_positive_float, default=None)
-    p_id.add_argument("--b", type=_positive_float, default=None)
-    p_id.add_argument("--c", type=float, default=None)
-    p_id.add_argument("--sign", type=_sign, default=None)
-    p_id.add_argument("--tol", type=_positive_float, default=DEFAULT_IDENTITY_TOL.abs_tol)
+    _point_options(p_id, None, None, None, DEFAULT_IDENTITY_TOL.abs_tol)
     p_id.add_argument("--grid", choices=("default",), default=None)
     p_id.add_argument("--format", choices=("text", "json"), default="text")
     p_id.add_argument("--output", default=None)
@@ -350,11 +351,7 @@ def _build_parser():
     p_table.add_argument("--s-grid", type=_grid_range, default=None)
     p_table.add_argument("--c-grid", type=_grid_range, default=None)
     p_table.add_argument("--s", type=float, default=None)
-    p_table.add_argument("--a", type=_positive_float, default=None)
-    p_table.add_argument("--b", type=_positive_float, default=None)
-    p_table.add_argument("--c", type=float, default=None)
-    p_table.add_argument("--sign", type=_sign, default=None)
-    p_table.add_argument("--tol", type=_positive_float, default=DEFAULT_IDENTITY_TOL.abs_tol)
+    _point_options(p_table, None, None, None, DEFAULT_IDENTITY_TOL.abs_tol)
     p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_table.add_argument("--output", default=None)
     p_table.set_defaults(run=cmd_table)

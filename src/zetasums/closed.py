@@ -25,6 +25,15 @@ from .special import (
     _sum_terms,
 )
 
+__all__ = [
+    "ZetaTerm", "ZetaCombination", "eulerian_polynomial", "faulhaber_coeffs",
+    "kappa_combination", "kappa_alt_combination", "shifted_combination",
+    "shifted_alt_combination", "moment_combination", "moment_alt_combination",
+    "even_arg_moment_combination", "kappa_closed", "kappa_alt_closed", "shifted_closed",
+    "shifted_alt_closed", "moment_closed", "moment_alt_closed", "even_arg_moment_closed",
+    "combination_split",
+]
+
 _M_MAX = 12
 
 

@@ -1,5 +1,10 @@
 """Error types shared across the package."""
 
+__all__ = [
+    "ZetaSumsError", "DomainError", "UnattainableError", "NoClosedFormError",
+    "TermBudgetError",
+]
+
 
 class ZetaSumsError(Exception):
     """Base class for all library errors."""
@@ -7,6 +12,11 @@ class ZetaSumsError(Exception):
 
 class DomainError(ZetaSumsError):
     """Parameter outside the operation's domain (or within 1e-12 of its boundary)."""
+
+
+class UnattainableError(DomainError):
+    """The requested tolerance lies below what double precision can certify
+    for these inputs; a looser tolerance may succeed."""
 
 
 class NoClosedFormError(ZetaSumsError):

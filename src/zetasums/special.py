@@ -20,7 +20,13 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, UnattainableError
+
+__all__ = [
+    "DEFAULT_TERM_BUDGET", "term_budget", "Tolerance", "bernoulli_fraction",
+    "bernoulli_numbers", "gamma_fn", "pochhammer", "hurwitz_zeta", "riemann_zeta",
+    "hurwitz_tail_bound", "dirichlet_eta",
+]
 
 EPS = 2.0 ** -52
 TOL_FLOOR = 2.0 ** -52
@@ -602,7 +608,7 @@ _UNATTAINABLE = "requested tolerance is unattainable in double precision for {}"
 
 def _certified(value, bound, tol, what="these inputs"):
     if bound > tol.abs_tol:
-        raise DomainError(_UNATTAINABLE.format(what))
+        raise UnattainableError(_UNATTAINABLE.format(what))
     return value
 
 

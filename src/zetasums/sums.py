@@ -31,7 +31,7 @@ from .closed import (
     shifted_alt_combination,
     shifted_combination,
 )
-from .errors import DomainError, NoClosedFormError, TermBudgetError
+from .errors import DomainError, NoClosedFormError, TermBudgetError, UnattainableError
 from .special import (
     BOUNDARY_MARGIN,
     EPS,
@@ -53,6 +53,11 @@ from .special import (
     _sum_terms,
     _tail_bound,
 )
+
+__all__ = [
+    "MIN_EXPLICIT", "Family", "Sign", "Method", "StopRule", "convergence_threshold", "SumSpec",
+    "SumResult", "floor_crossing_arg", "lerch_phi", "eval_direct",
+]
 
 # the direct route checks its tail once at term 1, then from this term on
 # every _CHUNK terms; the "unattainable" refusal at half of tol waits for it
@@ -431,8 +436,8 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
     within the budget up front.  over_budget is the TermBudgetError message,
     formatted with the budget.
 
-    A request no run within the budget can certify fails with the
-    "unattainable" DomainError at a failed check: once the terms' own
+    A request no run within the budget can certify fails with
+    UnattainableError at a failed check: once the terms' own
     charges, their errors plus slop on their gross, exceed tol (such a check
     evaluates neither the tail nor the probe); once they exceed half of tol
     (for DIRECT from MIN_EXPLICIT on, as the first term alone may charge more
@@ -477,7 +482,7 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
             if next_check is not None and n >= next_check:
                 own = term_err + fp_slop(gross)
                 if own > tol:  # the check fails whatever the tail or the probe gives
-                    raise DomainError(_UNATTAINABLE.format(what))
+                    raise UnattainableError(_UNATTAINABLE.format(what))
                 mid, wid = tail(n)
                 total = term_err + wid + fp_slop(gross + 2.0 * abs(mid))
                 if total <= tol:
@@ -489,7 +494,7 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
                     mid, wid = tail(budget)
                     far = wid + fp_slop(2.0 * abs(mid))
                 if hopeless or far is not None and own + far > tol:
-                    raise DomainError(_UNATTAINABLE.format(what))
+                    raise UnattainableError(_UNATTAINABLE.format(what))
                 next_check = max(first, n + max(cadence, n // 8))
     except OverflowError:
         raise DomainError(f"a term or tail of {what} exceeds double range") from None

@@ -37,6 +37,12 @@ from .sums import (
     _unweighted,
 )
 
+__all__ = [
+    "kappa_ab_transformed", "kappa_ab_alt_transformed", "corollary_b_equals_a",
+    "s_pm_transformed", "term_count_estimate", "choose_method", "TransformReport",
+    "compare_methods",
+]
+
 _TAIL_FRACTION = 0.7
 _TERMS_FRACTION = 0.2
 _OVER_BUDGET = (

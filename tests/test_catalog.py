@@ -2,14 +2,17 @@
 
 import pytest
 
+import zetasums.catalog as catalog
 from zetasums import (
     ALIASES,
     IDENTITY_KEYS,
     DomainError,
     Sign,
     Tolerance,
+    UnattainableError,
     check_identity,
     default_grid,
+    eval_direct,
     resolve_key,
 )
 
@@ -88,6 +91,33 @@ class TestCheckIdentity:
         # rung of the relaxation ladder
         with pytest.raises(DomainError, match="unattainable"):
             check_identity("2.1", s=2.001, tol=Tolerance(2.0 ** -52))
+
+    @staticmethod
+    def _direct_tols(monkeypatch):
+        """The tol of each left-hand side run, recorded as it is made."""
+        tols = []
+
+        def counted(spec, **kwargs):
+            tols.append(spec.tol.abs_tol)
+            return eval_direct(spec, **kwargs)
+
+        monkeypatch.setattr(catalog, "eval_direct", counted)
+        return tols
+
+    def test_double_range_refusal_ends_at_the_first_rung(self, monkeypatch):
+        tols = self._direct_tols(monkeypatch)
+        # (1e-8)^-40 leaves double range whatever the tol: no rung can mend it
+        with pytest.raises(DomainError, match="exceeds double range") as exc:
+            check_identity("4.3", s=40.0, a=1.0, b=1e-8)
+        assert not isinstance(exc.value, UnattainableError)
+        assert tols == [1e-10]
+
+    def test_unattainable_refusal_climbs_every_rung(self, monkeypatch):
+        tols = self._direct_tols(monkeypatch)
+        # the sum is about 0.02^-9 ~ 5e15: its rounding exceeds even 256 tol
+        with pytest.raises(UnattainableError, match="unattainable"):
+            check_identity("2.3", s=9.0, a=0.02, tol=Tolerance(1e-8))
+        assert tols == [1e-8 * f for f in (1.0, 4.0, 16.0, 64.0, 256.0)]
 
     def test_json_dict_shape(self):
         d = check_identity("2.2", s=1.5).to_json_dict()

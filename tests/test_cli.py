@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import argparse
 import json
 import re
 import time
@@ -7,7 +8,7 @@ import time
 import pytest
 
 import zetasums.cli as cli
-from zetasums import IdentityReport, eulerian_polynomial
+from zetasums import IdentityReport, Sign, StopRule, eulerian_polynomial
 
 
 def run(capsys, *argv):
@@ -484,6 +485,91 @@ class TestUsageErrors:
             cli.main(list(argv))
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+
+_HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None, False, None)
+_FORMATS = ("text", "json")
+_FORMATS_CSV = ("text", "json", "csv")
+
+# every action of each subcommand, in order: option strings, dest, default,
+# choices, required, type; the top-level parser holds only -h
+_ACTIONS = {
+    "eval": [
+        _HELP,
+        (("--family",), "family", None, None, True, cli._family),
+        (("--s",), "s", None, None, True, float),
+        (("--m",), "m", 0, None, False, int),
+        (("--a",), "a", 1.0, None, False, cli._positive_float),
+        (("--b",), "b", 1.0, None, False, cli._positive_float),
+        (("--c",), "c", 0.0, None, False, float),
+        (("--sign",), "sign", Sign.PLUS, None, False, cli._sign),
+        (("--tol",), "tol", 1e-8, None, False, cli._positive_float),
+        (("--method",), "method", "auto", ("auto", "direct", "closed", "transformed"), False,
+         None),
+        (("--stop",), "stop", StopRule.EARLIEST, None, False, cli._stop),
+        (("--format",), "format", "text", _FORMATS, False, None),
+        (("--output",), "output", None, None, False, None),
+    ],
+    "identity-check": [
+        _HELP,
+        ((), "identity", None, None, True, None),
+        (("--s",), "s", None, None, False, float),
+        (("--a",), "a", None, None, False, cli._positive_float),
+        (("--b",), "b", None, None, False, cli._positive_float),
+        (("--c",), "c", None, None, False, float),
+        (("--sign",), "sign", None, None, False, cli._sign),
+        (("--tol",), "tol", 1e-10, None, False, cli._positive_float),
+        (("--grid",), "grid", None, ("default",), False, None),
+        (("--format",), "format", "text", _FORMATS, False, None),
+        (("--output",), "output", None, None, False, None),
+    ],
+    "benchmark": [
+        _HELP,
+        (("--s",), "s", 4.0, None, False, float),
+        (("--b",), "b", 1.0, None, False, cli._positive_float),
+        (("--tol",), "tol", 1e-8, None, False, cli._positive_float),
+        (("--a-list",), "a_list", [0.1, 0.01], None, False, cli._float_list),
+        (("--format",), "format", "text", _FORMATS_CSV, False, None),
+        (("--output",), "output", None, None, False, None),
+    ],
+    "table": [
+        _HELP,
+        (("--identity",), "identity", None, None, False, None),
+        (("--family",), "family_table", None, ("eulerian", "faulhaber", "bernoulli"), False,
+         None),
+        (("--m-max",), "m_max", 6, None, False, int),
+        (("--s-grid",), "s_grid", None, None, False, cli._grid_range),
+        (("--c-grid",), "c_grid", None, None, False, cli._grid_range),
+        (("--s",), "s", None, None, False, float),
+        (("--a",), "a", None, None, False, cli._positive_float),
+        (("--b",), "b", None, None, False, cli._positive_float),
+        (("--c",), "c", None, None, False, float),
+        (("--sign",), "sign", None, None, False, cli._sign),
+        (("--tol",), "tol", 1e-10, None, False, cli._positive_float),
+        (("--format",), "format", "text", _FORMATS_CSV, False, None),
+        (("--output",), "output", None, None, False, None),
+    ],
+}
+
+
+def _rows(parser):
+    return [
+        (tuple(a.option_strings), a.dest, a.default, a.choices, a.required, a.type)
+        for a in parser._actions
+        if not isinstance(a, argparse._SubParsersAction)
+    ]
+
+
+def test_parser_declares_the_pinned_options():
+    # the structure, not the rendered --help, which argparse words
+    # differently from one Python version to the next
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert _rows(parser) == [_HELP]
+    assert (sub.dest, sub.required) == ("subcommand", True)
+    assert list(sub.choices) == list(_ACTIONS)
+    for name, rows in _ACTIONS.items():
+        assert _rows(sub.choices[name]) == rows, name
 
 
 def _grid_by_loop(lo, hi, step):
