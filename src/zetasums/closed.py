@@ -79,7 +79,7 @@ class ZetaCombination(namedtuple("ZetaCombination", "terms")):
         shift = max(t.s_shift for t in self.terms)
         if s - shift - 1.0 <= BOUNDARY_MARGIN:
             raise DomainError(f"combination needs s > {shift + 1}, got s = {s}")
-        value, bound = _sum_terms(s, self.terms)
+        value, bound = _sum_terms(s, getattr(self.terms, "rows", self.terms))
         return _certified(value, bound, tol, "this combination"), bound
 
     def evaluate(self, s, tol):
@@ -215,6 +215,10 @@ def _even_arg_terms(m, K, exact=False):
 _AT_ZERO = ((1.0, False), (1.0, True), (0.5, True))
 
 
+class _Terms(tuple):
+    """A cached combination's terms; rows holds them with float coefficients."""
+
+
 @lru_cache(maxsize=None)
 def _closed(build, m):
     """build's exact tail at K = 0 in its fewest terms, as a ZetaCombination:
@@ -233,7 +237,10 @@ def _closed(build, m):
             key=lambda cba: sum(map(bool, cba)),
         )
         terms += [ZetaTerm(w, d, *form) for w, form in zip(best, _AT_ZERO) if w]
-    return ZetaCombination(tuple(terms))
+    terms = _Terms(terms)
+    # converted once for _sum_terms: float() of a Fraction rounds exactly
+    terms.rows = tuple((float(c), d, alpha, flag) for c, d, alpha, flag in terms)
+    return ZetaCombination(terms)
 
 
 def kappa_combination():

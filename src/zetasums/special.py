@@ -166,33 +166,6 @@ _EM_STEPS = tuple(
 )
 
 
-def _em_walk(s, z, head, hi, lo, gross, corr):
-    """(value, bound) of hi + lo, a Neumaier pair of magnitude gross ending in
-    head + half, closed by the Euler-Maclaurin corrections at z from corr, the
-    first, z^{-s-1}: it carries the first-order factor for the rounding of z,
-    and the later ones, each under 1/100 of it, inherit it, missing (2r - 2) dz
-    of each, far inside the rounding charge.  Their magnitudes are log-convex
-    in r, so the first that does not shrink is the smallest first omitted term."""
-    z2 = 1.0 / (z * z)
-    env = abs(corr)
-    negligible = _EM_NEGLIGIBLE * head
-    for ratio, k1, k2 in _EM_STEPS:
-        if env <= negligible:
-            break
-        nxt = corr * ratio * (s + k1) * (s + k2) * z2
-        if abs(nxt) >= env:
-            break
-        t = hi + corr
-        lo += (hi - t) + corr
-        hi = t
-        gross += env
-        corr = nxt
-        env = abs(nxt)
-    # (s EPS)^2 per unit of gross covers the second-order remainder of
-    # every compensated addend
-    return hi + lo, env + fp_slop(gross) + (s * EPS) ** 2 * gross
-
-
 def _hurwitz_core(s, alpha):
     """zeta(s, alpha) for s > 1, alpha > 0 with a certified absolute bound.
 
@@ -207,14 +180,21 @@ def _hurwitz_core(s, alpha):
     charge: more explicit terms could not lower the bound.  The rounding of
     n + alpha would grow by a factor s in (n + alpha)^-s, so it is
     compensated to first order: x = fl(n + alpha) misses by d exactly
-    (Fast2Sum), and x^-s (1 - s d/x) is the term.
+    (Fast2Sum), and x^-s (1 - s d/x) is the term.  Where z - N == alpha,
+    every n + alpha, n <= N, is exact (or at alpha >= 2^53 every power is 0),
+    so the exact-lattice pass leaves out that arithmetic on zeros.  Every
+    pass closes in one walk over the corrections from the first, z^{-s-1}:
+    it carries the first-order factor for the rounding of z, and the later
+    ones, each under 1/100 of it, inherit it, missing (2r - 2) dz of each,
+    far inside the rounding charge.  Their magnitudes are log-convex in r,
+    so the first that does not shrink is the smallest first omitted term.
     """
     split = 20 if s < 10.0 else 2 * math.ceil(s)
     neg_s = -s
     try:
         if split <= alpha < math.inf:
-            # z = alpha exactly, so dz = 0: the general pass's operations less those
-            # on zeros
+            # z = alpha exactly, so dz = 0: the general pass less its operations on zeros
+            z = alpha
             zs = alpha ** neg_s
             if zs < _NORMAL_MIN:
                 # alpha^-s lost its bits to underflow, and head and half with it.
@@ -224,40 +204,71 @@ def _hurwitz_core(s, alpha):
                 return head, fp_slop(head) + 2.0 * _NORMAL_MIN
             head = zs * alpha / (s - 1.0)
             half = 0.5 * zs
-            hi = head + half
-            return _em_walk(s, alpha, head, hi, (head - hi) + half, hi, _EM_C[1] * s * zs / alpha)
-        n_terms = min(math.ceil(split - alpha), _HURWITZ_N_CAP)
-        # explicit terms: Neumaier pair, and the sum of x^-s d/x
-        part_hi = part_lo = drift = 0.0
-        for n in map(float, range(n_terms)):
-            x = n + alpha
-            d = alpha - (x - n) if n >= alpha else n - (x - alpha)
-            t = x ** neg_s
-            drift += t * d / x
-            # terms fall with n, so part_hi >= t (or part_hi = 0, where the
-            # sum is exact): Fast2Sum needs no branch
-            hi = part_hi + t
-            part_lo += (part_hi - hi) + t
-            part_hi = hi
-        z = n_terms + alpha
-        dz = (alpha - (z - n_terms) if n_terms >= alpha else n_terms - (z - alpha)) / z
-        zs = z ** neg_s
-        head = zs * z / (s - 1.0)
-        half = 0.5 * zs
-        lo = part_lo - s * drift - dz * ((s - 1.0) * head + s * half)
-        hi = part_hi + head
-        if part_hi >= head:
-            lo += (part_hi - hi) + head
+            hi = gross = head + half
+            lo = (head - hi) + half
+            corr = _EM_C[1] * s * zs / alpha
         else:
-            lo += (head - hi) + part_hi
-        # from here on hi >= head > half > |every correction| (z >= 20 and
-        # z >= 2s make the first correction < head/48): Fast2Sum needs no branch
-        t = hi + half
-        lo += (hi - t) + half
-        hi = t
-        # every explicit term is positive, so their sum is also their gross
-        gross = part_hi + part_lo + head + half
-        return _em_walk(s, z, head, hi, lo, gross, _EM_C[1] * s * zs / z * (1.0 - (s + 1.0) * dz))
+            n_terms = min(math.ceil(split - alpha), _HURWITZ_N_CAP)
+            z = n_terms + alpha
+            zs = z ** neg_s
+            head = zs * z / (s - 1.0)
+            half = 0.5 * zs
+            corr = _EM_C[1] * s * zs / z
+            # explicit terms: Neumaier pair, and the sum of x^-s d/x; terms fall with n,
+            # so part_hi >= t (or part_hi = 0, where the sum is exact): no branch
+            part_hi = part_lo = 0.0
+            if z - n_terms == alpha:
+                x = alpha
+                for _ in range(n_terms):
+                    t = x ** neg_s
+                    x += 1.0  # n + alpha, exactly
+                    hi = part_hi + t
+                    part_lo += (part_hi - hi) + t
+                    part_hi = hi
+                lo = part_lo
+            else:
+                drift = 0.0
+                for n in map(float, range(n_terms)):
+                    x = n + alpha
+                    d = alpha - (x - n) if n >= alpha else n - (x - alpha)
+                    t = x ** neg_s
+                    drift += t * d / x
+                    hi = part_hi + t
+                    part_lo += (part_hi - hi) + t
+                    part_hi = hi
+                dz = (alpha - (z - n_terms) if n_terms >= alpha else n_terms - (z - alpha)) / z
+                lo = part_lo - s * drift - dz * ((s - 1.0) * head + s * half)
+                corr *= 1.0 - (s + 1.0) * dz
+            hi = part_hi + head
+            if part_hi >= head:
+                lo += (part_hi - hi) + head
+            else:
+                lo += (head - hi) + part_hi
+            # from here on hi >= head > half > |every correction| (z >= 20 and
+            # z >= 2s make the first correction < head/48): Fast2Sum needs no branch
+            t = hi + half
+            lo += (hi - t) + half
+            hi = t
+            # every explicit term is positive, so their sum is also their gross
+            gross = part_hi + part_lo + head + half
+        z2 = 1.0 / (z * z)
+        env = abs(corr)
+        negligible = _EM_NEGLIGIBLE * head
+        for ratio, k1, k2 in _EM_STEPS:
+            if env <= negligible:
+                break
+            nxt = corr * ratio * (s + k1) * (s + k2) * z2
+            size = abs(nxt)
+            if size >= env:
+                break
+            t = hi + corr
+            lo += (hi - t) + corr
+            hi = t
+            gross += env
+            corr, env = nxt, size
+        # (s EPS)^2 per unit of gross covers the second-order remainder of
+        # every compensated addend
+        return hi + lo, env + fp_slop(gross) + (s * EPS) ** 2 * gross
     except OverflowError:
         raise _beyond_double_range(s, alpha) from None
 
@@ -374,14 +385,17 @@ def _boole_start(s):
 
 
 def _power_phi(s):
-    """phi for F(x) = x^-s, s > 0: (s)_i x^(-s-i), within (i + 2) EPS."""
+    """phi for F(x) = x^-s, s > 0: (s)_i x^(-s-i), within (i + 2) EPS, plus ((s)_i + 1)
+    2^-1074 where the power or the product is subnormal: each rounds by 2^-1074 at most."""
     poch = [1.0]
 
     def phi(x, i):
         while len(poch) <= i:
             poch.append(poch[-1] * (s + len(poch) - 1))
-        v = poch[i] * x ** (-s - i)
-        return v, (i + 2.0) * EPS * v
+        p = x ** (-s - i)
+        v = poch[i] * p
+        under = (poch[i] + 1.0) * 2.0 ** -1074 if p < _NORMAL_MIN or v < _NORMAL_MIN else 0.0
+        return v, (i + 2.0) * EPS * v + under
 
     return phi
 
@@ -452,6 +466,7 @@ def _alternating(phi, s, c, X, h, first, step, target):
     hs = step * h
     lead = _boole_start(s) - (X + first * h) / hs  # -inf where X/hs overflows
     n_exp = math.ceil(lead) if lead > 0.0 else 0
+    q, grow = math.exp(-c), 1.0 + (s + 4.0) * EPS  # see the rest's bound below
     for attempt in range(_BOOLE_RETRIES + 1):
         if attempt:
             n_exp = max(2 * n_exp, 8)
@@ -465,7 +480,7 @@ def _alternating(phi, s, c, X, h, first, step, target):
             gross += w * v
             err += w * ev + (s + e + 1.0) * EPS * w * v
             # the rest lies between 0 and the next term, at most e^-c w F(x_j)
-            nxt = math.exp(-c) * w * (v + ev) * (1.0 + (s + 4.0) * EPS)
+            nxt = q * w * (v + ev) * grow
             if 0.5 * nxt <= max(0.5 * target, _DAMPED_NEGLIGIBLE * gross):
                 terms.append(-0.5 * nxt if j % 2 == 0 else 0.5 * nxt)
                 value = math.fsum(terms)

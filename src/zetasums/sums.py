@@ -24,6 +24,7 @@ from .closed import (
     _even_arg_terms,
     _moment_alt_terms,
     _moment_terms,
+    _M_MAX,
     _require_m,
     even_arg_moment_combination,
     moment_alt_combination,
@@ -69,6 +70,7 @@ _TAIL_FRACTION = 0.45
 
 
 class Family(Enum):
+    __hash__ = object.__hash__  # C hash by identity, as members compare: a fast table key
     KAPPA = "kappa"
     KAPPA_ALT = "kappa-alt"
     MOMENT = "moment"
@@ -127,7 +129,8 @@ class SumSpec(namedtuple("SumSpec", "family s m a b c sign tol")):
         if not isinstance(sign, Sign):
             raise DomainError("sign must be a Sign")
         _require_tol(tol)
-        _require_m(m, f"family {family.value}")
+        if not isinstance(m, int) or not 0 <= m <= _M_MAX:
+            _require_m(m, f"family {family.value}")  # raises, with its message
         for name, value in (("s", s), ("a", a), ("b", b), ("c", c)):
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite")
@@ -433,8 +436,8 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
     transformations check after every term.  The gaps grow to n/8 once that
     is larger, so a tail slow to fit costs O(log n) checks.  count, the
     predicted floor crossing, fails a TERM_FLOOR request that cannot cross
-    within the budget up front.  over_budget is the TermBudgetError message,
-    formatted with the budget.
+    within the budget up front.  over_budget(budget=budget) gives the
+    TermBudgetError message, built only when one is raised.
 
     A request no run within the budget can certify fails with
     UnattainableError at a failed check: once the terms' own
@@ -458,7 +461,7 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
         first, cadence, what = 1, 1, "this transformation"
     if stop is StopRule.TERM_FLOOR and count is not None and count > budget + 1:
         # one term of margin for the rounding in floor_crossing_arg
-        raise TermBudgetError(over_budget.format(budget=budget))
+        raise TermBudgetError(over_budget(budget=budget))
     floor = 10.0 * tol
     # the terms' Neumaier sum hi + lo and their summed magnitude gross, taken
     # by += in order: a builtin sum() is compensated from Python 3.12 on
@@ -469,7 +472,7 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
     try:
         while True:
             if n >= budget:
-                raise TermBudgetError(over_budget.format(budget=budget))
+                raise TermBudgetError(over_budget(budget=budget))
             value, err, probe = term(n)
             gross += abs(value)
             t = hi + value
@@ -543,7 +546,7 @@ def lerch_phi(z, s, alpha, tol):
 
     return _run_series(
         term, tail, tol.abs_tol, StopRule.EARLIEST, Method.DIRECT, None,
-        "lerch series exceeded the term budget ({budget})",
+        "lerch series exceeded the term budget ({budget})".format,
     ).value
 
 
@@ -579,6 +582,6 @@ def eval_direct(spec, *, stop=StopRule.EARLIEST):
     return _run_series(
         term, lambda n: _tail_for(spec, n, _TAIL_FRACTION * tol), tol, stop,
         Method.DIRECT, count,
-        f"direct evaluation of {family.value} exceeded the term budget "
-        "({budget}); a transformed or closed route may be cheaper",
+        lambda budget: f"direct evaluation of {family.value} exceeded the term budget "
+        f"({budget}); a transformed or closed route may be cheaper",
     )

@@ -48,7 +48,7 @@ _TERMS_FRACTION = 0.2
 _OVER_BUDGET = (
     "transformed evaluation exceeded the term budget ({budget}); "
     "direct evaluation may suit these parameters better"
-)
+).format
 
 
 def _prefactor(s, b, spacing, name):
@@ -191,7 +191,7 @@ def s_pm_transformed(s, a, b, c, sign, tol, *, stop=StopRule.EARLIEST):
         # the probe is |Phi| as computed, within the kernel's bound of |Phi|
         count = _lerch_floor_count(z, s, a, b, 10.0 * tol_abs + target)
 
-    over_budget = "transformed evaluation exceeded the term budget ({budget})"
+    over_budget = "transformed evaluation exceeded the term budget ({budget})".format
     tail_target = 0.45 * _TAIL_FRACTION * tol_abs
 
     def term(n):

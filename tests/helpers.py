@@ -10,7 +10,9 @@ Only the last shares a method with the library's own evaluators; its
 Bernoulli fractions come from the textbook recurrence below, not from the
 library's table, and its split point, order and arithmetic are its own, so
 agreement is a genuine two-route check rather than the same code grading
-itself.
+itself.  drift_hurwitz_core is no reference for values: it is the kernel's
+general explicit pass, kept so that its fast paths can be checked against it
+bit for bit.
 """
 
 import math
@@ -21,6 +23,7 @@ from unittest import mock
 
 from oracles import _tanh_sinh
 from zetasums import DomainError, Sign
+from zetasums.special import EPS, _EM_C, _EM_NEGLIGIBLE, _EM_STEPS, _HURWITZ_N_CAP, fp_slop
 
 
 def bernoulli_recurrence(n_max):
@@ -242,3 +245,57 @@ def assert_routes_enclose(routes, args, tol, ref, ref_err=0):
             continue
         assert r.tail_bound <= tol, (name, args)
         assert abs(exact(r.value) - ref) <= exact(r.tail_bound) + ref_err, (name, args)
+
+
+def drift_hurwitz_core(s, alpha):
+    """The Hurwitz kernel's explicit pass before it had an exact-lattice
+    branch, for alpha below the split: every term x^-s, x = fl(n + alpha),
+    compensated to first order for the rounding d of x, exact or not, and
+    closed by a separate Euler-Maclaurin walk taking two abs() a step.  The
+    kernel must give its bits, value and bound, at every (s, alpha): the
+    branch it skips adds and multiplies only exact zeros."""
+    split = 20 if s < 10.0 else 2 * math.ceil(s)
+    assert alpha < split, "the explicit pass only"
+    neg_s = -s
+    n_terms = min(math.ceil(split - alpha), _HURWITZ_N_CAP)
+    part_hi = part_lo = drift = 0.0
+    for n in map(float, range(n_terms)):
+        x = n + alpha
+        d = alpha - (x - n) if n >= alpha else n - (x - alpha)
+        t = x ** neg_s
+        drift += t * d / x
+        hi = part_hi + t
+        part_lo += (part_hi - hi) + t
+        part_hi = hi
+    z = n_terms + alpha
+    dz = (alpha - (z - n_terms) if n_terms >= alpha else n_terms - (z - alpha)) / z
+    zs = z ** neg_s
+    head = zs * z / (s - 1.0)
+    half = 0.5 * zs
+    lo = part_lo - s * drift - dz * ((s - 1.0) * head + s * half)
+    hi = part_hi + head
+    if part_hi >= head:
+        lo += (part_hi - hi) + head
+    else:
+        lo += (head - hi) + part_hi
+    t = hi + half
+    lo += (hi - t) + half
+    hi = t
+    gross = part_hi + part_lo + head + half
+    corr = _EM_C[1] * s * zs / z * (1.0 - (s + 1.0) * dz)
+    z2 = 1.0 / (z * z)
+    env = abs(corr)
+    negligible = _EM_NEGLIGIBLE * head
+    for ratio, k1, k2 in _EM_STEPS:
+        if env <= negligible:
+            break
+        nxt = corr * ratio * (s + k1) * (s + k2) * z2
+        if abs(nxt) >= env:
+            break
+        t = hi + corr
+        lo += (hi - t) + corr
+        hi = t
+        gross += env
+        corr = nxt
+        env = abs(nxt)
+    return hi + lo, env + fp_slop(gross) + (s * EPS) ** 2 * gross

@@ -64,6 +64,25 @@ class TestBooleEnvelope:
         value, err, done = _boole(_power_phi(p), p, c, x0, 1.0, 0.6 * abs(t2), 0.0)
         assert done and math.isclose(value, partial + 0.5 * t2, rel_tol=1e-14)
 
+    @pytest.mark.parametrize("x0", [2e31, 1e31])
+    def test_encloses_where_the_derivatives_underflow(self, x0):
+        # at spacing 1e30 the power's derivatives x0^(-1.5-i) leave the normal
+        # range from i = 9 on, while hs^i keeps them in the walk: charged
+        # relatively, as before, the bound missed by ten times itself at
+        # x0 = 2e31 and by nineteen times at 1e31
+        mpmath = pytest.importorskip("mpmath")
+        c, hs, n = 0.01, 1e30, 12_000
+        value, err, _ = _boole(_power_phi(1.5), 1.5, c, x0, hs, 0.0, 0.0)
+        with mpmath.workdps(50):
+            C, H, X = mpmath.mpf(c), mpmath.mpf(hs), mpmath.mpf(x0)
+
+            def g(t):
+                return mpmath.exp(-C * t) * (X + t * H) ** mpmath.mpf(-1.5)
+
+            partial = mpmath.fsum((-1) ** t * g(t) for t in range(n))
+            # the terms fall, so the rest lies within the next one
+            assert abs(mpmath.mpf(value) - partial) + g(n) <= err
+
 
 class TestPhiMemo:
     """Plus-sign halving levels share lattice points: _damped_zeta evaluates
@@ -312,7 +331,7 @@ def test_tail_checks_thin_out_when_the_tail_is_slow_to_fit():
 
     with pytest.raises(DomainError, match="unattainable"):
         _run_series(lambda n: (0.0, 5e-5, 1.0), tail, 1.0, StopRule.EARLIEST,
-                    Method.DIRECT, None, "over budget")
+                    Method.DIRECT, None, "over budget".format)
     assert checks[:8] == [1, 16, 24, 32, 40, 48, 56, 64]
     assert checks[-1] >= 10_000 and len(checks) < 100
 

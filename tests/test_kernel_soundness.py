@@ -2,11 +2,12 @@
 Euler-Maclaurin reference far past double precision."""
 
 import math
+import random
 from decimal import Decimal, localcontext
 
 import pytest
 
-from helpers import decimal_hurwitz
+from helpers import decimal_hurwitz, drift_hurwitz_core
 from zetasums.special import EPS, _hurwitz_core, hurwitz_tail_bound
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -97,3 +98,47 @@ def test_underflowed_first_power_keeps_the_head(s, alpha):
         for end in (lo, hi):
             assert abs(Decimal(value) - end) <= Decimal(bound)
     assert value > 0.0 and bound <= 4.0 * EPS * value + 2.0 ** -1021
+
+
+def _kernel_draws(seed=22, n_per_kind=2_500):
+    """(kind, s, alpha) below the split: integer, half-integer and k/256
+    alpha, the half lattice K//2 + 0.5 of the alternating tails, and alpha
+    one ulp off an integer k < split/2, where z >= split > 2 alpha lies in a
+    coarser binade than alpha and cannot hold its last bit; s - 1
+    log-uniform in [1e-3, 59]."""
+    rng = random.Random(seed)
+    draws = []
+    for kind in ("integer", "half", "k/256", "half-lattice", "ulp-off"):
+        for _ in range(n_per_kind):
+            s = 1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(59.0)))
+            split = 20 if s < 10.0 else 2 * math.ceil(s)
+            if kind == "integer":
+                alpha = float(rng.randrange(1, split))
+            elif kind == "half":
+                alpha = rng.randrange(split) + 0.5
+            elif kind == "k/256":
+                alpha = rng.randrange(1, 256 * split) / 256.0
+            elif kind == "half-lattice":
+                alpha = rng.randrange(2 * split - 1) // 2 + 0.5
+            else:
+                k = float(rng.randrange(1, split // 2))
+                alpha = math.nextafter(k, 0.0 if rng.random() < 0.5 else math.inf)
+            draws.append((kind, s, alpha))
+    return draws
+
+
+def test_exact_lattice_pass_keeps_the_drift_pass_bits():
+    # 12 500 draws; where z - N == alpha the kernel skips the rounding
+    # compensation, which on that lattice only ever adds exact zeros
+    exact = 0
+    for kind, s, alpha in _kernel_draws():
+        split = 20 if s < 10.0 else 2 * math.ceil(s)
+        n = math.ceil(split - alpha)
+        on_lattice = (n + alpha) - n == alpha
+        exact += on_lattice
+        if kind == "ulp-off":
+            assert not on_lattice, (s, alpha)  # the drift branch
+        got = tuple(map(float.hex, _hurwitz_core(s, alpha)))
+        want = tuple(map(float.hex, drift_hurwitz_core(s, alpha)))
+        assert got == want, (kind, s, alpha)
+    assert exact >= 7_500  # the integer, half and half-lattice draws at least

@@ -2,6 +2,8 @@
 built, and importing the package loads neither dataclasses nor inspect nor
 typing."""
 
+import copy
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -96,3 +98,19 @@ def test_cold_start_loads_no_dataclasses_inspect_or_typing():
         capture_output=True, text=True, timeout=60, check=True,
     ).stdout
     assert out.split() == []
+
+
+@pytest.mark.parametrize("member", list(Family), ids=lambda f: f.value)
+def test_family_members_stay_themselves_through_pickle_and_copy(member):
+    # Family hashes by identity, as its members compare; a copy or an
+    # unpickled member is the member itself and finds its table entries
+    table = {f: f.value for f in Family}
+    clones = [copy.copy(member), copy.deepcopy(member)] + [
+        pickle.loads(pickle.dumps(member, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for clone in clones:
+        assert clone is member and hash(clone) == hash(member)
+        assert table[clone] == member.value
+    assert {member: 1} == {clones[-1]: 1}
+    assert pickle.loads(pickle.dumps(table)) == table

@@ -269,7 +269,7 @@ class TestFirstCheck:
 
         with pytest.raises(TermBudgetError, match="over budget"):
             _run_series(lambda n: (0.0, 0.0, 100.0 if n + 1 < crossing else 0.0), tail, 1.0,
-                        stop, method, None, "over budget")
+                        stop, method, None, "over budget".format)
         assert checks[:len(want)] == want
 
     def test_half_tol_refusal_waits_for_the_regular_schedule(self, monkeypatch):
@@ -295,7 +295,7 @@ class TestFirstCheck:
             terms = []
             with pytest.raises(DomainError, match="unattainable"):
                 _run_series(lambda n: (terms.append(n), (1.0, 2.0, 1.0))[1], tail, 1.0,
-                            StopRule.EARLIEST, method, None, "over budget")
+                            StopRule.EARLIEST, method, None, "over budget".format)
             assert terms == [0]
 
     def test_capped_lattice_check_makes_no_kernel_call(self, monkeypatch):
@@ -391,7 +391,7 @@ class TestFarProbe:
 
         def series():
             return _run_series(lambda n: (0.0, 0.0, 1.0), tail, 1.0, StopRule.EARLIEST,
-                               Method.TRANSFORMED, None, "over budget")
+                               Method.TRANSFORMED, None, "over budget".format)
 
         if far > 1.0:
             with pytest.raises(DomainError, match="unattainable"):
