@@ -141,12 +141,12 @@ def _poch_raw(a, n):
 # Rounding charge per unit of gross magnitude: term evaluation via libm pow
 # stays within ~0.55 ulp and compensated (or fsum's exactly rounded)
 # accumulation within ~1 ulp of the gross, so 2 eps * gross is an honest
-# ceiling on the arithmetic error.
-_FP_SLOP_FACTOR = 2.0
+# ceiling on the arithmetic error (2 eps is exact).
+_FP_SLOP = 2.0 * EPS
 
 
 def fp_slop(gross):
-    return _FP_SLOP_FACTOR * EPS * gross
+    return _FP_SLOP * gross
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +166,23 @@ _EM_STEPS = tuple(
 )
 
 
-def _hurwitz_core(s, alpha):
+def _held(s):
+    """_hurwitz_core's work on s alone, each value rounded as a pass rounds it
+    inline, for a loop of passes at one s; None where (s EPS)^2 overflows."""
+    try:
+        square = (s * EPS) ** 2
+    except OverflowError:
+        return None
+    steps = tuple((ratio, s + k1, s + k2) for ratio, k1, k2 in _EM_STEPS)
+    return 20 if s < 10.0 else 2 * math.ceil(s), -s, s - 1.0, _EM_C[1] * s, square, steps
+
+
+def _hurwitz_core(s, alpha, held=None):
     """zeta(s, alpha) for s > 1, alpha > 0 with a certified absolute bound.
 
     Returns (value, bound) of one Euler-Maclaurin pass, DomainError where a
     step leaves double range (alpha = inf too).  No domain validation here.
+    held = _held(s) only saves work: the same roundings give the same bits.
 
     The split point N puts z = N + alpha at or past 20 (2 ceil(s) for
     s >= 10), or N = _HURWITZ_N_CAP where that is not reached; z = alpha
@@ -188,9 +200,16 @@ def _hurwitz_core(s, alpha):
     ones, each under 1/100 of it, inherit it, missing (2r - 2) dz of each,
     far inside the rounding charge.  Their magnitudes are log-convex in r,
     so the first that does not shrink is the smallest first omitted term.
+    Below the split where z^-s < m = 2^-1022, the remainder past z and its
+    head, half and corrections lie in [0, (1 + z/(s - 1)) m): that bounds their
+    difference, with m to spare for subnormal drift products (s u each, u =
+    2^-1074), and N u covers the N powers, each within u where subnormal.
     """
-    split = 20 if s < 10.0 else 2 * math.ceil(s)
-    neg_s = -s
+    if held is None:
+        split = 20 if s < 10.0 else 2 * math.ceil(s)
+        neg_s, s1, c1s = -s, s - 1.0, _EM_C[1] * s
+    else:
+        split, neg_s, s1, c1s, square, steps = held
     try:
         if split <= alpha < math.inf:
             # z = alpha exactly, so dz = 0: the general pass less its operations on zeros
@@ -200,20 +219,20 @@ def _hurwitz_core(s, alpha):
                 # alpha^-s lost its bits to underflow, and head and half with it.
                 # zeta lies within alpha^-s (< 2 _NORMAL_MIN) above the integral
                 # alpha^(1-s)/(s-1); 1 - s and s - 1 are exact, pow and / round
-                head = alpha ** (1.0 - s) / (s - 1.0)
-                return head, fp_slop(head) + 2.0 * _NORMAL_MIN
-            head = zs * alpha / (s - 1.0)
+                head = alpha ** (1.0 - s) / s1
+                return head, _FP_SLOP * head + 2.0 * _NORMAL_MIN
+            head = zs * alpha / s1
             half = 0.5 * zs
             hi = gross = head + half
             lo = (head - hi) + half
-            corr = _EM_C[1] * s * zs / alpha
+            corr = c1s * zs / alpha
         else:
             n_terms = min(math.ceil(split - alpha), _HURWITZ_N_CAP)
             z = n_terms + alpha
             zs = z ** neg_s
-            head = zs * z / (s - 1.0)
+            head = zs * z / s1
             half = 0.5 * zs
-            corr = _EM_C[1] * s * zs / z
+            corr = c1s * zs / z
             # explicit terms: Neumaier pair, and the sum of x^-s d/x; terms fall with n,
             # so part_hi >= t (or part_hi = 0, where the sum is exact): no branch
             part_hi = part_lo = 0.0
@@ -237,7 +256,7 @@ def _hurwitz_core(s, alpha):
                     part_lo += (part_hi - hi) + t
                     part_hi = hi
                 dz = (alpha - (z - n_terms) if n_terms >= alpha else n_terms - (z - alpha)) / z
-                lo = part_lo - s * drift - dz * ((s - 1.0) * head + s * half)
+                lo = part_lo - s * drift - dz * (s1 * head + s * half)
                 corr *= 1.0 - (s + 1.0) * dz
             hi = part_hi + head
             if part_hi >= head:
@@ -254,21 +273,38 @@ def _hurwitz_core(s, alpha):
         z2 = 1.0 / (z * z)
         env = abs(corr)
         negligible = _EM_NEGLIGIBLE * head
-        for ratio, k1, k2 in _EM_STEPS:
-            if env <= negligible:
-                break
-            nxt = corr * ratio * (s + k1) * (s + k2) * z2
-            size = abs(nxt)
-            if size >= env:
-                break
-            t = hi + corr
-            lo += (hi - t) + corr
-            hi = t
-            gross += env
-            corr, env = nxt, size
+        if held is None:
+            for ratio, k1, k2 in _EM_STEPS:
+                if env <= negligible:
+                    break
+                nxt = corr * ratio * (s + k1) * (s + k2) * z2
+                size = abs(nxt)
+                if size >= env:
+                    break
+                t = hi + corr
+                lo += (hi - t) + corr
+                hi = t
+                gross += env
+                corr, env = nxt, size
+            square = (s * EPS) ** 2
+        else:
+            for ratio, a1, a2 in steps:
+                if env <= negligible:
+                    break
+                nxt = corr * ratio * a1 * a2 * z2
+                size = abs(nxt)
+                if size >= env:
+                    break
+                t = hi + corr
+                lo += (hi - t) + corr
+                hi = t
+                gross += env
+                corr, env = nxt, size
+        if zs < _NORMAL_MIN:  # below the split only: see the docstring
+            env += (1.0 + z / s1) * _NORMAL_MIN + n_terms * 2.0 ** -1074
         # (s EPS)^2 per unit of gross covers the second-order remainder of
         # every compensated addend
-        return hi + lo, env + fp_slop(gross) + (s * EPS) ** 2 * gross
+        return hi + lo, env + _FP_SLOP * gross + square * gross
     except OverflowError:
         raise _beyond_double_range(s, alpha) from None
 

@@ -45,6 +45,7 @@ from .special import (
     _UNATTAINABLE,
     _certified,
     _damped_zeta,
+    _held,
     _hurwitz_core,
     _lerch_core,
     _poch_raw,
@@ -573,10 +574,12 @@ def eval_direct(spec, *, stop=StopRule.EARLIEST):
     h, x0 = rule.lattice(spec)
     count = max(_floor_count(spec), MIN_EXPLICIT) if stop is StopRule.TERM_FLOOR else None
     s, weight = spec.s, rule.weight
+    # only a loop predicted past MIN_EXPLICIT terms amortizes the record
+    held = _held(s) if count is not None and count > MIN_EXPLICIT else None
 
     def term(n):
         w = weight(spec, n)
-        v, b = _hurwitz_core(s, h * n + x0)
+        v, b = _hurwitz_core(s, h * n + x0, held)
         return w * v, abs(w) * b, v
 
     return _run_series(

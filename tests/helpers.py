@@ -15,12 +15,14 @@ general explicit pass, kept so that its fast paths can be checked against it
 bit for bit.
 """
 
+import importlib.util
 import math
 import os
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
 
+import zetasums
 from oracles import _tanh_sinh
 from zetasums import DomainError, Sign
 from zetasums.special import EPS, _EM_C, _EM_NEGLIGIBLE, _EM_STEPS, _HURWITZ_N_CAP, fp_slop
@@ -299,3 +301,15 @@ def drift_hurwitz_core(s, alpha):
         corr = nxt
         env = abs(nxt)
     return hi + lo, env + fp_slop(gross) + (s * EPS) ** 2 * gross
+
+
+def benchmark_requests(name, seed, n):
+    """The benchmark workload called name, from perfbench/workloads.py (read,
+    not changed), and the first n of its seed's requests: run each with
+    workload.call(zetasums, request)."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    workload = module.WORKLOADS[name]
+    return workload, workload.requests(zetasums, seed, n)

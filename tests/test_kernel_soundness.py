@@ -7,8 +7,10 @@ from decimal import Decimal, localcontext
 
 import pytest
 
-from helpers import decimal_hurwitz, drift_hurwitz_core
-from zetasums.special import EPS, _hurwitz_core, hurwitz_tail_bound
+import zetasums
+from helpers import benchmark_requests, decimal_hurwitz, drift_hurwitz_core
+from zetasums import sums
+from zetasums.special import EPS, _EM_STEPS, _held, _hurwitz_core, hurwitz_tail_bound
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -142,3 +144,108 @@ def test_exact_lattice_pass_keeps_the_drift_pass_bits():
         want = tuple(map(float.hex, drift_hurwitz_core(s, alpha)))
         assert got == want, (kind, s, alpha)
     assert exact >= 7_500  # the integer, half and half-lattice draws at least
+
+
+def _short_pass_draws(seed=23, n=2_500):
+    """(s, alpha) with alpha log-uniform from the split to 1e8, where the
+    pass takes no explicit term; s - 1 log-uniform in [1e-3, 59]."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(n):
+        s = 1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(59.0)))
+        split = 20 if s < 10.0 else 2 * math.ceil(s)
+        draws.append((s, math.exp(rng.uniform(math.log(split), math.log(1e8)))))
+    return draws
+
+
+def _route_compare_points(monkeypatch, n_requests=20):
+    """The (s, h n + x0) at which the direct route of the first n seed-1
+    route-compare requests (TERM_FLOOR) calls the kernel."""
+    points, kernel = [], sums._hurwitz_core
+
+    def recorded(s, x, held=None):
+        points.append((s, x))
+        return kernel(s, x, held)
+
+    workload, requests = benchmark_requests("route-compare", 1, n_requests)
+    with monkeypatch.context() as patch:
+        patch.setattr(sums, "_hurwitz_core", recorded)
+        for request in requests:
+            workload.call(zetasums, request)
+    return points
+
+
+@pytest.mark.parametrize("which", ["kernel draws", "short pass", "route-compare"])
+def test_held_record_keeps_every_bit(which, monkeypatch):
+    # the record holds the values a pass rounds inline, and the walk
+    # multiplies the same factors in the same order: value and bound keep
+    # their float.hex on the explicit passes' draws, on the pass without
+    # explicit terms, and at every lattice point of the benchmark's loop
+    if which == "kernel draws":
+        # the last draw is the one of 100 000 random ones whose output shows
+        # the rounding of a walk step: a subnormal value
+        draws = [(s, alpha) for _, s, alpha in _kernel_draws()]
+        draws.append((130.6739491258815, 257.9757227422491))
+    elif which == "short pass":
+        draws = _short_pass_draws()
+    else:
+        draws = _route_compare_points(monkeypatch)
+        assert len(draws) > 70_000
+    records = {}
+    for s, alpha in draws:
+        if s not in records:
+            records[s] = _held(s)
+        got = tuple(map(float.hex, _hurwitz_core(s, alpha, records[s])))
+        want = tuple(map(float.hex, _hurwitz_core(s, alpha)))
+        assert got == want, (s, alpha)
+
+
+def test_held_walk_steps_round_as_the_inline_ones():
+    # the corrections sit far below the head's rounding charge, so a walk
+    # step's last bit rarely reaches the output: the steps are compared
+    # directly, each held (ratio, s + 2r - 1, s + 2r) multiplied in the
+    # walk's order against the inline factors, from random corr and z^-2
+    rng = random.Random(25)
+    for _ in range(2_000):
+        s = 1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(300.0)))
+        corr, z2 = rng.uniform(1e-6, 1.0), rng.uniform(1e-6, 1.0 / 400.0)
+        held_steps = _held(s)[-1]
+        assert len(held_steps) == len(_EM_STEPS)
+        for (ratio, k1, k2), (h_ratio, a1, a2) in zip(_EM_STEPS, held_steps):
+            want = corr * ratio * (s + k1) * (s + k2) * z2
+            assert (corr * h_ratio * a1 * a2 * z2).hex() == want.hex(), s
+
+
+def _underflow_draws(seed=24, n=40):
+    """(s, alpha) with s uniform in [100, 2000] and alpha in [s/2, 2s]."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(n):
+        s = rng.uniform(100.0, 2000.0)
+        draws.append((s, rng.uniform(0.5 * s, 2.0 * s)))
+    return draws
+
+
+# zeta is 2e-1138, 5e-810 and 3e-516 at the first three points, where the
+# bound was 0; it is 1.1e-301 at the fourth, and 6.2e-309 at the fifth, where
+# a bound of 2^-1074 missed by three times that
+_UNDERFLOW_POINTS = [
+    (400.0, 700.0), (300.0, 500.0), (200.0, 380.0), (150.3, 100.7),
+    (129.45672466301272, 241.9599547571934),
+]
+
+
+@pytest.mark.parametrize("s, alpha", _UNDERFLOW_POINTS + _underflow_draws())
+def test_underflowed_explicit_pass_keeps_an_enclosure(s, alpha):
+    # below the split, where z^-s < 2^-1022, the head and the later terms
+    # lose their bits to underflow while zeta > 0: the bound charges the
+    # remainder past z, (1 + z/(s - 1)) 2^-1022, and 2^-1074 for each
+    # explicit power, with or without a held record
+    ref = decimal_hurwitz(s, alpha, digits=20)
+    assert ref > 0
+    for held in (None, _held(s)):
+        value, bound = _hurwitz_core(s, alpha, held)
+        assert bound > 0.0
+        assert abs(Decimal(value) - ref) <= Decimal(bound), held is None
+        # the charge stays a few times 2^-1022 above the rounding charge
+        assert bound <= 4.0 * EPS * value + 8.0 * 2.0 ** -1022

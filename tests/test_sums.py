@@ -7,7 +7,8 @@ from decimal import Decimal, localcontext
 
 import pytest
 
-from helpers import decimal_hurwitz, quad_family_sum
+import zetasums
+from helpers import benchmark_requests, decimal_hurwitz, quad_family_sum
 from zetasums import (
     MIN_EXPLICIT,
     DomainError,
@@ -18,6 +19,7 @@ from zetasums import (
     SumSpec,
     TermBudgetError,
     Tolerance,
+    ZetaSumsError,
     check_identity,
     convergence_threshold,
     eval_direct,
@@ -34,8 +36,12 @@ from zetasums import (
     term_budget,
 )
 from zetasums.closed import shifted_combination
-from zetasums.special import EPS, _EM_C, _EM_MAX_ORDER, _hurwitz_core, _poch_raw, _sum_terms
-from zetasums.sums import _closed_route, _int_power, _lattice_order, _lattice_tail, _tail_for
+from zetasums.special import (
+    EPS, _EM_C, _EM_MAX_ORDER, _held, _hurwitz_core, _poch_raw, _sum_terms,
+)
+from zetasums.sums import (
+    _closed_route, _floor_count, _int_power, _lattice_order, _lattice_tail, _tail_for,
+)
 
 T8 = Tolerance(1e-8)
 T10 = Tolerance(1e-10)
@@ -243,6 +249,55 @@ class TestStoppingRules:
         monkeypatch.setenv("ZS_TERM_BUDGET", raw)
         with pytest.raises(DomainError, match=match):
             term_budget()
+
+
+class TestHeldRecord:
+    """Only a TERM_FLOOR loop predicted past MIN_EXPLICIT terms builds the
+    kernel's per-exponent record: it pays from about seven calls on, and
+    most EARLIEST runs end at term 1."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        import zetasums.sums as sums
+
+        built, calls = [], []
+        held, kernel = sums._held, sums._hurwitz_core
+        monkeypatch.setattr(sums, "_held", lambda s: (built.append(s), held(s))[1])
+        monkeypatch.setattr(sums, "_hurwitz_core",
+                            lambda *args: (calls.append(args), kernel(*args))[1])
+        return built, calls
+
+    def test_a_long_term_floor_loop_builds_one(self, monkeypatch):
+        built, calls = self._count(monkeypatch)
+        workload, (request,) = benchmark_requests("route-compare", 1, 1)
+        direct, _ = workload.call(zetasums, request)
+        assert built == [request["s"]]
+        assert direct.terms_used == len(calls) > MIN_EXPLICIT
+        assert all(held is calls[0][2] is not None for _, _, held in calls)
+
+    def test_a_short_term_floor_loop_builds_none(self, monkeypatch):
+        built, calls = self._count(monkeypatch)
+        sp = spec(Family.GENERAL_AB, 3.0, a=1.0, b=1.0, tol=Tolerance(1e-3))
+        assert _floor_count(sp) <= MIN_EXPLICIT
+        eval_direct(sp, stop=StopRule.TERM_FLOOR)
+        assert built == [] and calls and all(held is None for _, _, held in calls)
+
+    def test_identity_requests_build_none(self, monkeypatch):
+        built, calls = self._count(monkeypatch)
+        workload, requests = benchmark_requests("identity-mixed", 1, 200)
+        for request in requests:
+            try:
+                workload.call(zetasums, request)
+            except ZetaSumsError:
+                pass
+        assert built == [] and len(calls) > 200
+
+    def test_an_exponent_past_the_record_refuses_as_before(self):
+        # (s EPS)^2 overflows, so no record: the kernel's own pass refuses
+        assert _held(1e200) is None
+        sp = spec(Family.GENERAL_AB, 1e200, a=1e-6, b=0.5, tol=T8)
+        with pytest.raises(DomainError, match="exceeds double range"):
+            eval_direct(sp, stop=StopRule.TERM_FLOOR)
 
 
 class TestFirstCheck:
