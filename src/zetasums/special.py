@@ -397,8 +397,10 @@ def dirichlet_eta(s, tol):
 # C_n = B_2n/(2n)!, has a remainder of the sign of the first omitted term and
 # no larger: the same envelope argument as Euler-Maclaurin's.  Plus sign:
 # P(q, X, h) = A(q, X, h) + 2q P(q^2, X + h, 2h) exactly, A the alternating
-# sum, so log2(1/c) halvings reach a decay fast enough for a short geometric
-# sum.  F is given by phi(x, i) -> (|F^(i)(x)|, certified error).
+# sum, so log2(1/c) halvings reach a decay fast enough for a short explicit
+# sum.  Every sum and level starts with explicit terms, walked by the one
+# loop of _lattice_sum; only a minus sign at c < _HALVING_STOP hands a rest
+# to Boole.  F is given by phi(x, i) -> (|F^(i)(x)|, certified error).
 
 # the plus sign halves while the decay per lattice step is below this
 _HALVING_STOP = 0.5
@@ -411,26 +413,35 @@ _BINOM = tuple(
 )
 # Boole starts at lattice coordinate 15 + 1.7 s: there, for c < 1/2 and
 # s <= 40, its corrections reach _DAMPED_NEGLIGIBLE of the level within
-# _EM_MAX_ORDER orders; where they do not, the explicit terms double, at most
-# _BOOLE_RETRIES times
+# _EM_MAX_ORDER orders; where they do not, the explicit terms extend from
+# where they stopped to twice as many, at most _BOOLE_RETRIES times
 _BOOLE_RETRIES = 3
 
 
-def _boole_start(s):
-    return 15.0 + 1.7 * s
+def _rising(s):
+    """i -> (s)_i for a phi's derivative orders, each formed once from the one
+    before in _poch_raw's order: s + (i - 1) first, so (s)_1 is s exactly and
+    (s)_i is within (i - 1) EPS."""
+    poch = [1.0]
+
+    def at(i):
+        while len(poch) <= i:
+            poch.append(poch[-1] * (s + (len(poch) - 1)))
+        return poch[i]
+
+    return at
 
 
 def _power_phi(s):
     """phi for F(x) = x^-s, s > 0: (s)_i x^(-s-i), within (i + 2) EPS, plus ((s)_i + 1)
     2^-1074 where the power or the product is subnormal: each rounds by 2^-1074 at most."""
-    poch = [1.0]
+    rising = _rising(s)
 
     def phi(x, i):
-        while len(poch) <= i:
-            poch.append(poch[-1] * (s + len(poch) - 1))
+        poch = rising(i)
         p = x ** (-s - i)
-        v = poch[i] * p
-        under = (poch[i] + 1.0) * 2.0 ** -1074 if p < _NORMAL_MIN or v < _NORMAL_MIN else 0.0
+        v = poch * p
+        under = (poch + 1.0) * 2.0 ** -1074 if p < _NORMAL_MIN or v < _NORMAL_MIN else 0.0
         return v, (i + 2.0) * EPS * v + under
 
     return phi
@@ -448,7 +459,8 @@ def _boole(phi, s, c, x0, hs, trunc, ref, exact=False):
     c < 1, by Boole's summation.  The first omitted correction T gives the
     remainder's midpoint T/2 and half-width |T|/2; the walk stops once |T|/2
     is at most trunc or _DAMPED_NEGLIGIBLE of ref plus the head G(0)/2
-    (done), or at the first correction that does not shrink or overflows.
+    (done), or at the first correction that does not shrink, overflows or
+    needs a subnormal derivative: the one before stays the first omitted.
     M_m = sum_i binom(m, i) c^(m-i) hs^i |F^(i)(x0)| is |G^(m)(0)|.
     exact: x0 is the lattice origin itself, not a rounded lattice point."""
     xr = 0.0 if exact else s
@@ -461,6 +473,9 @@ def _boole(phi, s, c, x0, hs, trunc, ref, exact=False):
             i = len(psi)
             hp = hs ** i
             v, e = phi(x0, i)
+            if v < _NORMAL_MIN and n > 1:
+                # F^(i) underflowed: its absolute charge, times hs^i, would swamp the walk
+                return None
             psi.append(hp * v)
             perr.append(hp * e)
             cpow.append(c ** i)
@@ -482,84 +497,67 @@ def _boole(phi, s, c, x0, hs, trunc, ref, exact=False):
         if 0.5 * abs(t) <= stop:
             break
         try:
-            nxt, nxt_err = corr(n)
+            nxt = corr(n)
         except OverflowError:
             break  # hs^i or F^(i) leaves double range; t stays the first omitted one
-        if abs(nxt) >= abs(t):
+        if nxt is None or abs(nxt[0]) >= abs(t):
             break
         parts.append(t)
         err += t_err
-        t, t_err = nxt, nxt_err
+        t, t_err = nxt
     parts.append(0.5 * t)
     value = math.fsum(parts)
     return value, err + 0.5 * abs(t) + t_err + EPS * abs(value), 0.5 * abs(t) <= stop
 
 
-def _alternating(phi, s, c, X, h, first, step, target):
-    """(value, err) of sum over j >= 0 of (-e^-c)^j F(X + (first + j step) h),
-    c < 1: explicit terms up to lattice coordinate _boole_start(s), Boole
-    summation past them; the truncation stops at half of target."""
-    hs = step * h
-    lead = _boole_start(s) - (X + first * h) / hs  # -inf where X/hs overflows
-    n_exp = math.ceil(lead) if lead > 0.0 else 0
-    q, grow = math.exp(-c), 1.0 + (s + 4.0) * EPS  # see the rest's bound below
-    for attempt in range(_BOOLE_RETRIES + 1):
-        if attempt:
-            n_exp = max(2 * n_exp, 8)
-        terms = []
-        err = gross = 0.0
-        for j in range(n_exp):
-            e = j * c
-            w = math.exp(-e)
-            v, ev = phi(X + (first + j * step) * h, 0)
-            terms.append(w * v if j % 2 == 0 else -w * v)
-            gross += w * v
-            err += w * ev + (s + e + 1.0) * EPS * w * v
-            # the rest lies between 0 and the next term, at most e^-c w F(x_j)
-            nxt = q * w * (v + ev) * grow
-            if 0.5 * nxt <= max(0.5 * target, _DAMPED_NEGLIGIBLE * gross):
-                terms.append(-0.5 * nxt if j % 2 == 0 else 0.5 * nxt)
-                value = math.fsum(terms)
-                return value, err + 0.5 * nxt + EPS * abs(value)
-        e = n_exp * c
-        pre = math.exp(-e)
-        b, b_err, done = _boole(
-            phi, s, c, X + (first + n_exp * step) * h, hs,
-            0.5 * target / pre, gross / pre, first == n_exp == 0,
-        )
-        if done:
-            break
-    terms.append(pre * b if n_exp % 2 == 0 else -pre * b)
-    value = math.fsum(terms)
-    err += pre * b_err + (e + 1.0 if e else 0.0) * EPS * pre * abs(b) + EPS * abs(value)
-    return value, err
-
-
-def _geometric(phi, s, c, X, h, first, step, sign, target):
-    """(value, err) of sum over j >= 0 of (sign e^-c)^j F(X + (first + j step) h),
-    c >= _HALVING_STOP.  F decreases, so past term j the rest lies within
+def _lattice_sum(phi, s, c, X, h, first, step, sign, target):
+    """(value, err) of sum over j >= 0 of (sign e^-c)^j F(X + (first + j step) h):
+    explicit terms until the rest is at most target or _DAMPED_NEGLIGIBLE of
+    their gross.  F decreases, so past term j the rest lies within
     q^(j+1) F(x_j) / (1 - q) of 0 for the plus sign, and between 0 and the
-    next term for the minus sign; half of that is the midpoint."""
+    next term for the minus sign; half of that is the midpoint.  The minus
+    sign at c < _HALVING_STOP stops its explicit terms at lattice coordinate
+    15 + 1.7 s and sums the rest by Boole's summation; where that walk falls
+    short, the explicit terms extend, at most _BOOLE_RETRIES times."""
     q = math.exp(-c)
     # the rest is bounded through F at the rounded x_j: (s + 4) EPS covers it
     scale = (1.0 + (s + 4.0) * EPS) / (1.0 - q if sign > 0.0 else 1.0)
+    if sign < 0.0 and c < _HALVING_STOP:
+        lead = 15.0 + 1.7 * s - (X + first * h) / (step * h)  # -inf where X/hs overflows
+        cap = math.ceil(lead) if lead > 0.0 else 0
+    else:
+        cap = math.inf
     terms = []
     err = gross = 0.0
     j = 0
-    while True:
+    for attempt in range(_BOOLE_RETRIES + 1):
+        if attempt:
+            cap = max(2 * j, 8)
+        while j < cap:
+            e = j * c
+            w = math.exp(-e)
+            v, ev = phi(X + (first + j * step) * h, 0)
+            terms.append(w * v if sign > 0.0 or j % 2 == 0 else -w * v)
+            gross += w * v
+            err += w * ev + (s + e + 1.0) * EPS * w * v
+            j += 1
+            rem = q * w * (v + ev) * scale
+            if rem <= target or rem <= _DAMPED_NEGLIGIBLE * gross:
+                terms.append(0.5 * rem if sign > 0.0 or j % 2 == 0 else -0.5 * rem)
+                value = math.fsum(terms)
+                return value, err + 0.5 * rem + EPS * abs(value)
         e = j * c
-        w = math.exp(-e)
-        v, ev = phi(X + (first + j * step) * h, 0)
-        terms.append(w * v if sign > 0.0 or j % 2 == 0 else -w * v)
-        gross += w * v
-        err += w * ev + (s + e + 1.0) * EPS * w * v
-        j += 1
-        rem = q * w * (v + ev) * scale
-        if rem <= target or rem <= _DAMPED_NEGLIGIBLE * gross:
+        pre = math.exp(-e)
+        b, b_err, done = _boole(
+            phi, s, c, X + (first + j * step) * h, step * h,
+            0.5 * target / pre, gross / pre, first == j == 0,
+        )
+        if done:
             break
-    terms.append(0.5 * rem if sign > 0.0 or j % 2 == 0 else -0.5 * rem)
+    terms.append(pre * b if j % 2 == 0 else -pre * b)
     value = math.fsum(terms)
-    return value, err + 0.5 * rem + EPS * abs(value)
+    err += pre * b_err + (e + 1.0 if e else 0.0) * EPS * pre * abs(b) + EPS * abs(value)
+    return value, err
 
 
 def _damped_lattice(phi, s, sign, c, X, h, target):
@@ -572,10 +570,8 @@ def _damped_lattice(phi, s, sign, c, X, h, target):
 
     Plus-sign level k is A(q^(2^k), X + (2^k - 1) h, 2^k h) with weight
     W_k = 2^k q^(2^k - 1); its error and rounding carry W_k."""
-    if c >= _HALVING_STOP:
-        return _geometric(phi, s, c, X, h, 0, 1, sign, 0.5 * target)
-    if sign < 0.0:
-        return _alternating(phi, s, c, X, h, 0, 1, 0.5 * target)
+    if c >= _HALVING_STOP or sign < 0.0:
+        return _lattice_sum(phi, s, c, X, h, 0, 1, sign, 0.5 * target)
     levels = 1
     while (2 ** levels) * c < _HALVING_STOP:
         levels += 1
@@ -586,10 +582,8 @@ def _damped_lattice(phi, s, sign, c, X, h, target):
         step = 2 ** k
         e = (step - 1) * c
         weight = step * math.exp(-e)
-        if k < levels:
-            v, v_err = _alternating(phi, s, step * c, X, h, step - 1, step, share / weight)
-        else:
-            v, v_err = _geometric(phi, s, step * c, X, h, step - 1, step, 1.0, share / weight)
+        sign_k = 1.0 if k == levels else -1.0
+        v, v_err = _lattice_sum(phi, s, step * c, X, h, step - 1, step, sign_k, share / weight)
         parts.append(weight * v)
         err += weight * v_err + (e + 2.0) * EPS * weight * abs(v)
     value = math.fsum(parts)
@@ -606,16 +600,14 @@ def _damped_zeta(s, sign, c, X, h, target):
     in bit-equal form: an order-0 result is kept for this call only and
     reused."""
     seen = {}
-    poch = [1.0]
+    rising = _rising(s)
 
     def phi(x, i):
         if i == 0:
             if x not in seen:
                 seen[x] = _hurwitz_core(s, x)
             return seen[x]
-        while len(poch) <= i:
-            poch.append(poch[-1] * (s + (len(poch) - 1)))  # _poch_raw's order
-        p = poch[i]
+        p = rising(i)
         v, b = _hurwitz_core(s + i, x)
         return p * v, p * b + i * EPS * p * v
 

@@ -82,6 +82,69 @@ class TestBooleEnvelope:
             partial = mpmath.fsum((-1) ** t * g(t) for t in range(n))
             # the terms fall, so the rest lies within the next one
             assert abs(mpmath.mpf(value) - partial) + g(n) <= err
+        # the walk stops before an order whose derivative underflowed: kept,
+        # each such order's absolute charge times hs^i gave 2.4e-5 and
+        # 8.5e-6 of the head, where the stop gives 3.1e-9 and 3.7e-7
+        assert err <= 1e-6 * 0.5 * x0 ** -1.5
+
+    @pytest.mark.parametrize("s", [1e-3, 0.01, 0.05, 0.5, 3.0])
+    def test_power_phi_meets_its_charge_at_every_order(self, s):
+        # (s)_i formed as (s)_(i-1) (s + (i - 1)): in the order
+        # (s + i) - 1, (s)_1 = fl(fl(s + 1) - 1) was off by up to 2^-53 and
+        # the charge (i + 2) EPS missed 165 times at s = 1e-3.  The reference
+        # power takes phi's exponent fl(-s - i) as it is, so this checks the
+        # Pochhammer factor, the power and their product
+        mpmath = pytest.importorskip("mpmath")
+        phi = _power_phi(s)
+        with mpmath.workdps(50):
+            for x in (1.5, 17.3, 1e3, 2.0 ** 40):
+                for i in range(2 * special._EM_MAX_ORDER + 2):
+                    v, err = phi(x, i)
+                    want = mpmath.rf(mpmath.mpf(s), i) * mpmath.mpf(x) ** mpmath.mpf(-s - i)
+                    assert abs(mpmath.mpf(v) - want) <= err, (x, i)
+
+
+def _damped_zeta_reference(s, sign, c, X, h):
+    """sum over j >= 0 of (sign e^-c)^j zeta(s, X + jh) by mpmath at 30
+    digits, and the size of the rest it leaves out: the terms fall, so the
+    rest lies within the next term, over 1 - e^-c for the plus sign."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        S, C, X0, H = map(mpmath.mpf, (s, c, X, h))
+        total, j = mpmath.mpf(0), 0
+        while True:
+            term = mpmath.exp(-C * j) * mpmath.zeta(S, X0 + j * H)
+            if j and term < 1e-22 * total:
+                return total, (term / -mpmath.expm1(-C) if sign > 0.0 else term)
+            total += term if sign > 0.0 or j % 2 == 0 else -term
+            j += 1
+
+
+@pytest.mark.parametrize("kernel, args", [
+    # points where the explicit terms' two former stop tests disagreed: the
+    # lead-in to Boole stopped at 2 EPS/16 of the gross, the geometric loop
+    # at EPS/16; one loop now stops at EPS/16 for both
+    ("lerch", (0.8750079227057008, 6.155375030323826, 0.03794396930837797, 3.999975735338947e-15)),
+    ("lerch", (-0.9968713323494659, 10.531735901515848, 0.02583713446556375, 4.610396321943674e-19)),
+    ("zeta", (9.666547136414746, 1.0, 0.013730391736559835, 0.16123440447940068,
+              0.022028297650820816, 5.771822123353346e-15)),
+    ("zeta", (15.09898203775909, -1.0, 0.018072197721534893, 0.25816790926147404,
+              0.09134596047631664, 2.1455911242739896e-21)),
+])
+def test_one_stop_rule_encloses_against_mpmath(kernel, args):
+    mpmath = pytest.importorskip("mpmath")
+    if kernel == "lerch":
+        value, bound = _lerch_core(*args)
+        # lerchphi can miss in the 9th digit at 50 digits (z near 1, large
+        # alpha): the distance to its 80-digit value is charged to it
+        at = [mpmath.workdps(d)(mpmath.lerchphi)(*map(mpmath.mpf, args[:3])) for d in (80, 50)]
+        ref, rest = at[0], abs(at[0] - at[1])
+    else:
+        value, bound = _damped_zeta(*args)
+        ref, rest = _damped_zeta_reference(*args[:5])
+    assert abs(mpmath.mpf(value) - ref) + rest <= bound
+    assert bound <= 2e3 * EPS * abs(value)
 
 
 class TestPhiMemo:
