@@ -152,7 +152,6 @@ def fp_slop(gross):
 # ---------------------------------------------------------------------------
 # Hurwitz zeta core.
 
-_HURWITZ_N_CAP = 4_000_000
 _NORMAL_MIN = 2.0 ** -1022  # the smallest normal double
 
 
@@ -166,6 +165,11 @@ _EM_STEPS = tuple(
 )
 
 
+def _split(s):
+    """Where _hurwitz_core's explicit terms end, as its docstring derives."""
+    return 20 if s < 10.0 else min(2 * math.ceil(s), math.floor(2.0 ** (1076.0 / s)) + 1)
+
+
 def _held(s):
     """_hurwitz_core's work on s alone, each value rounded as a pass rounds it
     inline, for a loop of passes at one s; None where (s EPS)^2 overflows."""
@@ -174,7 +178,7 @@ def _held(s):
     except OverflowError:
         return None
     steps = tuple((ratio, s + k1, s + k2) for ratio, k1, k2 in _EM_STEPS)
-    return 20 if s < 10.0 else 2 * math.ceil(s), -s, s - 1.0, _EM_C[1] * s, square, steps
+    return _split(s), -s, s - 1.0, _EM_C[1] * s, square, steps
 
 
 def _hurwitz_core(s, alpha, held=None):
@@ -184,13 +188,17 @@ def _hurwitz_core(s, alpha, held=None):
     step leaves double range (alpha = inf too).  No domain validation here.
     held = _held(s) only saves work: the same roundings give the same bits.
 
-    The split point N puts z = N + alpha at or past 20 (2 ceil(s) for
-    s >= 10), or N = _HURWITZ_N_CAP where that is not reached; z = alpha
-    when alpha is already there, and that pass, with no explicit terms, is
-    taken directly.  At z >= split each correction is below 0.072 of the
-    one before, so the envelope ends under 1e-5 of the head's rounding
-    charge: more explicit terms could not lower the bound.  The rounding of
-    n + alpha would grow by a factor s in (n + alpha)^-s, so it is
+    N explicit terms put z = N + alpha at or past the split; z = alpha when
+    alpha is already there, and that pass, with no explicit terms, is taken
+    directly.  The split is 20 for s < 10, else the smaller of 2 ceil(s) and
+    floor(2^(1076/s)) + 1.  At z >= 20 and z >= 2 ceil(s) each correction is
+    |C_(r+1)/C_r| (s + 2r - 1)(s + 2r)/z^2 <= 0.0711 of the one before (most
+    at s = 10, z = 20, r = 12), so the envelope ends under 1e-5 of the head's
+    rounding charge: more explicit terms could not lower the bound.  From
+    floor(2^(1076/s)) + 1 >= 2 on, every (n + alpha)^-s < 2^-1076 rounds to
+    0, and so do z^-s and every correction where that point comes first (s
+    above about 133): no pass sums more than about 270 terms.  The rounding
+    of n + alpha would grow by a factor s in (n + alpha)^-s, so it is
     compensated to first order: x = fl(n + alpha) misses by d exactly
     (Fast2Sum), and x^-s (1 - s d/x) is the term.  Where z - N == alpha,
     every n + alpha, n <= N, is exact (or at alpha >= 2^53 every power is 0),
@@ -198,16 +206,14 @@ def _hurwitz_core(s, alpha, held=None):
     pass closes in one walk over the corrections from the first, z^{-s-1}:
     it carries the first-order factor for the rounding of z, and the later
     ones, each under 1/100 of it, inherit it, missing (2r - 2) dz of each,
-    far inside the rounding charge.  Their magnitudes are log-convex in r,
-    so the first that does not shrink is the smallest first omitted term.
-    Below the split where z^-s < m = 2^-1022, the remainder past z and its
-    head, half and corrections lie in [0, (1 + z/(s - 1)) m): that bounds their
-    difference, with m to spare for subnormal drift products (s u each, u =
-    2^-1074), and N u covers the N powers, each within u where subnormal.
+    far inside the rounding charge.  Below the split where z^-s < m =
+    2^-1022, the remainder past z and its head, half and corrections lie in
+    [0, (1 + z/(s - 1)) m): that bounds their difference, with m to spare
+    for subnormal drift products (s u each, u = 2^-1074), and N u covers the
+    N powers, each within u where subnormal.
     """
     if held is None:
-        split = 20 if s < 10.0 else 2 * math.ceil(s)
-        neg_s, s1, c1s = -s, s - 1.0, _EM_C[1] * s
+        split, neg_s, s1, c1s = _split(s), -s, s - 1.0, _EM_C[1] * s
     else:
         split, neg_s, s1, c1s, square, steps = held
     try:
@@ -227,7 +233,7 @@ def _hurwitz_core(s, alpha, held=None):
             lo = (head - hi) + half
             corr = c1s * zs / alpha
         else:
-            n_terms = min(math.ceil(split - alpha), _HURWITZ_N_CAP)
+            n_terms = math.ceil(split - alpha)
             z = n_terms + alpha
             zs = z ** neg_s
             head = zs * z / s1
@@ -263,8 +269,7 @@ def _hurwitz_core(s, alpha, held=None):
                 lo += (part_hi - hi) + head
             else:
                 lo += (head - hi) + part_hi
-            # from here on hi >= head > half > |every correction| (z >= 20 and
-            # z >= 2s make the first correction < head/48): Fast2Sum needs no branch
+            # Fast2Sum needs no branch: hi >= head > half > |corrections| (< head/48), or all 0
             t = hi + half
             lo += (hi - t) + half
             hi = t
@@ -277,33 +282,26 @@ def _hurwitz_core(s, alpha, held=None):
             for ratio, k1, k2 in _EM_STEPS:
                 if env <= negligible:
                     break
-                nxt = corr * ratio * (s + k1) * (s + k2) * z2
-                size = abs(nxt)
-                if size >= env:
-                    break
                 t = hi + corr
                 lo += (hi - t) + corr
                 hi = t
                 gross += env
-                corr, env = nxt, size
+                corr = corr * ratio * (s + k1) * (s + k2) * z2
+                env = abs(corr)
             square = (s * EPS) ** 2
         else:
             for ratio, a1, a2 in steps:
                 if env <= negligible:
                     break
-                nxt = corr * ratio * a1 * a2 * z2
-                size = abs(nxt)
-                if size >= env:
-                    break
                 t = hi + corr
                 lo += (hi - t) + corr
                 hi = t
                 gross += env
-                corr, env = nxt, size
+                corr = corr * ratio * a1 * a2 * z2
+                env = abs(corr)
         if zs < _NORMAL_MIN:  # below the split only: see the docstring
             env += (1.0 + z / s1) * _NORMAL_MIN + n_terms * 2.0 ** -1074
-        # (s EPS)^2 per unit of gross covers the second-order remainder of
-        # every compensated addend
+        # (s EPS)^2 per unit of gross: every compensated addend's second-order remainder
         return hi + lo, env + _FP_SLOP * gross + square * gross
     except OverflowError:
         raise _beyond_double_range(s, alpha) from None

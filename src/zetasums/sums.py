@@ -449,9 +449,9 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
     (halfwidth plus slop on its midpoint) probed at n = budget, add up to
     more than tol.  The charges only grow and the tail's part only falls, so
     no check up to the budget can pass.  The probe runs once, at the first
-    failed check with a finite halfwidth; an infinite one is a truncation
-    the tail skipped, not a floor.  An OverflowError in a term or a tail
-    ends typed, naming the route, not its value, as beyond double range.
+    failed check whose halfwidth is not infinite (a skipped truncation, not
+    a floor).  A NaN charge refuses as one above tol.  An OverflowError in a
+    term or tail ends typed as beyond double range, naming the route only.
     """
     if not isinstance(stop, StopRule):
         raise DomainError("stop must be a StopRule")
@@ -485,7 +485,7 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
                 next_check = n
             if next_check is not None and n >= next_check:
                 own = term_err + fp_slop(gross)
-                if own > tol:  # the check fails whatever the tail or the probe gives
+                if not own <= tol:  # the check fails whatever the tail or the probe gives
                     raise UnattainableError(_UNATTAINABLE.format(what))
                 mid, wid = tail(n)
                 total = term_err + wid + fp_slop(gross + 2.0 * abs(mid))
@@ -494,10 +494,10 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
                     lo += (hi - t) + mid if abs(hi) >= abs(mid) else (mid - t) + hi
                     return SumResult(value=t + lo, terms_used=n, tail_bound=total, method=method)
                 hopeless = n >= first and own > 0.5 * tol
-                if not hopeless and far is None and wid < math.inf:
+                if not hopeless and far is None and wid != math.inf:
                     mid, wid = tail(budget)
                     far = wid + fp_slop(2.0 * abs(mid))
-                if hopeless or far is not None and own + far > tol:
+                if hopeless or far is not None and not own + far <= tol:
                     raise UnattainableError(_UNATTAINABLE.format(what))
                 next_check = max(first, n + max(cadence, n // 8))
     except OverflowError:

@@ -145,9 +145,11 @@ def _lerch_floor_count(z, s, a, b, floor):
     stalls.  The computed |Phi| is at least (1 - r) |Phi| - target,
     r = _lerch_slack(s), so floor includes the kernel's target and (1 - r)
     scales g."""
+    keep = 1.0 - _lerch_slack(s)
+    if keep <= 0.0:  # r >= 1 from s ~ 7e13: no positive bound, the trivial count
+        return 1
     q = abs(z)
     c = -math.log(q) if z > 0.0 else math.inf  # only the plus sign reads c
-    keep = 1.0 - _lerch_slack(s)
     g = 1.0 if z > 0.0 else 0.5
     x = (g * keep / floor) ** (1.0 / s)
     for _ in range(_FLOOR_REFINEMENTS):

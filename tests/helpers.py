@@ -18,6 +18,7 @@ bit for bit.
 import importlib.util
 import math
 import os
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
@@ -25,7 +26,7 @@ from unittest import mock
 import zetasums
 from oracles import _tanh_sinh
 from zetasums import DomainError, Sign
-from zetasums.special import EPS, _EM_C, _EM_NEGLIGIBLE, _EM_STEPS, _HURWITZ_N_CAP, fp_slop
+from zetasums.special import EPS, _EM_C, _EM_NEGLIGIBLE, _EM_STEPS, fp_slop
 
 
 def bernoulli_recurrence(n_max):
@@ -93,6 +94,31 @@ def decimal_hurwitz(s, alpha, digits=64):
             poch *= (S + 2 * r - 1) * (S + 2 * r)
             zpow /= z2
         return +acc
+
+
+def direct_hurwitz(s, alpha, digits=30):
+    """(mid, halfwidth) as mpmath numbers with zeta(s, alpha) in
+    [mid - halfwidth, mid + halfwidth], for s > 1, alpha > 0, by direct
+    summation: terms run until the rest past x = n + alpha, which lies in
+    [x^(1-s)/(s-1), x^-s + x^(1-s)/(s-1)] for a decreasing summand, is below
+    10^-digits of the sum; mid is the partial sum plus that bracket's
+    midpoint.  No Euler-Maclaurin and no mpmath.zeta, which can miss in the
+    10th digit at s near 100; made for large s, where few terms suffice, and
+    exponents past double range are kept."""
+    import mpmath
+
+    with mpmath.workdps(digits + 10):
+        S, A = mpmath.mpf(s), mpmath.mpf(alpha)
+        small = mpmath.mpf(10) ** -digits
+        part = mpmath.mpf(0)
+        x = A
+        while True:
+            t = x ** -S
+            integral = x ** (1 - S) / (S - 1)
+            if part > 0 and t + integral <= small * part:
+                return part + integral + t / 2, t / 2 + small * part
+            part += t
+            x += 1
 
 
 def sandwich_lerch(zv, s, alpha, n=4000):
@@ -254,12 +280,14 @@ def drift_hurwitz_core(s, alpha):
     branch, for alpha below the split: every term x^-s, x = fl(n + alpha),
     compensated to first order for the rounding d of x, exact or not, and
     closed by a separate Euler-Maclaurin walk taking two abs() a step.  The
-    kernel must give its bits, value and bound, at every (s, alpha): the
-    branch it skips adds and multiplies only exact zeros."""
+    kernel must give its bits, value and bound, at every (s, alpha) with
+    s < 133, where its split is this pass's own: the branch it skips adds
+    and multiplies only exact zeros.  The split 2 ceil(s) and the cap of
+    4e6 terms are this pass's copy, not the kernel's."""
     split = 20 if s < 10.0 else 2 * math.ceil(s)
     assert alpha < split, "the explicit pass only"
     neg_s = -s
-    n_terms = min(math.ceil(split - alpha), _HURWITZ_N_CAP)
+    n_terms = min(math.ceil(split - alpha), 4_000_000)
     part_hi = part_lo = drift = 0.0
     for n in map(float, range(n_terms)):
         x = n + alpha
@@ -301,6 +329,21 @@ def drift_hurwitz_core(s, alpha):
         corr = nxt
         env = abs(nxt)
     return hi + lo, env + fp_slop(gross) + (s * EPS) ** 2 * gross
+
+
+def timed_outcome(call, seconds, tries=3):
+    """(result, exception, fast) of call(): fast says whether one of up to
+    `tries` runs took at most `seconds`, the runs stopping at the first that
+    does.  A real cost repeats on every run; a pause of the host does not."""
+    for _ in range(tries):
+        start = time.perf_counter()
+        try:
+            result, error = call(), None
+        except Exception as exc:  # handed to the caller, which judges it
+            result, error = None, exc
+        if time.perf_counter() - start <= seconds:
+            return result, error, True
+    return result, error, False
 
 
 def benchmark_requests(name, seed, n):

@@ -107,6 +107,20 @@ class TestEval:
         assert code == 2 and err.startswith("error:") and "term budget" in err
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("argv", [
+        # the Lerch floor count's power of a negative number was complex
+        ("exp-weighted", "--s", "1e14", "--a", "1", "--c", "0.1", "--method", "transformed",
+         "--stop", "term-floor"),
+        # a NaN strip-integral width refused no check: the series ran on
+        ("general-ab-alt", "--s", "1e30", "--a", "0.5", "--b", "1", "--method", "transformed"),
+    ])
+    def test_huge_s_refusal_exit_two(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("ZS_TERM_BUDGET", "200")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--family", *argv)
+        assert code == 2 and out == "" and "unattainable" in err
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("argv, method, other", [
         # two infinite floor counts tie, and ties go to the transformation
         (("general-ab-alt", "--s", "1.001", "--a", "0.5", "--b", "1"),

@@ -1,5 +1,6 @@
 """Property tests of the Hurwitz kernel's certificate against a decimal
-Euler-Maclaurin reference far past double precision."""
+Euler-Maclaurin reference far past double precision, and at large s against
+a direct sum."""
 
 import math
 import random
@@ -8,9 +9,11 @@ from decimal import Decimal, localcontext
 import pytest
 
 import zetasums
-from helpers import benchmark_requests, decimal_hurwitz, drift_hurwitz_core
+from helpers import (
+    benchmark_requests, decimal_hurwitz, direct_hurwitz, drift_hurwitz_core, timed_outcome,
+)
 from zetasums import sums
-from zetasums.special import EPS, _EM_STEPS, _held, _hurwitz_core, hurwitz_tail_bound
+from zetasums.special import EPS, _EM_STEPS, _held, _hurwitz_core, _split, hurwitz_tail_bound
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -113,7 +116,7 @@ def _kernel_draws(seed=22, n_per_kind=2_500):
     for kind in ("integer", "half", "k/256", "half-lattice", "ulp-off"):
         for _ in range(n_per_kind):
             s = 1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(59.0)))
-            split = 20 if s < 10.0 else 2 * math.ceil(s)
+            split = _split(s)
             if kind == "integer":
                 alpha = float(rng.randrange(1, split))
             elif kind == "half":
@@ -134,7 +137,7 @@ def test_exact_lattice_pass_keeps_the_drift_pass_bits():
     # compensation, which on that lattice only ever adds exact zeros
     exact = 0
     for kind, s, alpha in _kernel_draws():
-        split = 20 if s < 10.0 else 2 * math.ceil(s)
+        split = _split(s)
         n = math.ceil(split - alpha)
         on_lattice = (n + alpha) - n == alpha
         exact += on_lattice
@@ -153,7 +156,7 @@ def _short_pass_draws(seed=23, n=2_500):
     draws = []
     for _ in range(n):
         s = 1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(59.0)))
-        split = 20 if s < 10.0 else 2 * math.ceil(s)
+        split = _split(s)
         draws.append((s, math.exp(rng.uniform(math.log(split), math.log(1e8)))))
     return draws
 
@@ -249,3 +252,89 @@ def test_underflowed_explicit_pass_keeps_an_enclosure(s, alpha):
         assert abs(Decimal(value) - ref) <= Decimal(bound), held is None
         # the charge stays a few times 2^-1022 above the rounding charge
         assert bound <= 4.0 * EPS * value + 8.0 * 2.0 ** -1022
+
+
+def test_walk_shrinks_from_the_split():
+    # the kernel's walk has no exit for a correction that does not shrink:
+    # at z >= the split no step grows.  Where the split is 20 or 2 ceil(s),
+    # each step is |C_(r+1)/C_r| (s + 2r - 1)(s + 2r)/z^2 <= 0.0711 of the one
+    # before (z = alpha >= split takes the same pass); where it is the
+    # underflow point, z^-s is 0, and with it every correction.  s runs over
+    # 6 000 log-spaced values of s - 1 from 1e-12 to 2e6, then on to 1e308
+    grid = [1.0 + 10.0 ** (-12.0 + 18.3 * k / 5_999) for k in range(6_000)]
+    grid += [10.0 ** (6.3 + 301.7 * k / 999) for k in range(1_000)]
+    grid += [10.0, math.nextafter(10.0, 0.0), 133.0, 133.5, 134.0, 1e308]
+    worst = 0.0
+    for s in grid:
+        split = _split(s)
+        assert 2 <= split <= 268, s  # never more than about 270 explicit terms
+        if s < 10.0 or split == 2 * math.ceil(s):
+            z2 = float(split) ** 2
+            for ratio, k1, k2 in _EM_STEPS:
+                worst = max(worst, abs(ratio) * (s + k1) * (s + k2) / z2)
+        else:
+            assert s > 133.0
+            assert float(split) ** -s == 0.0, s
+            # and no later than needed: (split - 1)^-s >= 2^-1076
+            assert s * math.log2(split - 1) <= 1076.0 * (1.0 + 1e-12), s
+    assert 0.071 < worst <= 0.072
+
+
+def _large_s_draws(seed=26, n=400):
+    """(s, alpha): s log-uniform in [128, 1e4] or in [1e4, 1e300], and alpha
+    an integer up to 300, log-uniform in [0.5, 300], or 2^(u/s) with u
+    uniform in [-1000, 1080], which puts alpha^-s anywhere from past the
+    largest double to below the smallest normal one."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(n):
+        lo, hi = (128.0, 1e4) if rng.random() < 0.5 else (1e4, 1e300)
+        s = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        kind = rng.randrange(3)
+        if kind == 0:
+            alpha = float(rng.randrange(1, 301))
+        elif kind == 1:
+            alpha = math.exp(rng.uniform(math.log(0.5), math.log(300.0)))
+        else:
+            alpha = 2.0 ** (rng.uniform(-1000.0, 1080.0) / s)
+        draws.append((s, alpha))
+    return draws
+
+
+def _assert_short_and_enclosing(s, alpha):
+    """One point of the large-s checks below; returns whether the kernel
+    gave a value."""
+    mpmath = pytest.importorskip("mpmath")
+    ref, ref_err = direct_hurwitz(s, alpha)
+    gave = False
+    for held in (None, _held(s)):
+        result, error, fast = timed_outcome(lambda: _hurwitz_core(s, alpha, held), 0.02)
+        assert fast, (s, alpha)
+        if error is not None:
+            assert isinstance(error, zetasums.DomainError), (s, alpha, error)
+            assert ref > mpmath.mpf(2.0) ** 1024 or s * EPS > 2.0 ** 511, (s, alpha)
+            continue
+        value, bound = result
+        gave = True
+        assert abs(mpmath.mpf(value) - ref) <= mpmath.mpf(bound) + ref_err, (s, alpha)
+        if s <= 1e7:
+            # where (s EPS)^2 is below EPS the bound stays at the rounding floor
+            assert bound <= 4.0 * EPS * float(ref) + 8.0 * 2.0 ** -1022, (s, alpha)
+    return gave
+
+
+# the split stops the explicit terms where they underflow: each pass takes
+# at most about 270 terms, so it ends in well under 20 ms at any s, and it
+# encloses a direct sum's bracket, with or without a held record.  A
+# DomainError is due where zeta passes double range (alpha^-s > 2^1024), and
+# where (s EPS)^2, the kernel's second-order charge, overflows
+
+
+@pytest.mark.parametrize("s, alpha", [(1e6, 1.0), (1e7, 1.0), (1e14, 1.5), (200.0, 0.75)])
+def test_large_s_pass_is_short_and_encloses_a_direct_sum(s, alpha):
+    assert _assert_short_and_enclosing(s, alpha)
+
+
+def test_large_s_draws_are_short_and_enclose_a_direct_sum():
+    gave = sum(_assert_short_and_enclosing(s, alpha) for s, alpha in _large_s_draws())
+    assert gave >= 300

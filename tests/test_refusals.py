@@ -1,26 +1,35 @@
 """Every public route, on inputs of any magnitude in its domain, ends with a
 certified result or a ZetaSumsError: a seeded sweep over the affine and
-shifted families, whose lattices start at a drawn point, and named
-regression inputs that raised OverflowError or reported the wrong
-threshold."""
+shifted families, whose lattices start at a drawn point, every route at
+s from 1e3 to 1e308 within a stated time, and named regression inputs that
+raised OverflowError or TypeError, reported the wrong threshold, or ran to
+the term budget."""
 
+import itertools
 import math
 import random
 
 import pytest
 
+import zetasums
+from helpers import timed_outcome
 from zetasums import (
+    IDENTITY_KEYS,
     DomainError,
     Family,
     Method,
     Sign,
+    StopRule,
     SumResult,
     SumSpec,
     Tolerance,
     ZetaSumsError,
     check_identity,
     choose_method,
+    compare_methods,
     convergence_threshold,
+    corollary_b_equals_a,
+    dirichlet_eta,
     eval_direct,
     hurwitz_zeta,
     kappa_ab_alt_transformed,
@@ -31,6 +40,7 @@ from zetasums import (
     shifted_alt_combination,
     shifted_combination,
 )
+from zetasums.sums import _run_series
 
 # family -> (its catalog identity, the identity's parameters)
 _IDENTITY = {
@@ -139,7 +149,7 @@ def _outcome(route, p, rng):
 
 def test_wide_magnitude_sweep_ends_certified_or_typed(monkeypatch):
     """4 000 seeded requests, one public route each, plus every route at
-    s = 1e308, where the kernel's split point leaves double range."""
+    s = 1e308, where the kernel's (s EPS)^2 leaves double range."""
     monkeypatch.setenv("ZS_TERM_BUDGET", "20000")
     rng = random.Random(20)
     escapes = []
@@ -158,8 +168,8 @@ def test_wide_magnitude_sweep_ends_certified_or_typed(monkeypatch):
 
 
 @pytest.mark.parametrize("call, message", [
-    # (s EPS)^2 in the Euler-Maclaurin walk, and 2 ceil(s) - alpha, leave
-    # double range
+    # (s EPS)^2 in the Euler-Maclaurin walk leaves double range: at 1e308
+    # too, where the split is 2
     (lambda: hurwitz_zeta(1e200, 1.0, Tolerance(1e-8)), "(n + alpha)^-s at s = 1e+200"),
     (lambda: hurwitz_zeta(1e308, 1.0, Tolerance(1e-8)), "(n + alpha)^-s at s = 1e+308"),
     (lambda: kappa_closed(1e200), "(n + alpha)^-s at s = 1e+200"),
@@ -174,3 +184,110 @@ def test_named_inputs_beyond_double_range_end_typed(call, message):
         call()
     assert message in str(exc.value)
 
+
+_HUGE_S = (1e3, 1e6, 1e14, 1e50, 1e200, 1e308)
+_HUGE_TOL = Tolerance(1e-8)
+# every request at _HUGE_S ends within this, certified or typed, in the least
+# of up to three runs: each takes well under a millisecond, as each kernel
+# pass sums at most about 270 terms
+_HUGE_S_SECONDS = 0.05
+
+
+def _huge_s_requests():
+    """{request: call} for every public route at each s of _HUGE_S: both
+    stops, both signs, a in {0.5, 1, 2}, b in {0.5, 1}, c = 0.1, m = 1 and
+    tol 1e-8, each distinct request once."""
+    requests = {}
+    grid = itertools.product(_HUGE_S, StopRule, Sign, (0.5, 1.0, 2.0), (0.5, 1.0))
+    for s, stop, sign, a, b in grid:
+        z = 0.5 if sign is Sign.PLUS else -0.5
+        kwargs = {"a": a, "b": b, "c": 0.1, "sign": sign, "m": 1}
+        for family in Family:
+            spec = {k: kwargs[k] for k in sorted(zetasums.sums._RULES[family].params)}
+            requests["eval_direct", s, stop, family, *spec.items()] = (
+                lambda s=s, stop=stop, family=family, spec=spec:
+                    eval_direct(SumSpec(family, s, tol=_HUGE_TOL, **spec), stop=stop))
+        series = [
+            (kappa_ab_transformed, (s, a, b, _HUGE_TOL)),
+            (kappa_ab_alt_transformed, (s, a, b, _HUGE_TOL)),
+            (corollary_b_equals_a, (s, a, sign, _HUGE_TOL)),
+            (s_pm_transformed, (s, a, b, 0.1, sign, _HUGE_TOL)),
+            (compare_methods, (s, a, b, _HUGE_TOL)),
+        ]
+        for call, args in series:
+            requests[call.__name__, stop, *args] = (
+                lambda call=call, args=args, stop=stop: call(*args, stop=stop))
+        once = [
+            (zetasums.kappa_closed, (s,)), (zetasums.kappa_alt_closed, (s,)),
+            (zetasums.shifted_closed, (s, a)), (zetasums.shifted_alt_closed, (s, a)),
+            (zetasums.moment_closed, (s, 1)), (zetasums.moment_alt_closed, (s, 1)),
+            (zetasums.even_arg_moment_closed, (s, 1)),
+            (hurwitz_zeta, (s, b, _HUGE_TOL)), (dirichlet_eta, (s, _HUGE_TOL)),
+            (lerch_phi, (z, s, b, _HUGE_TOL)),
+            (choose_method, (SumSpec(Family.GENERAL_AB, s, a=a, b=b, tol=_HUGE_TOL),)),
+        ]
+        for call, args in once:
+            requests[(call.__name__, *args)] = lambda call=call, args=args: call(*args)
+        for key in IDENTITY_KEYS:
+            params = {k: kwargs[k] for k in zetasums.catalog._CATALOG[key][2]}
+            requests["check_identity", key, s, *params.items()] = (
+                lambda key=key, s=s, params=params: check_identity(key, s=s, **params))
+    return requests
+
+
+def test_huge_s_ends_certified_or_typed_in_bounded_time(monkeypatch):
+    # at the default budget; a kernel pass that summed 2 ceil(s) terms took
+    # seconds at s = 1e6, and s_pm_transformed's floor count was complex
+    # from s = 7e13
+    monkeypatch.delenv("ZS_TERM_BUDGET", raising=False)
+    requests = _huge_s_requests()
+    assert len(requests) > 1_000
+    escapes, slow = [], []
+    for request, call in requests.items():
+        r, error, fast = timed_outcome(call, _HUGE_S_SECONDS)
+        if error is not None and not isinstance(error, ZetaSumsError):
+            escapes.append(f"{request}: {type(error).__name__}: {error}")
+        elif isinstance(r, SumResult):
+            _certified(r, _HUGE_TOL)
+        if not fast:
+            slow.append(request)
+    assert not escapes, f"{len(escapes)} escapes, first: {escapes[:3]}"
+    assert not slow, f"{len(slow)} past {_HUGE_S_SECONDS} s, first: {slow[:3]}"
+
+
+@pytest.mark.parametrize("call", [
+    # 1 - _lerch_slack(s) <= 0 from s ~ 7e13: the floor count's power of a
+    # negative number was complex, a raw TypeError
+    lambda: s_pm_transformed(1e14, 1.0, 1.0, 0.1, Sign.PLUS, Tolerance(1e-8),
+                             stop=StopRule.TERM_FLOOR),
+    lambda: s_pm_transformed(1e14, 1.0, 1.0, 0.1, Sign.MINUS, Tolerance(1e-8),
+                             stop=StopRule.TERM_FLOOR),
+    # (2a)^-s = 1, and a strip integral's width is inf * 0 = NaN: no refusal
+    # test passed, so the series ran to the term budget
+    lambda: kappa_ab_alt_transformed(1e30, 0.5, 1.0, Tolerance(1e-8)),
+    lambda: kappa_ab_alt_transformed(1e30, 0.5, 1.0, Tolerance(1e-8), stop=StopRule.TERM_FLOOR),
+], ids=["floor-count-plus", "floor-count-minus", "nan-width", "nan-width-floor"])
+def test_huge_s_named_inputs_refuse_at_once(call, monkeypatch):
+    monkeypatch.setenv("ZS_TERM_BUDGET", "200")
+    _, error, fast = timed_outcome(call, 0.05)
+    assert isinstance(error, DomainError) and "unattainable" in str(error), error
+    assert fast
+
+
+@pytest.mark.parametrize("term, tail", [
+    (lambda n: (1.0, math.nan, 1.0), lambda n: (0.0, 0.0)),
+    (lambda n: (1.0, 0.0, 1.0), lambda n: (0.0, math.nan)),
+], ids=["nan-term-error", "nan-tail-width"])
+def test_series_refuses_a_nan_charge_at_its_first_check(term, tail, monkeypatch):
+    # a NaN compares false, so each refusal test is phrased to refuse on it
+    monkeypatch.setenv("ZS_TERM_BUDGET", "100")
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return term(n)
+
+    with pytest.raises(DomainError, match="unattainable"):
+        _run_series(counted, tail, 1e-8, StopRule.EARLIEST, Method.TRANSFORMED, None,
+                    "over budget {budget}".format)
+    assert len(calls) == 1
