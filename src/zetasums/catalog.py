@@ -8,8 +8,8 @@ from collections import namedtuple
 
 from .errors import DomainError, UnattainableError
 from .special import Tolerance, _require_tol
-from .sums import _RULES, Family, Sign, StopRule, SumSpec, eval_direct, _affine, _closed_route
-from .transforms import _run_transformed
+from .sums import _RULES, Family, Method, Sign, StopRule, SumSpec, eval_direct, _affine
+from .transforms import evaluate
 
 __all__ = [
     "DEFAULT_IDENTITY_TOL", "IDENTITY_KEYS", "ALIASES", "resolve_key", "IdentityReport",
@@ -137,8 +137,8 @@ def check_identity(name, *, s, a=None, b=None, c=None, sign=None, tol=None):
     )
     # the right-hand side is the closed form where the family has one, else
     # the reciprocal-lattice transformation
-    rhs_route = _closed_route if _RULES[family].closed else _run_transformed
-    rhs = _with_ladder(lambda t: rhs_route(_spec(key, p, t)), tol.abs_tol)
+    rhs_method = Method.CLOSED_FORM if _RULES[family].closed else Method.TRANSFORMED
+    rhs = _with_ladder(lambda t: evaluate(_spec(key, p, t), method=rhs_method), tol.abs_tol)
 
     abs_diff = abs(lhs.value - rhs.value)
     scale = max(abs(lhs.value), abs(rhs.value))

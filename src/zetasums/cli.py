@@ -10,11 +10,11 @@ import json
 import math
 import sys
 
-from .errors import DomainError, NoClosedFormError, TermBudgetError, ZetaSumsError
+from .errors import DomainError, TermBudgetError, ZetaSumsError
 from .special import Tolerance, bernoulli_fraction
 from .closed import eulerian_polynomial, faulhaber_coeffs
-from .sums import Family, Method, Sign, StopRule, SumSpec, eval_direct, _closed_route
-from .transforms import _TRANSFORMED, _run_transformed, _timed_compare, choose_method
+from .sums import Family, Method, Sign, StopRule, SumSpec
+from .transforms import _timed_compare, evaluate
 from .catalog import DEFAULT_IDENTITY_TOL, IDENTITY_KEYS, check_identity, default_grid, resolve_key
 
 # eval shares the benchmark's accuracy anchor; identity checks run tighter
@@ -55,6 +55,11 @@ _family = _enum_arg(
 )
 _sign = _enum_arg(Sign, "sign must be plus or minus")
 _stop = _enum_arg(StopRule, "stop must be earliest or term-floor")
+# --method -> evaluate's method: auto leaves the choice to evaluate
+_METHODS = {
+    "auto": None, "direct": Method.DIRECT, "closed": Method.CLOSED_FORM,
+    "transformed": Method.TRANSFORMED,
+}
 
 
 def _positive_float(value):
@@ -112,22 +117,7 @@ def cmd_eval(args):
         sign=args.sign,
         tol=Tolerance(args.tol),
     )
-    if args.method == "auto":
-        # a closed form where one exists and certifies tol, else the cheaper
-        # series route, whose own error is the one reported if it fails too
-        try:
-            r = _closed_route(spec)
-        except (NoClosedFormError, DomainError):
-            if spec.family in _TRANSFORMED and choose_method(spec) is Method.TRANSFORMED:
-                r = _run_transformed(spec, args.stop)
-            else:
-                r = eval_direct(spec, stop=args.stop)
-    elif args.method == "closed":
-        r = _closed_route(spec)
-    elif args.method == "transformed":
-        r = _run_transformed(spec, args.stop)
-    else:
-        r = eval_direct(spec, stop=args.stop)
+    r = evaluate(spec, method=_METHODS[args.method], stop=args.stop)
     record = dict(r._asdict(), method=r.method.value)
     text = (
         "value       {value:.10g}\n"
@@ -313,9 +303,7 @@ def _build_parser():
     p_eval.add_argument("--s", type=float, required=True)
     p_eval.add_argument("--m", type=int, default=0)
     _point_options(p_eval, 1.0, 0.0, Sign.PLUS, _BENCH_DEFAULT_TOL)
-    p_eval.add_argument(
-        "--method", choices=("auto", "direct", "closed", "transformed"), default="auto"
-    )
+    p_eval.add_argument("--method", choices=tuple(_METHODS), default="auto")
     p_eval.add_argument("--stop", type=_stop, default=StopRule.EARLIEST)
     p_eval.add_argument("--format", choices=("text", "json"), default="text")
     p_eval.add_argument("--output", default=None)

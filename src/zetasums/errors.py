@@ -22,8 +22,8 @@ class UnattainableError(DomainError):
 class NoClosedFormError(ZetaSumsError):
     """Requested a closed form that does not exist.
 
-    Deliberately not an approximation fallback: callers that want a numeric
-    value must ask for direct evaluation explicitly.
+    Deliberately not an approximation fallback: evaluate falls back to a
+    series route only under method=None, never for an explicit CLOSED_FORM.
     """
 
 

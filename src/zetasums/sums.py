@@ -298,7 +298,9 @@ def _strip_integral(s, A, h):
     width = abs(_EM_C[_STRIP_ORDER + 1]) * _poch_raw(s, 2 * _STRIP_ORDER + 1) * abs(
         _int_power(_STRIP_SPLIT, A, h, -s - (2 * _STRIP_ORDER + 1))
     )
-    return math.fsum(v for v, _ in pieces), width + fp_slop(gross) + EPS * charged
+    value, half = math.fsum(v for v, _ in pieces), width + fp_slop(gross) + EPS * charged
+    # an overflowed (s)_k times an underflowed power is inf * 0: no bound
+    return (0.0, math.inf) if math.isnan(half) else (value, half)
 
 
 def _pair_gap(s, x, gap):

@@ -6,13 +6,14 @@ pair differences on the 1/(2a) lattice, and the exponentially weighted
 version, a series of Lerch values, leave one kind of tail: a damped zeta
 series, undamped for the alternating version.  All evaluators return
 SumResult with a certified tail_bound in the same sense as direct evaluation.
+evaluate is the one dispatcher from a Method, or None for auto, to a route.
 """
 
 import math
 import time
 from collections import namedtuple
 
-from .errors import DomainError
+from .errors import DomainError, NoClosedFormError
 from .special import (
     EPS,
     hurwitz_tail_bound,
@@ -29,6 +30,7 @@ from .sums import (
     SumSpec,
     eval_direct,
     _affine,
+    _closed_route,
     _count_to,
     _floor_count,
     _lattice_tail,
@@ -39,7 +41,7 @@ from .sums import (
 
 __all__ = [
     "kappa_ab_transformed", "kappa_ab_alt_transformed", "corollary_b_equals_a",
-    "s_pm_transformed", "term_count_estimate", "choose_method", "TransformReport",
+    "s_pm_transformed", "term_count_estimate", "choose_method", "evaluate", "TransformReport",
     "compare_methods",
 ]
 
@@ -118,7 +120,8 @@ def corollary_b_equals_a(s, a, sign, tol, *, stop=StopRule.EARLIEST):
     """The b = a specialization of the two affine transformations."""
     if not isinstance(sign, Sign):
         raise DomainError("sign must be a Sign")
-    return _run_transformed(SumSpec(family=_affine(sign), s=s, a=a, b=a, tol=tol), stop)
+    spec = SumSpec(family=_affine(sign), s=s, a=a, b=a, tol=tol)
+    return evaluate(spec, method=Method.TRANSFORMED, stop=stop)
 
 
 def _geo_zeta_tail(s, c, sign, step, start, budget):
@@ -177,7 +180,8 @@ def s_pm_transformed(s, a, b, c, sign, tol, *, stop=StopRule.EARLIEST):
     (c = 0, plus sign), s > 1 otherwise."""
     SumSpec(family=Family.EXP_WEIGHTED, s=s, a=a, b=b, c=c, sign=sign, tol=tol)  # validates
     if c == 0.0:
-        return _run_transformed(SumSpec(family=_affine(sign), s=s, a=a, b=b, tol=tol), stop)
+        spec = SumSpec(family=_affine(sign), s=s, a=a, b=b, tol=tol)
+        return evaluate(spec, method=Method.TRANSFORMED, stop=stop)
     w = _prefactor(s, b, a, "a")
     sgn = 1.0 if sign is Sign.PLUS else -1.0
     z = sgn * math.exp(-c)
@@ -245,11 +249,6 @@ def _transformation(family):
     return _TRANSFORMED[family]
 
 
-def _run_transformed(spec, stop=StopRule.EARLIEST):
-    """The spec's sum by its reciprocal-lattice route."""
-    return _transformation(spec.family)[0](spec, stop)
-
-
 def choose_method(spec):
     """Pick the cheaper route for a transformable family by comparing floor
     counts on both lattices; near s = 1 both can be infinite.  Ties go to the
@@ -271,6 +270,28 @@ def choose_method(spec):
         geo = _count_to(math.log(max(scale / (10.0 * spec.tol.abs_tol), 1.0)), 0.0, spec.c)
         n_direct = min(n_direct, geo)
     return Method.TRANSFORMED if n_trans <= n_direct else Method.DIRECT
+
+
+def evaluate(spec, *, method=None, stop=StopRule.EARLIEST):
+    """The spec's sum by the route method names: DIRECT, CLOSED_FORM (stop
+    unused) or TRANSFORMED.  None picks one: the closed form where one exists
+    and certifies tol, else choose_method's pick for a transformable family,
+    else DIRECT; the fallback's own error is the one raised."""
+    if not isinstance(spec, SumSpec):
+        raise DomainError("spec must be a SumSpec")
+    if method is None:
+        try:
+            return _closed_route(spec)
+        except (NoClosedFormError, DomainError):
+            pass
+        method = choose_method(spec) if spec.family in _TRANSFORMED else Method.DIRECT
+    if method is Method.DIRECT:
+        return eval_direct(spec, stop=stop)
+    if method is Method.CLOSED_FORM:
+        return _closed_route(spec)
+    if method is Method.TRANSFORMED:
+        return _transformation(spec.family)[0](spec, stop)
+    raise DomainError("method must be a Method or None")
 
 
 class TransformReport(namedtuple(

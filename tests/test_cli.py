@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import re
 import time
@@ -248,6 +249,59 @@ class TestEval:
                            "--output", str(tmp_path / "missing" / "x.txt"))
         assert code == 2
         assert err.startswith("error:")
+
+
+# a point of each family: general-ab where auto picks each series route, and
+# exp-weighted at both signs and at c = 0, where its transformation is the
+# unweighted one
+_BYTE_POINTS = (
+    ("kappa", "--s", "3"),
+    ("kappa-alt", "--s", "2.5"),
+    ("moment", "--m", "2", "--s", "5"),
+    ("moment-alt", "--m", "2", "--s", "4"),
+    ("even-arg-moment", "--m", "1", "--s", "4"),
+    ("shifted", "--s", "3", "--a", "0.5"),
+    ("shifted-alt", "--s", "2.5", "--a", "0.3"),
+    ("general-ab", "--s", "4", "--a", "0.1", "--b", "1"),
+    ("general-ab", "--s", "3", "--a", "9", "--b", "0.7"),
+    ("general-ab-alt", "--s", "3", "--a", "0.25", "--b", "1"),
+    ("exp-weighted", "--s", "3", "--a", "0.5", "--b", "1", "--c", "0.7"),
+    ("exp-weighted", "--s", "2", "--a", "0.25", "--b", "0.5", "--c", "1.2", "--sign", "minus"),
+    ("exp-weighted", "--s", "3", "--a", "0.5", "--b", "1", "--c", "0", "--sign", "minus"),
+)
+
+# points where some routes or all of them refuse, typed
+_BYTE_ERRORS = (
+    ("moment", "--m", "3", "--s", "4"),  # below s_min
+    ("kappa", "--m", "2", "--s", "3"),  # a parameter the family does not take
+    ("general-ab", "--s", "3", "--a", "0.5", "--c", "0.7"),
+    ("moment", "--m", "12", "--s", "14.5", "--tol", "1e-14"),  # closed cannot certify
+    ("shifted", "--a", "1e-11", "--s", "40"),  # closed and direct both fail
+    ("general-ab", "--a", "0.5", "--b", "1e-11", "--s", "40"),
+    ("general-ab-alt", "--a", "1", "--b", "1e-8", "--s", "40"),
+    ("exp-weighted", "--a", "0.5", "--b", "1e-11", "--c", "0.5", "--s", "40"),
+    ("kappa-alt", "--s", "1.001"),  # the floor count is past the term budget
+)
+
+# sha256 over every request's (argv, exit code, stdout, stderr), recorded
+# while cmd_eval still held its own route ladder
+_EVAL_BYTES_SHA256 = "ade7c5fbbb7ac73bc8617394ee7658315ea640f2d6f152f92ddbcae4cd84b8e2"
+
+
+def test_eval_bytes_are_pinned(capsys, monkeypatch):
+    # every family and --method, --stop and --format, and the typed
+    # refusals: a route change that moves any byte of eval's output fails
+    monkeypatch.delenv("ZS_TERM_BUDGET", raising=False)
+    digest = hashlib.sha256()
+    for point in _BYTE_POINTS + _BYTE_ERRORS:
+        for method in ("auto", "direct", "closed", "transformed"):
+            for stop in ("earliest", "term-floor"):
+                for fmt in ("text", "json"):
+                    argv = ("eval", "--family", *point, "--method", method, "--stop", stop,
+                            "--format", fmt)
+                    code, out, err = run(capsys, *argv)
+                    digest.update(repr((argv, code, out, err)).encode())
+    assert digest.hexdigest() == _EVAL_BYTES_SHA256
 
 
 class TestIdentityCheck:

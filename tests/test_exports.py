@@ -17,7 +17,7 @@ _PUBLIC = {
     "UnattainableError", "ZetaCombination", "ZetaSumsError", "ZetaTerm", "bernoulli_fraction",
     "bernoulli_numbers", "check_identity", "choose_method", "combination_split",
     "compare_methods", "convergence_threshold", "corollary_b_equals_a", "default_grid",
-    "dirichlet_eta", "eulerian_polynomial", "eval_direct", "even_arg_moment_closed",
+    "dirichlet_eta", "eulerian_polynomial", "eval_direct", "evaluate", "even_arg_moment_closed",
     "even_arg_moment_combination", "faulhaber_coeffs", "floor_crossing_arg", "gamma_fn",
     "hurwitz_tail_bound", "hurwitz_zeta", "kappa_ab_alt_transformed", "kappa_ab_transformed",
     "kappa_alt_closed", "kappa_alt_combination", "kappa_closed", "kappa_combination",

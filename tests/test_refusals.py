@@ -31,6 +31,7 @@ from zetasums import (
     corollary_b_equals_a,
     dirichlet_eta,
     eval_direct,
+    evaluate,
     hurwitz_zeta,
     kappa_ab_alt_transformed,
     kappa_ab_transformed,
@@ -40,7 +41,7 @@ from zetasums import (
     shifted_alt_combination,
     shifted_combination,
 )
-from zetasums.sums import _run_series
+from zetasums.sums import _run_series, _strip_integral
 
 # family -> (its catalog identity, the identity's parameters)
 _IDENTITY = {
@@ -83,6 +84,10 @@ def _run_transformed(p, rng):
     _certified(_TRANSFORMED[p["family"]](p), p["tol"])
 
 
+def _run_evaluate(p, rng):
+    _certified(evaluate(_spec(p)), p["tol"])
+
+
 def _run_choose(p, rng):
     assert isinstance(choose_method(_spec(p)), Method)
 
@@ -106,7 +111,7 @@ def _run_lerch(p, rng):
 
 
 def _routes(family):
-    routes = [_run_direct, _run_lerch]
+    routes = [_run_direct, _run_evaluate, _run_lerch]
     if family in _CLOSED:
         routes.append(_run_closed)
     if family in _TRANSFORMED:
@@ -204,9 +209,10 @@ def _huge_s_requests():
         kwargs = {"a": a, "b": b, "c": 0.1, "sign": sign, "m": 1}
         for family in Family:
             spec = {k: kwargs[k] for k in sorted(zetasums.sums._RULES[family].params)}
-            requests["eval_direct", s, stop, family, *spec.items()] = (
-                lambda s=s, stop=stop, family=family, spec=spec:
-                    eval_direct(SumSpec(family, s, tol=_HUGE_TOL, **spec), stop=stop))
+            for route in (eval_direct, evaluate):
+                requests[route.__name__, s, stop, family, *spec.items()] = (
+                    lambda route=route, s=s, stop=stop, family=family, spec=spec:
+                        route(SumSpec(family, s, tol=_HUGE_TOL, **spec), stop=stop))
         series = [
             (kappa_ab_transformed, (s, a, b, _HUGE_TOL)),
             (kappa_ab_alt_transformed, (s, a, b, _HUGE_TOL)),
@@ -272,6 +278,14 @@ def test_huge_s_named_inputs_refuse_at_once(call, monkeypatch):
     _, error, fast = timed_outcome(call, 0.05)
     assert isinstance(error, DomainError) and "unattainable" in str(error), error
     assert fast
+
+
+@pytest.mark.parametrize("s", [1e24 + 1.0, 1e30])
+def test_strip_integral_at_huge_s_is_no_nan(s):
+    # (s)_13, then (s)_11, overflows to inf while the power it multiplies
+    # underflows to 0: the half-width, then the value too, was inf * 0 = NaN
+    value, half = _strip_integral(s, 1.0, 0.5)
+    assert math.isfinite(value) and half == math.inf
 
 
 @pytest.mark.parametrize("term, tail", [

@@ -1,6 +1,7 @@
 """Lattice transformations: small-a acceleration and its bookkeeping."""
 
 import math
+import random
 import time
 
 import pytest
@@ -10,23 +11,28 @@ from zetasums import (
     DomainError,
     Family,
     Method,
+    NoClosedFormError,
     Sign,
     StopRule,
     SumSpec,
     Tolerance,
     TermBudgetError,
     TransformReport,
+    ZetaSumsError,
     check_identity,
     choose_method,
     compare_methods,
+    convergence_threshold,
     corollary_b_equals_a,
     eval_direct,
+    evaluate,
     kappa_ab_alt_transformed,
     kappa_ab_transformed,
     riemann_zeta,
     s_pm_transformed,
     term_count_estimate,
 )
+from zetasums.sums import _RULES, _closed_route
 
 T8 = Tolerance(1e-8)
 T10 = Tolerance(1e-10)
@@ -286,3 +292,98 @@ class TestRoutesValidateLikeSumSpec:
         kwargs = dict(kwargs, **{name: threshold if value == "threshold" else value})
         with pytest.raises(DomainError):
             fn(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# evaluate against the explicit route each method stands for
+
+_TRANSFORMABLE = (Family.GENERAL_AB, Family.GENERAL_AB_ALT, Family.EXP_WEIGHTED)
+
+
+def _transformed(spec, stop):
+    """The spec's transformation by its public name; exp-weighted at c = 0
+    by the unweighted one of its sign."""
+    family, args = spec.family, (spec.s, spec.a, spec.b)
+    if family is Family.EXP_WEIGHTED and spec.c > 0.0:
+        return s_pm_transformed(*args, spec.c, spec.sign, spec.tol, stop=stop)
+    if family is Family.EXP_WEIGHTED:
+        family = Family.GENERAL_AB if spec.sign is Sign.PLUS else Family.GENERAL_AB_ALT
+    if family is Family.GENERAL_AB:
+        return kappa_ab_transformed(*args, spec.tol, stop=stop)
+    if family is Family.GENERAL_AB_ALT:
+        return kappa_ab_alt_transformed(*args, spec.tol, stop=stop)
+    raise DomainError(f"no transformation is available for family {spec.family.value}")
+
+
+def _auto(spec, stop):
+    """eval --method auto's ladder as the CLI held it before evaluate."""
+    try:
+        return _closed_route(spec)
+    except (NoClosedFormError, DomainError):
+        if spec.family in _TRANSFORMABLE and choose_method(spec) is Method.TRANSFORMED:
+            return _transformed(spec, stop)
+        return eval_direct(spec, stop=stop)
+
+
+_EXPLICIT = {
+    None: _auto,
+    Method.DIRECT: lambda spec, stop: eval_direct(spec, stop=stop),
+    Method.CLOSED_FORM: lambda spec, stop: _closed_route(spec),
+    Method.TRANSFORMED: _transformed,
+}
+
+
+def _evaluate_grid():
+    """Four seeded specs of each family: s up to 4 past its threshold, tol
+    from 1e-15 to 1e-4, m up to 12, a from 1e-2 to 10, b from 0.1 to 3 and
+    c = 0 or from 1e-2 to 2."""
+    rng = random.Random(26)
+    specs = []
+    for family in Family:
+        params = _RULES[family].params
+        for _ in range(4):
+            kw = {
+                "m": rng.choice((0, 1, 2, 3, 7, 12)), "a": 10.0 ** rng.uniform(-2.0, 1.0),
+                "b": 10.0 ** rng.uniform(-1.0, 0.5),
+                "c": 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-2.0, 0.3),
+                "sign": rng.choice(list(Sign)),
+            }
+            kw = {k: v for k, v in kw.items() if k in params}
+            need = convergence_threshold(family, kw.get("m", 0), kw.get("c", 0.0),
+                                         kw.get("sign", Sign.PLUS))
+            s = need + 10.0 ** rng.uniform(-1.3, 0.6)
+            tol = Tolerance(10.0 ** rng.uniform(-15.0, -4.0))
+            specs.append(SumSpec(family, s, tol=tol, **kw))
+    return specs
+
+
+def _outcome(route):
+    """A result in float.hex, or the refusal's type and message."""
+    try:
+        r = route()
+    except ZetaSumsError as exc:
+        return type(exc), str(exc)
+    return r.value.hex(), r.terms_used, r.tail_bound.hex(), r.method
+
+
+@pytest.mark.parametrize("method", [None, *Method], ids=lambda m: getattr(m, "name", "auto"))
+def test_evaluate_is_the_explicit_route(method, monkeypatch):
+    # the budget keeps the slow TERM_FLOOR requests short, as refusals
+    monkeypatch.setenv("ZS_TERM_BUDGET", "20000")
+    seen = set()
+    for spec in _evaluate_grid():
+        for stop in StopRule:
+            got = _outcome(lambda: evaluate(spec, method=method, stop=stop))
+            want = _outcome(lambda: _EXPLICIT[method](spec, stop))
+            assert got == want, (spec, method, stop)
+            seen.add(got[-1] if isinstance(got[-1], Method) else got[0])
+    # the grid reaches every route auto picks, and refusals too
+    want = {Method.CLOSED_FORM, Method.DIRECT, Method.TRANSFORMED} if method is None else {method}
+    assert want <= seen and seen - want, seen
+
+
+def test_evaluate_rejects_what_is_no_spec_or_method():
+    with pytest.raises(DomainError, match="spec must be a SumSpec"):
+        evaluate((Family.KAPPA, 3.0))
+    with pytest.raises(DomainError, match="method must be a Method or None"):
+        evaluate(SumSpec(Family.KAPPA, 3.0, tol=T8), method="closed")
