@@ -131,14 +131,16 @@ def check_identity(name, *, s, a=None, b=None, c=None, sign=None, tol=None):
         if val is not None:
             raise DomainError(f"identity {key} does not take parameter {pname}")
 
+    # validated once: each rung of either side only swaps in its tolerance,
+    # which _replace does without validating again
+    spec = _spec(key, p, tol)
     lhs = _with_ladder(
-        lambda t: eval_direct(_spec(key, p, t), stop=StopRule.EARLIEST),
-        tol.abs_tol,
+        lambda t: eval_direct(spec._replace(tol=t), stop=StopRule.EARLIEST), tol.abs_tol
     )
     # the right-hand side is the closed form where the family has one, else
     # the reciprocal-lattice transformation
     rhs_method = Method.CLOSED_FORM if _RULES[family].closed else Method.TRANSFORMED
-    rhs = _with_ladder(lambda t: evaluate(_spec(key, p, t), method=rhs_method), tol.abs_tol)
+    rhs = _with_ladder(lambda t: evaluate(spec._replace(tol=t), method=rhs_method), tol.abs_tol)
 
     abs_diff = abs(lhs.value - rhs.value)
     scale = max(abs(lhs.value), abs(rhs.value))

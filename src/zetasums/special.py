@@ -170,6 +170,11 @@ def _split(s):
     return 20 if s < 10.0 else min(2 * math.ceil(s), math.floor(2.0 ** (1076.0 / s)) + 1)
 
 
+# float(n) for every explicit term n below the split: the split is at most
+# 2 ceil(s) <= 268 up to s = 134, and under 2^(1076/134) + 1 < 263 past it
+_FLOAT_N = tuple(map(float, range(268)))
+
+
 def _held(s):
     """_hurwitz_core's work on s alone, each value rounded as a pass rounds it
     inline, for a loop of passes at one s; None where (s EPS)^2 overflows."""
@@ -197,10 +202,12 @@ def _hurwitz_core(s, alpha, held=None):
     rounding charge: more explicit terms could not lower the bound.  From
     floor(2^(1076/s)) + 1 >= 2 on, every (n + alpha)^-s < 2^-1076 rounds to
     0, and so do z^-s and every correction where that point comes first (s
-    above about 133): no pass sums more than about 270 terms.  The rounding
-    of n + alpha would grow by a factor s in (n + alpha)^-s, so it is
-    compensated to first order: x = fl(n + alpha) misses by d exactly
-    (Fast2Sum), and x^-s (1 - s d/x) is the term.  Where z - N == alpha,
+    above about 133): no pass sums more than 268 terms, the most at
+    133 < s < 133.49.  The rounding of n + alpha would grow by a factor s in
+    (n + alpha)^-s, so it is compensated to first order: x = fl(n + alpha)
+    misses by d exactly (Fast2Sum, the larger of n and alpha first), and
+    x^-s (1 - s d/x) is the term; each n comes as a float from _FLOAT_N, which
+    holds the 268.  Where z - N == alpha,
     every n + alpha, n <= N, is exact (or at alpha >= 2^53 every power is 0),
     so the exact-lattice pass leaves out that arithmetic on zeros.  Every
     pass closes in one walk over the corrections from the first, z^{-s-1}:
@@ -253,7 +260,7 @@ def _hurwitz_core(s, alpha, held=None):
                 lo = part_lo
             else:
                 drift = 0.0
-                for n in map(float, range(n_terms)):
+                for n in _FLOAT_N[:n_terms]:
                     x = n + alpha
                     d = alpha - (x - n) if n >= alpha else n - (x - alpha)
                     t = x ** neg_s
@@ -459,7 +466,11 @@ def _boole(phi, s, c, x0, hs, trunc, ref, exact=False):
     is at most trunc or _DAMPED_NEGLIGIBLE of ref plus the head G(0)/2
     (done), or at the first correction that does not shrink, overflows or
     needs a subnormal derivative: the one before stays the first omitted.
-    M_m = sum_i binom(m, i) c^(m-i) hs^i |F^(i)(x0)| is |G^(m)(0)|.
+    M_m = sum_i binom(m, i) c^(m-i) hs^i |F^(i)(x0)| is |G^(m)(0)|.  At c = 0
+    it is hs^m |F^(m)(x0)|, so only order 0 and the odd orders are formed.
+    Each even order's subnormal test then reads its floor from the odd one,
+    |F^(i-1)(x)| >= x |F^(i)(x)|/(s + i - 1) for x^-s and zeta(s, x) alike:
+    the walk stops no later than where it stopped with every order formed.
     exact: x0 is the lattice origin itself, not a rounded lattice point."""
     xr = 0.0 if exact else s
     n_max = _EM_MAX_ORDER + 1
@@ -469,19 +480,29 @@ def _boole(phi, s, c, x0, hs, trunc, ref, exact=False):
         m = 2 * n - 1
         while len(psi) <= m:
             i = len(psi)
-            hp = hs ** i
-            v, e = phi(x0, i)
-            if v < _NORMAL_MIN and n > 1:
-                # F^(i) underflowed: its absolute charge, times hs^i, would swamp the walk
-                return None
+            if c == 0.0 and i % 2 == 0 < i:
+                hp = v = e = 0.0  # weighed by c^(m - i) = 0 in every M_m: never formed
+            else:
+                hp = hs ** i
+                v, e = phi(x0, i)
+                # F^(i) underflowed: its absolute charge, times hs^i, would swamp the walk.
+                # At c = 0 the unformed F^(i-1) is tested by its floor x0 F^(i)/(s + i - 1)
+                if n > 1 and (
+                    v < _NORMAL_MIN or c == 0.0 and v * x0 < (s + (i - 1)) * _NORMAL_MIN
+                ):
+                    return None
             psi.append(hp * v)
             perr.append(hp * e)
             cpow.append(c ** i)
-        # a plain loop, not sum(): sum() compensates from Python 3.12 on
-        big = err = 0.0
-        for w, p, pe in zip(map(operator.mul, _BINOM[m], reversed(cpow)), psi, perr):
-            big += w * p
-            err += w * pe
+        if c == 0.0:
+            # M_m = hs^m |F^(m)(x0)|: the weighted sum adds exact zeros to it
+            big, err = psi[m], perr[m]
+        else:
+            # a plain loop, not sum(): sum() compensates from Python 3.12 on
+            big = err = 0.0
+            for w, p, pe in zip(map(operator.mul, _BINOM[m], reversed(cpow)), psi, perr):
+                big += w * p
+                err += w * pe
         a = _BOOLE_A[n]
         # the rounding of M_m, of c^k and of the lattice point x0
         return a * big, abs(a) * (err + (xr + 2.0 * m + 6.0) * EPS * big)

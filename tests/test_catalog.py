@@ -1,5 +1,7 @@
 """Identity catalog: key resolution, dual-route checks, default grids."""
 
+import math
+
 import pytest
 
 import zetasums.catalog as catalog
@@ -118,6 +120,57 @@ class TestCheckIdentity:
         with pytest.raises(UnattainableError, match="unattainable"):
             check_identity("2.3", s=9.0, a=0.02, tol=Tolerance(1e-8))
         assert tols == [1e-8 * f for f in (1.0, 4.0, 16.0, 64.0, 256.0)]
+
+    # each message as it read when every rung of either side built its own
+    # SumSpec; 2.1 and 2.3 take the closed form on the right, 4.3, 4.4 and
+    # the corollary the transformation
+    @pytest.mark.parametrize("key, params, message", [
+        ("2.1", dict(s=1.5), "family kappa requires s > 2, got s = 1.5"),
+        ("2.3", dict(s=2.5, a=-1.0), "a must be > 0 (and not within 1e-12 of 0)"),
+        ("4.3", dict(s=1.5, a=1.0, b=math.inf), "b must be finite"),
+        ("4.4", dict(s=3.0, a=0.5, b=1.0, c=-0.1), "c must be >= 0"),
+        ("corollary", dict(s=0.5, a=1.0, sign=Sign.MINUS),
+         "family general-ab-alt requires s > 1, got s = 0.5"),
+    ])
+    def test_invalid_parameter_refuses_before_either_side(self, monkeypatch, key, params, message):
+        ran = []
+        monkeypatch.setattr(catalog, "eval_direct", lambda spec, **kw: ran.append("lhs"))
+        monkeypatch.setattr(catalog, "evaluate", lambda spec, **kw: ran.append("rhs"))
+        with pytest.raises(DomainError) as exc:
+            check_identity(key, **params)
+        assert str(exc.value) == message and not ran
+
+    @pytest.mark.parametrize("key, params, tol", [
+        # both sides certify at the first rung
+        ("4.3", dict(s=1.5, a=1.0, b=1.0), 1e-10),
+        # the left-hand side climbs all five rungs
+        ("2.3", dict(s=9.0, a=0.02), 1e-8),
+    ])
+    def test_one_validated_spec_serves_every_rung(self, monkeypatch, key, params, tol):
+        built, specs = [], []
+
+        class Counted(catalog.SumSpec):
+            __slots__ = ()
+
+            def __new__(cls, *args, **kwargs):
+                built.append(kwargs)
+                return super().__new__(cls, *args, **kwargs)
+
+        def recorded(route):
+            def run(spec, **kwargs):
+                specs.append(spec)
+                return route(spec, **kwargs)
+            return run
+
+        monkeypatch.setattr(catalog, "SumSpec", Counted)
+        monkeypatch.setattr(catalog, "eval_direct", recorded(catalog.eval_direct))
+        monkeypatch.setattr(catalog, "evaluate", recorded(catalog.evaluate))
+        try:
+            check_identity(key, tol=Tolerance(tol), **params)
+        except UnattainableError:
+            pass
+        assert len(built) == 1 and len(specs) >= 2
+        assert {spec._replace(tol=None) for spec in specs} == {specs[0]._replace(tol=None)}
 
     def test_json_dict_shape(self):
         d = check_identity("2.2", s=1.5).to_json_dict()

@@ -17,6 +17,8 @@ from zetasums import (
     Tolerance,
     TermBudgetError,
     eval_direct,
+    kappa_ab_alt_transformed,
+    lerch_phi,
     s_pm_transformed,
 )
 from zetasums import special
@@ -177,6 +179,117 @@ class TestPhiMemo:
         n = len(calls)
         assert _damped_zeta(*self.ARGS) == first
         assert len(calls) == 2 * n
+
+
+def _zeta_phi(s):
+    """The phi of _damped_zeta at one point, without its order-0 memo."""
+    rising = special._rising(s)
+
+    def phi(x, i):
+        p = rising(i)
+        v, b = _hurwitz_core(s + i, x)
+        return p * v, p * b + i * EPS * p * v
+
+    return phi
+
+
+class TestBooleOrders:
+    """At c = 0, M_m = hs^m |F^(m)(x0)|: every lower order has weight
+    binom(m, i) c^(m - i) = 0, so Boole's walk forms order 0 (its head) and
+    the odd orders only, with the bits of the walk that formed them all."""
+
+    @pytest.mark.parametrize("c", [0.0, 0.3])
+    def test_orders_formed(self, c):
+        # trunc = ref = 0: the walk runs until a correction stops shrinking
+        orders, phi = [], _power_phi(1.5)
+
+        def recorded(x, i):
+            orders.append(i)
+            return phi(x, i)
+
+        _boole(recorded, 1.5, c, 20.0, 1.0, 0.0, 0.0)
+        last = orders[-1]
+        assert last >= 9  # the walk went past its fourth correction
+        if c == 0.0:
+            assert orders == [0] + list(range(1, last + 1, 2))
+        else:
+            assert orders == list(range(last + 1))
+
+    def test_damped_zeta_at_c_zero_asks_for_no_even_exponent(self, monkeypatch):
+        exponents = set()
+        kernel = special._hurwitz_core
+
+        def recorded(s, x):
+            exponents.add(s)
+            return kernel(s, x)
+
+        monkeypatch.setattr(special, "_hurwitz_core", recorded)
+        s = 2.5
+        even = {s + i for i in range(2, 2 * special._EM_MAX_ORDER + 2, 2)}
+        _damped_zeta(s, -1.0, 0.0, 1.3, 0.7, 0.0)
+        assert s + 1 in exponents and s + 3 in exponents and not exponents & even
+        # damped, the walk needs them: the check above can fail
+        _damped_zeta(s, -1.0, 0.1, 1.3, 0.7, 0.0)
+        assert exponents & even
+
+    # _boole(_zeta_phi(s), s, 0.0, x0, hs, 0.0, 0.0) as float.hex (value,
+    # err, done), recorded while the walk formed every order.  x0/hs passes
+    # 15 + 1.7 s, as where _lattice_sum starts Boole, and the sum lies below
+    # 2^-1022.  Order 3 is normal but order 2 was not, which stopped the old
+    # walk: a stop on order 3 alone went on and gave bounds 2^23, 2^21 and
+    # 2^10 times wider.  The floor x0 F^(3)/(s + 2) of order 2 keeps the stop
+    _EVEN_ORDER_STOPS = {
+        (157.79519882995433, 89.92509195303693, 0.2874554391751744):
+            ("0x0.2632a3d69af72p-1022", "0x1.430f55df69c4bp-1018", False),
+        (150.2587140531706, 112.35612894296165, 0.24932527814222855):
+            ("0x0.4051d69f1e1f9p-1022", "0x1.30e0fbc204816p-1018", False),
+        (181.86036658224407, 50.14161941859064, 0.05722677781068508):
+            ("0x0.03f02a41341d0p-1022", "0x1.08734a9874fa0p-1020", False),
+    }
+
+    @pytest.mark.parametrize("s, x0, hs", sorted(_EVEN_ORDER_STOPS))
+    def test_unformed_even_order_still_stops_the_walk(self, s, x0, hs):
+        value, err, done = _boole(_zeta_phi(s), s, 0.0, x0, hs, 0.0, 0.0)
+        assert (value.hex(), err.hex(), done) == self._EVEN_ORDER_STOPS[s, x0, hs]
+
+
+# c = 0 Boole paths that no benchmark digest covers, as float.hex recorded
+# while Boole's walk formed every derivative order.  lerch_phi at z = -1:
+# (s, alpha, tol) -> the value, and _lerch_core's bound at lerch_phi's target
+_LERCH_MINUS_ONE_GOLDEN = {
+    (1.5, 0.3, 1e-12): ("0x1.662d9418af6b4p+2", "0x1.4a852cab944e8p-45"),
+    (3.0, 1.0, 1e-13): ("0x1.cd9700768093ap-1", "0x1.9916483019692p-49"),
+    (7.25, 17.5, 1e-15): ("0x1.41a54f7cc7b61p-31", "0x1.65b84b43bab4cp-53"),
+    (20.0, 2.75, 1e-14): ("0x1.c058cb7fdad0ap-30", "0x1.71541acea1bf0p-52"),
+    (1.04, 250.0, 1e-12): ("0x1.a543ac32e568dp-10", "0x1.043b332da9ad3p-51"),
+}
+
+
+@pytest.mark.parametrize("s, alpha, tol", sorted(_LERCH_MINUS_ONE_GOLDEN))
+def test_lerch_at_minus_one_keeps_its_bits(s, alpha, tol):
+    value_hex, bound_hex = _LERCH_MINUS_ONE_GOLDEN[s, alpha, tol]
+    assert lerch_phi(-1.0, s, alpha, Tolerance(tol)).hex() == value_hex
+    value, bound = _lerch_core(-1.0, s, alpha, 0.9 * tol)
+    assert (value.hex(), bound.hex()) == (value_hex, bound_hex)
+
+
+# kappa_ab_alt_transformed, whose tail is the c = 0 damped zeta sum:
+# (s, a, b, tol, stop) -> (value, terms_used, tail_bound)
+_ALT_TRANSFORMED_GOLDEN = {
+    (1.5, 1.0, 1.0, 1e-10, "EARLIEST"): ("0x1.b052a7336e311p+0", 1, "0x1.38140e28dcac0p-39"),
+    (2.0, 0.5, 1.5, 1e-11, "EARLIEST"): ("0x1.20adf9ba16e42p-1", 1, "0x1.4b97da716cc5fp-44"),
+    (4.0, 0.1, 1.0, 1e-12, "EARLIEST"): ("0x1.48f0d810a0a68p-1", 1, "0x1.0bf67d9f53287p-44"),
+    (4.0, 0.1, 1.0, 1e-12, "TERM_FLOOR"): ("0x1.48f0d810a09a6p-1", 644, "0x1.4cc2cfad1822ep-44"),
+    (3.3, 2.7, 0.45, 1e-13, "EARLIEST"): ("0x1.c92f40b4c426bp+3", 1, "0x1.d7d833f7dc1dcp-46"),
+    (1.2, 0.03, 0.9, 1e-9, "EARLIEST"): ("0x1.7476a9012b3ebp+1", 1, "0x1.eb51cdd253006p-44"),
+}
+
+
+@pytest.mark.parametrize("s, a, b, tol, stop", sorted(_ALT_TRANSFORMED_GOLDEN))
+def test_alternating_transformation_keeps_its_bits(s, a, b, tol, stop):
+    r = kappa_ab_alt_transformed(s, a, b, Tolerance(tol), stop=StopRule[stop])
+    got = (r.value.hex(), r.terms_used, r.tail_bound.hex())
+    assert got == _ALT_TRANSFORMED_GOLDEN[s, a, b, tol, stop]
 
 
 def test_exact_lattice_origin_is_charged_once():

@@ -13,7 +13,9 @@ from helpers import (
     benchmark_requests, decimal_hurwitz, direct_hurwitz, drift_hurwitz_core, timed_outcome,
 )
 from zetasums import sums
-from zetasums.special import EPS, _EM_STEPS, _held, _hurwitz_core, _split, hurwitz_tail_bound
+from zetasums.special import (
+    EPS, _EM_STEPS, _FLOAT_N, _held, _hurwitz_core, _split, hurwitz_tail_bound,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -105,15 +107,18 @@ def test_underflowed_first_power_keeps_the_head(s, alpha):
     assert value > 0.0 and bound <= 4.0 * EPS * value + 2.0 ** -1021
 
 
-def _kernel_draws(seed=22, n_per_kind=2_500):
+def _kernel_draws(seed=22, n_per_kind=2_500, n_ulp_rows=40):
     """(kind, s, alpha) below the split: integer, half-integer and k/256
-    alpha, the half lattice K//2 + 0.5 of the alternating tails, and alpha
-    one ulp off an integer k < split/2, where z >= split > 2 alpha lies in a
-    coarser binade than alpha and cannot hold its last bit; s - 1
-    log-uniform in [1e-3, 59]."""
+    alpha, the half lattice K//2 + 0.5 of the alternating tails, alpha one
+    ulp off an integer k < split/2, where z >= split > 2 alpha lies in a
+    coarser binade than alpha and cannot hold its last bit, and alpha
+    uniform in (0, split), with s - 1 log-uniform in [1e-3, 59]; then, at
+    n_ulp_rows values of s uniform in [1.001, 60], alpha one ulp either side
+    of every integer below the split, where the Fast2Sum of n + alpha turns
+    from alpha first to n first."""
     rng = random.Random(seed)
     draws = []
-    for kind in ("integer", "half", "k/256", "half-lattice", "ulp-off"):
+    for kind in ("integer", "half", "k/256", "half-lattice", "ulp-off", "uniform"):
         for _ in range(n_per_kind):
             s = 1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(59.0)))
             split = _split(s)
@@ -125,16 +130,26 @@ def _kernel_draws(seed=22, n_per_kind=2_500):
                 alpha = rng.randrange(1, 256 * split) / 256.0
             elif kind == "half-lattice":
                 alpha = rng.randrange(2 * split - 1) // 2 + 0.5
-            else:
+            elif kind == "ulp-off":
                 k = float(rng.randrange(1, split // 2))
                 alpha = math.nextafter(k, 0.0 if rng.random() < 0.5 else math.inf)
+            else:
+                alpha = split * (1.0 - rng.random())  # in (0, split]
+                if alpha == split:
+                    alpha = math.nextafter(alpha, 0.0)
             draws.append((kind, s, alpha))
+    for _ in range(n_ulp_rows):
+        s = rng.uniform(1.001, 60.0)
+        for k in map(float, range(1, _split(s))):
+            draws += [("ulp-each", s, math.nextafter(k, toward)) for toward in (0.0, math.inf)]
     return draws
 
 
 def test_exact_lattice_pass_keeps_the_drift_pass_bits():
-    # 12 500 draws; where z - N == alpha the kernel skips the rounding
-    # compensation, which on that lattice only ever adds exact zeros
+    # about 20 000 draws; where z - N == alpha the kernel skips the rounding
+    # compensation, which on that lattice only ever adds exact zeros.  The
+    # compensated pass reads n from _FLOAT_N and orders each Fast2Sum by
+    # n >= alpha: the ulp-each draws put alpha on both sides of every n
     exact = 0
     for kind, s, alpha in _kernel_draws():
         split = _split(s)
@@ -252,6 +267,25 @@ def test_underflowed_explicit_pass_keeps_an_enclosure(s, alpha):
         assert abs(Decimal(value) - ref) <= Decimal(bound), held is None
         # the charge stays a few times 2^-1022 above the rounding charge
         assert bound <= 4.0 * EPS * value + 8.0 * 2.0 ** -1022
+
+
+def test_float_table_holds_every_explicit_term():
+    # the compensated pass takes n from _FLOAT_N[:N], and a slice past the
+    # table's end would drop terms without a word: the table holds each n
+    # exactly, up to the split's maximum of 268, reached at 133 < s < 133.49
+    assert _FLOAT_N == tuple(float(n) for n in range(len(_FLOAT_N)))
+    grid = [133.0 + k / 1000.0 for k in range(1_000)]
+    grid += [10.0 ** (k / 100.0) for k in range(30_800)]
+    assert max(map(_split, grid)) == len(_FLOAT_N) == 268
+    # the longest pass: N = 268 terms, every n below the split, against the
+    # drift pass, whose split 2 ceil(s) is the kernel's here; the kernel adds
+    # its underflow charge to the bound, as z^-s < 2^-1022
+    s = 133.25
+    for alpha in (0.37, 0.01, 0.9):
+        assert math.ceil(_split(s) - alpha) == 268
+        value, bound = _hurwitz_core(s, alpha)
+        want_value, want_bound = drift_hurwitz_core(s, alpha)
+        assert value.hex() == want_value.hex() and bound >= want_bound, alpha
 
 
 def test_walk_shrinks_from_the_split():
