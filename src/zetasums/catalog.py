@@ -8,7 +8,7 @@ from collections import namedtuple
 
 from .errors import DomainError, UnattainableError
 from .special import Tolerance, _require_tol
-from .sums import _RULES, Family, Method, Sign, StopRule, SumSpec, eval_direct, _affine
+from .sums import _RULES, Family, Method, Sign, SumSpec, eval_direct, _affine
 from .transforms import evaluate
 
 __all__ = [
@@ -79,16 +79,19 @@ class IdentityReport(namedtuple(
 _LADDER = (1.0, 4.0, 16.0, 64.0, 256.0)
 
 
-def _with_ladder(run, tol_abs):
-    """Run an evaluation, relaxing the requested tolerance geometrically when
-    the request sits below the double-precision floor for these magnitudes:
-    only an UnattainableError climbs the ladder, as no looser tol mends any
-    other refusal.  The returned bound is always the achieved one, so the
-    pass/fail budget stays honest regardless of which rung succeeded."""
+def _with_ladder(run, spec):
+    """run(spec), relaxing spec's tolerance geometrically when the request
+    sits below the double-precision floor for these magnitudes: only an
+    UnattainableError climbs the ladder, as no looser tol mends any other
+    refusal.  Rung 1 runs the validated spec itself; a later rung swaps in
+    its tol by _replace, which does not validate again.  The returned bound
+    is always the achieved one, so the pass/fail budget stays honest
+    regardless of which rung succeeded."""
     last = None
     for factor in _LADDER:
+        rung = spec if factor == 1.0 else spec._replace(tol=Tolerance(spec.tol.abs_tol * factor))
         try:
-            return run(Tolerance(tol_abs * factor))
+            return run(rung)
         except UnattainableError as exc:
             last = exc
     raise last
@@ -131,16 +134,13 @@ def check_identity(name, *, s, a=None, b=None, c=None, sign=None, tol=None):
         if val is not None:
             raise DomainError(f"identity {key} does not take parameter {pname}")
 
-    # validated once: each rung of either side only swaps in its tolerance,
-    # which _replace does without validating again
+    # validated once, for both sides and every rung of their ladders
     spec = _spec(key, p, tol)
-    lhs = _with_ladder(
-        lambda t: eval_direct(spec._replace(tol=t), stop=StopRule.EARLIEST), tol.abs_tol
-    )
+    lhs = _with_ladder(eval_direct, spec)  # under its default stop, EARLIEST
     # the right-hand side is the closed form where the family has one, else
     # the reciprocal-lattice transformation
     rhs_method = Method.CLOSED_FORM if _RULES[family].closed else Method.TRANSFORMED
-    rhs = _with_ladder(lambda t: evaluate(spec._replace(tol=t), method=rhs_method), tol.abs_tol)
+    rhs = _with_ladder(lambda sp: evaluate(sp, method=rhs_method), spec)
 
     abs_diff = abs(lhs.value - rhs.value)
     scale = max(abs(lhs.value), abs(rhs.value))

@@ -185,28 +185,35 @@ def _tail_coeffs(m, p, q, scale=1, exact=False):
 
 
 def _tail_terms(K, den, P, Q, rest, ratio):
-    """The tail past K from _tail_coeffs' parts, zeta(s, K + 1)'s
-    coefficient computed in integers."""
+    """The tail past K from _tail_coeffs' parts, as a tuple of term tuples,
+    zeta(s, K + 1)'s coefficient computed in integers."""
     c0 = ratio(sum(c * K ** d for d, c in enumerate(P))
                + (-1) ** K * sum(c * (K + 1) ** d for d, c in enumerate(Q)), den)
     x = (K + 1.0, (K + 1) // 2 + 0.5, K // 2 + 1.0)
-    terms = [(c, d, x[i], flag) for c, d, i, flag in rest]
-    return [(c0, 0, x[0], False)] + terms if c0 else terms
+    terms = tuple((c, d, x[i], flag) for c, d, i, flag in rest)
+    return ((c0, 0, x[0], False),) + terms if c0 else terms
 
 
+# The builders are cached per (m, K, exact), m past _require_m (see above):
+# every tail check at one K, and _closed at K = 0, reads one shared tuple.
+# Bounded, as a failed check's far probe asks for K at the term budget.
+
+@lru_cache(maxsize=256)
 def _moment_terms(m, K, exact=False):
-    """Exact tail of sum(k^m zeta(s, k), k > K); m = 0 is kappa."""
+    """Exact tail of sum(k^m zeta(s, k), k > K), cached; m = 0 is kappa."""
     return _tail_terms(K, *_tail_coeffs(m, 1, 0, 1, exact))
 
 
+@lru_cache(maxsize=256)
 def _moment_alt_terms(m, K, exact=False):
-    """Exact tail of sum((-1)^(k-1) k^m zeta(s, k), k > K); m = 0 is kappa-alt."""
+    """Exact tail of sum((-1)^(k-1) k^m zeta(s, k), k > K), cached; m = 0 is kappa-alt."""
     return _tail_terms(K, *_tail_coeffs(m, 0, 1, 1, exact))
 
 
+@lru_cache(maxsize=256)
 def _even_arg_terms(m, K, exact=False):
-    """Exact tail of sum(k^m zeta(s, 2k), k > K): 2^(-m-1) times the plain
-    moment tail past 2K minus the alternating one, as k^m is
+    """Exact tail of sum(k^m zeta(s, 2k), k > K), cached: 2^(-m-1) times the
+    plain moment tail past 2K minus the alternating one, as k^m is
     2^(-m-1) (1 - (-1)^(n-1)) n^m at n = 2k, and that weight is 0 at odd n."""
     return _tail_terms(2 * K, *_tail_coeffs(m, 1, -1, 2 ** (m + 1), exact))
 

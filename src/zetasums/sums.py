@@ -428,7 +428,7 @@ def _floor_count(spec, spacing=None):
     return _count_to(spacing * spec.a * x_star, spec.b)
 
 
-def _run_series(term, tail, tol, stop, method, count, over_budget):
+def _run_series(term, tail, tol, stop, method, count, over_budget, falling=True):
     """Sum a series to the certified absolute tolerance tol.
 
     term(n) -> (contribution, error, probe) for term n >= 0; the probe is the
@@ -439,8 +439,12 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
     transformations check after every term.  The gaps grow to n/8 once that
     is larger, so a tail slow to fit costs O(log n) checks.  count, the
     predicted floor crossing, fails a TERM_FLOOR request that cannot cross
-    within the budget up front.  over_budget(budget=budget) gives the
-    TermBudgetError message, built only when one is raised.
+    within the budget up front: a count past budget + 1, or one of budget
+    or budget + 1 whose term budget - 1 still probes above the floor, as a
+    bare zeta value falls along the lattice by far more than its rounding
+    (s_pm_transformed's probe, a computed |Phi|, need not: it passes
+    falling=False).  over_budget(budget=budget) gives the TermBudgetError
+    message, built only when one is raised.
 
     A request no run within the budget can certify fails with
     UnattainableError at a failed check: once the terms' own
@@ -462,9 +466,6 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
         first, cadence, what = MIN_EXPLICIT, _CHUNK, "this sum"
     else:
         first, cadence, what = 1, 1, "this transformation"
-    if stop is StopRule.TERM_FLOOR and count is not None and count > budget + 1:
-        # one term of margin for the rounding in floor_crossing_arg
-        raise TermBudgetError(over_budget(budget=budget))
     floor = 10.0 * tol
     # the terms' Neumaier sum hi + lo and their summed magnitude gross, taken
     # by += in order: a builtin sum() is compensated from Python 3.12 on
@@ -473,6 +474,10 @@ def _run_series(term, tail, tol, stop, method, count, over_budget):
     next_check = 1 if stop is StopRule.EARLIEST else None
     far = None
     try:
+        if stop is StopRule.TERM_FLOOR and count is not None and count >= budget:
+            # one term of margin for the rounding in floor_crossing_arg
+            if count > budget + 1 or falling and term(budget - 1)[2] > floor:
+                raise TermBudgetError(over_budget(budget=budget))
         while True:
             if n >= budget:
                 raise TermBudgetError(over_budget(budget=budget))

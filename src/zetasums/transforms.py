@@ -206,7 +206,7 @@ def s_pm_transformed(s, a, b, c, sign, tol, *, stop=StopRule.EARLIEST):
 
     return _run_series(
         term, lambda n: _geo_zeta_tail(s, c, sgn, a, n + b, tail_target), tol_abs, stop,
-        Method.TRANSFORMED, count, over_budget,
+        Method.TRANSFORMED, count, over_budget, falling=False,
     )
 
 

@@ -140,21 +140,28 @@ class TestCheckIdentity:
             check_identity(key, **params)
         assert str(exc.value) == message and not ran
 
-    @pytest.mark.parametrize("key, params, tol", [
+    @pytest.mark.parametrize("key, params, tol, rungs", [
         # both sides certify at the first rung
-        ("4.3", dict(s=1.5, a=1.0, b=1.0), 1e-10),
+        ("4.3", dict(s=1.5, a=1.0, b=1.0), 1e-10, 1),
         # the left-hand side climbs all five rungs
-        ("2.3", dict(s=9.0, a=0.02), 1e-8),
+        ("2.3", dict(s=9.0, a=0.02), 1e-8, 5),
     ])
-    def test_one_validated_spec_serves_every_rung(self, monkeypatch, key, params, tol):
-        built, specs = [], []
+    def test_one_validated_spec_serves_every_rung(self, monkeypatch, key, params, tol, rungs):
+        # rung 1 of each side runs the very spec check_identity built; only a
+        # later rung makes a Tolerance, and its spec differs in tol alone
+        built, specs, relaxed = [], [], []
 
         class Counted(catalog.SumSpec):
             __slots__ = ()
 
             def __new__(cls, *args, **kwargs):
-                built.append(kwargs)
-                return super().__new__(cls, *args, **kwargs)
+                spec = super().__new__(cls, *args, **kwargs)
+                built.append(spec)
+                return spec
+
+        def counted_tolerance(abs_tol):
+            relaxed.append(abs_tol)
+            return Tolerance(abs_tol)
 
         def recorded(route):
             def run(spec, **kwargs):
@@ -163,6 +170,7 @@ class TestCheckIdentity:
             return run
 
         monkeypatch.setattr(catalog, "SumSpec", Counted)
+        monkeypatch.setattr(catalog, "Tolerance", counted_tolerance)
         monkeypatch.setattr(catalog, "eval_direct", recorded(catalog.eval_direct))
         monkeypatch.setattr(catalog, "evaluate", recorded(catalog.evaluate))
         try:
@@ -171,6 +179,10 @@ class TestCheckIdentity:
             pass
         assert len(built) == 1 and len(specs) >= 2
         assert {spec._replace(tol=None) for spec in specs} == {specs[0]._replace(tol=None)}
+        first = [spec for spec in specs if spec.tol.abs_tol == tol]
+        assert first and all(spec is built[0] for spec in first)
+        want = [tol * factor for factor in catalog._LADDER[1:rungs]]
+        assert relaxed == [spec.tol.abs_tol for spec in specs if spec is not built[0]] == want
 
     def test_json_dict_shape(self):
         d = check_identity("2.2", s=1.5).to_json_dict()

@@ -462,6 +462,26 @@ class TestExactBuilder:
                     (c.hex(), *rest) for c, *rest in floats
                 ], (m, K)
 
+    @pytest.mark.parametrize("family", sorted(_BUILDERS))
+    def test_cached_terms_are_a_fresh_build(self, family):
+        # every tail check at one K, and the closed form at K = 0, read one
+        # cached tuple: it must hold the bits of a fresh build, be immutable
+        # all the way down, be the same object on a repeat, and the cache
+        # must be bounded, as the far probe asks for K at the term budget
+        build = _BUILDERS[family][0]
+        assert isinstance(build.cache_info().maxsize, int)
+
+        def bits(terms):
+            return [tuple(v.hex() if type(v) is float else v for v in t) for t in terms]
+
+        for m in range(13):
+            for K in (0, 1, 2, 16, 17):
+                for exact in (False, True):
+                    cached = build(m, K, exact)
+                    assert type(cached) is tuple and all(type(t) is tuple for t in cached)
+                    assert bits(cached) == bits(build.__wrapped__(m, K, exact)), (m, K, exact)
+                    assert build(m, K, exact) is cached
+
     def test_two_pow_neg_s_coefficients_are_dyadic(self):
         # such a coefficient converts exactly, so it rounds only in 2^-s and
         # in their product: the single charge of _sum_terms counts on it

@@ -230,6 +230,72 @@ class TestStoppingRules:
             eval_direct(spec(Family.KAPPA_ALT, 1.5, tol=T8), stop=StopRule.TERM_FLOOR)
         assert time.perf_counter() - t0 < 1.0
 
+    _DIRECT_OVER = ("direct evaluation of {} exceeded the term budget (20000); "
+                    "a transformed or closed route may be cheaper").format
+    _TRANSFORMED_OVER = ("transformed evaluation exceeded the term budget (20000); "
+                         "direct evaluation may suit these parameters better")
+    # route -> (its run at tol and stop, s, its floor count at tol, the
+    # lattice (x0, h) of its bare zeta probe, its TermBudgetError message)
+    _BOUNDARY_ROUTES = {
+        "kappa-alt": (
+            lambda tol, stop: eval_direct(spec(Family.KAPPA_ALT, 2.0, tol=tol), stop=stop),
+            2.0, lambda tol: _floor_count(spec(Family.KAPPA_ALT, 2.0, tol=tol)), (1.0, 1.0),
+            _DIRECT_OVER("kappa-alt"),
+        ),
+        "shifted-alt": (
+            lambda tol, stop: eval_direct(
+                spec(Family.SHIFTED_ALT, 2.0, a=0.3, tol=tol), stop=stop),
+            2.0, lambda tol: _floor_count(spec(Family.SHIFTED_ALT, 2.0, a=0.3, tol=tol)),
+            (0.3, 1.0), _DIRECT_OVER("shifted-alt"),
+        ),
+        "general-ab transformed": (
+            lambda tol, stop: kappa_ab_transformed(3.0, 0.5, 1.0, tol, stop=stop),
+            3.0, lambda tol: _floor_count(
+                spec(Family.GENERAL_AB, 3.0, a=0.5, b=1.0, tol=tol), 1.0), (2.0, 2.0),
+            _TRANSFORMED_OVER,
+        ),
+        "general-ab-alt transformed": (
+            lambda tol, stop: kappa_ab_alt_transformed(2.0, 0.5, 1.5, tol, stop=stop),
+            2.0, lambda tol: _floor_count(
+                spec(Family.GENERAL_AB_ALT, 2.0, a=0.5, b=1.5, tol=tol), 2.0), (1.5, 1.0),
+            _TRANSFORMED_OVER,
+        ),
+    }
+
+    @pytest.mark.parametrize("route", sorted(_BOUNDARY_ROUTES))
+    @pytest.mark.parametrize("past", [-1, 0, 1])
+    def test_floor_count_at_the_budget_fails_after_one_term(self, monkeypatch, route, past):
+        # a floor count of budget + past, with the crossing x* placed 1.1
+        # steps before the point of term budget + past: term budget - 1 lies
+        # 0.9 steps before x* at past = 1, and 0.1 steps past it at past = 0,
+        # where zeta's x^-s/2 above x^(1-s)/(s - 1) keeps its probe above
+        # the floor.  Both fail up front after that one term, with the
+        # message they always gave.  A count one below the budget runs as
+        # it always did, to a certified end past the crossing
+        import zetasums.sums as sums
+        import zetasums.transforms as transforms
+
+        budget = 20000
+        monkeypatch.setenv("ZS_TERM_BUDGET", str(budget))
+        run, s, count, (x0, h), message = self._BOUNDARY_ROUTES[route]
+        x_star = x0 + h * (budget + past - 1.1)
+        tol = Tolerance(x_star ** (1.0 - s) / (10.0 * (s - 1.0)))
+        assert count(tol) == budget + past
+        calls = []
+        for module in (sums, transforms):
+            kernel = module._hurwitz_core
+            monkeypatch.setattr(module, "_hurwitz_core",
+                                lambda *args, k=kernel: (calls.append(args), k(*args))[1])
+        if past < 0:
+            r = run(tol, StopRule.TERM_FLOOR)
+            assert budget + past <= r.terms_used == len(calls) <= budget
+            assert r.tail_bound <= tol.abs_tol
+            return
+        with pytest.raises(TermBudgetError) as exc:
+            run(tol, StopRule.TERM_FLOOR)
+        assert str(exc.value) == message
+        assert len(calls) == 1
+
     def test_floor_count_never_refuses_a_finishing_run(self, monkeypatch):
         sp = spec(Family.GENERAL_AB, 4.0, a=0.1, b=1.0, tol=T8)
         full = eval_direct(sp, stop=StopRule.TERM_FLOOR)
