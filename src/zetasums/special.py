@@ -138,10 +138,10 @@ def _poch_raw(a, n):
     return prod
 
 
-# Rounding charge per unit of gross magnitude: term evaluation via libm pow
-# stays within ~0.55 ulp and compensated (or fsum's exactly rounded)
-# accumulation within ~1 ulp of the gross, so 2 eps * gross is an honest
-# ceiling on the arithmetic error (2 eps is exact).
+# Rounding charge per unit of gross magnitude: libm pow within ~0.55 ulp,
+# compensated (or fsum's exactly rounded) accumulation within ~1 ulp of the
+# gross, and the kernel's plain correction sum within 0.124 eps of its head:
+# 2 eps * gross is an honest ceiling on the arithmetic error (2 eps is exact).
 _FP_SLOP = 2.0 * EPS
 
 
@@ -176,14 +176,14 @@ _FLOAT_N = tuple(map(float, range(268)))
 
 
 def _held(s):
-    """_hurwitz_core's work on s alone, each value rounded as a pass rounds it
-    inline, for a loop of passes at one s; None where (s EPS)^2 overflows."""
+    """_hurwitz_core's work on s alone, the walk's factor per order among it,
+    each rounded as a pass rounds it inline; None where (s EPS)^2 overflows."""
     try:
         square = (s * EPS) ** 2
     except OverflowError:
         return None
-    steps = tuple((ratio, s + k1, s + k2) for ratio, k1, k2 in _EM_STEPS)
-    return _split(s), -s, s - 1.0, _EM_C[1] * s, square, steps
+    factors = tuple(ratio * (s + k1) * (s + k2) for ratio, k1, k2 in _EM_STEPS)
+    return _split(s), -s, s - 1.0, _EM_C[1] * s, square, factors
 
 
 def _hurwitz_core(s, alpha, held=None):
@@ -207,22 +207,25 @@ def _hurwitz_core(s, alpha, held=None):
     (n + alpha)^-s, so it is compensated to first order: x = fl(n + alpha)
     misses by d exactly (Fast2Sum, the larger of n and alpha first), and
     x^-s (1 - s d/x) is the term; each n comes as a float from _FLOAT_N, which
-    holds the 268.  Where z - N == alpha,
-    every n + alpha, n <= N, is exact (or at alpha >= 2^53 every power is 0),
-    so the exact-lattice pass leaves out that arithmetic on zeros.  Every
-    pass closes in one walk over the corrections from the first, z^{-s-1}:
-    it carries the first-order factor for the rounding of z, and the later
-    ones, each under 1/100 of it, inherit it, missing (2r - 2) dz of each,
-    far inside the rounding charge.  Below the split where z^-s < m =
-    2^-1022, the remainder past z and its head, half and corrections lie in
-    [0, (1 + z/(s - 1)) m): that bounds their difference, with m to spare
-    for subnormal drift products (s u each, u = 2^-1074), and N u covers the
-    N powers, each within u where subnormal.
+    holds the 268.  Where z - N == alpha, every n + alpha, n <= N, is exact
+    (or at alpha >= 2^53 every power is 0), so the exact-lattice pass leaves
+    out that arithmetic on zeros.  Every pass closes in one walk over the
+    corrections from the first, z^{-s-1}: it carries the first-order factor
+    for the rounding of z, and the later ones, each under 1/100 of it,
+    inherit it, missing (2r - 2) dz of each, far inside the rounding charge.
+    A step is corr * f * z^-2, with f = ratio (s + 2r - 1)(s + 2r) per order;
+    the corrections' plain sum enters (hi, lo) by one Fast2Sum, as |hi| >=
+    head > 48 |first| >= |sum|; its <= 11 roundings, each EPS/2 of 1.077
+    |first|, stay under 0.124 EPS head, in the 2 EPS gross charge.  Below the
+    split where z^-s < m = 2^-1022, the remainder past z and its head, half
+    and corrections lie in [0, (1 + z/(s - 1)) m): that bounds their
+    difference, with m to spare for subnormal drift products (s u each, u =
+    2^-1074), and N u covers the N powers, each within u where subnormal.
     """
     if held is None:
         split, neg_s, s1, c1s = _split(s), -s, s - 1.0, _EM_C[1] * s
     else:
-        split, neg_s, s1, c1s, square, steps = held
+        split, neg_s, s1, c1s, square, factors = held
     try:
         if split <= alpha < math.inf:
             # z = alpha exactly, so dz = 0: the general pass less its operations on zeros
@@ -276,7 +279,7 @@ def _hurwitz_core(s, alpha, held=None):
                 lo += (part_hi - hi) + head
             else:
                 lo += (head - hi) + part_hi
-            # Fast2Sum needs no branch: hi >= head > half > |corrections| (< head/48), or all 0
+            # Fast2Sum needs no branch: hi >= head > half, or all 0
             t = hi + half
             lo += (hi - t) + half
             hi = t
@@ -285,27 +288,27 @@ def _hurwitz_core(s, alpha, held=None):
         z2 = 1.0 / (z * z)
         env = abs(corr)
         negligible = _EM_NEGLIGIBLE * head
+        csum = 0.0
         if held is None:
             for ratio, k1, k2 in _EM_STEPS:
                 if env <= negligible:
                     break
-                t = hi + corr
-                lo += (hi - t) + corr
-                hi = t
+                csum += corr
                 gross += env
-                corr = corr * ratio * (s + k1) * (s + k2) * z2
+                corr = corr * (ratio * (s + k1) * (s + k2)) * z2
                 env = abs(corr)
             square = (s * EPS) ** 2
         else:
-            for ratio, a1, a2 in steps:
+            for f in factors:
                 if env <= negligible:
                     break
-                t = hi + corr
-                lo += (hi - t) + corr
-                hi = t
+                csum += corr
                 gross += env
-                corr = corr * ratio * a1 * a2 * z2
+                corr = corr * f * z2
                 env = abs(corr)
+        t = hi + csum
+        lo += (hi - t) + csum
+        hi = t
         if zs < _NORMAL_MIN:  # below the split only: see the docstring
             env += (1.0 + z / s1) * _NORMAL_MIN + n_terms * 2.0 ** -1074
         # (s EPS)^2 per unit of gross: every compensated addend's second-order remainder

@@ -279,11 +279,15 @@ def drift_hurwitz_core(s, alpha):
     """The Hurwitz kernel's explicit pass before it had an exact-lattice
     branch, for alpha below the split: every term x^-s, x = fl(n + alpha),
     compensated to first order for the rounding d of x, exact or not, and
-    closed by a separate Euler-Maclaurin walk taking two abs() a step.  The
-    kernel must give its bits, value and bound, at every (s, alpha) with
-    s < 133, where its split is this pass's own: the branch it skips adds
-    and multiplies only exact zeros.  The split 2 ceil(s) and the cap of
-    4e6 terms are this pass's copy, not the kernel's."""
+    closed by a separate Euler-Maclaurin walk taking two abs() a step: each
+    correction is the last times one factor per order and z^-2, the
+    corrections are summed plainly, and that sum is Fast2Summed into the pass
+    once.  The kernel must give its bits, value and bound, at every
+    (s, alpha) with s < 133, where its split is this pass's own: the branch
+    it skips adds and multiplies only exact zeros, and this walk's exit for
+    a correction that does not shrink is never taken there.  The split
+    2 ceil(s) and the cap of 4e6 terms are this pass's copy, not the
+    kernel's."""
     split = 20 if s < 10.0 else 2 * math.ceil(s)
     assert alpha < split, "the explicit pass only"
     neg_s = -s
@@ -316,18 +320,20 @@ def drift_hurwitz_core(s, alpha):
     z2 = 1.0 / (z * z)
     env = abs(corr)
     negligible = _EM_NEGLIGIBLE * head
+    csum = 0.0
     for ratio, k1, k2 in _EM_STEPS:
         if env <= negligible:
             break
-        nxt = corr * ratio * (s + k1) * (s + k2) * z2
+        nxt = corr * (ratio * (s + k1) * (s + k2)) * z2
         if abs(nxt) >= env:
             break
-        t = hi + corr
-        lo += (hi - t) + corr
-        hi = t
+        csum += corr
         gross += env
         corr = nxt
         env = abs(nxt)
+    t = hi + csum
+    lo += (hi - t) + csum
+    hi = t
     return hi + lo, env + fp_slop(gross) + (s * EPS) ** 2 * gross
 
 

@@ -319,7 +319,7 @@ class TestStoppingRules:
 
 class TestHeldRecord:
     """Only a TERM_FLOOR loop predicted past MIN_EXPLICIT terms builds the
-    kernel's per-exponent record: it pays from about seven calls on, and
+    kernel's per-exponent record: it pays from about three calls on, and
     most EARLIEST runs end at term 1."""
 
     @staticmethod
