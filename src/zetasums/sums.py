@@ -168,9 +168,9 @@ SumResult = namedtuple("SumResult", "value terms_used tail_bound method")
 # includes the inner zeta evaluation errors and local rounding slop.
 
 def _exact_tail(spec, K, budget):
-    """Tail of an integer-lattice family past K terms: its exact builder's
-    terms at K, summed in floats."""
-    return _sum_terms(spec.s, _RULES[spec.family].exact(spec.m, K))
+    """Tail of an integer-lattice family past K terms: the float rows of its
+    exact builder's terms at K."""
+    return _sum_terms(spec.s, _RULES[spec.family].exact(spec.m, K)[1])
 
 
 def _lattice_order(s, A, h):
@@ -337,8 +337,8 @@ def _damped(spec, n):
 # first n terms; closed(spec) is the exact ZetaCombination or None.  The sum
 # needs s > s_min, plus m where it takes m.  params names the SumSpec fields
 # among m, a, b, c and sign that the family reads; the others must keep their
-# defaults.  exact(m, K) is an integer-lattice family's exact tail past K,
-# which _exact_tail sums and whose K = 0 form is closed.
+# defaults.  exact(m, K) is an integer-lattice family's exact tail past K and
+# its float rows: _exact_tail sums the rows, and its K = 0 terms are closed.
 _Rule = namedtuple("_Rule", "s_min params weight lattice tail closed exact", defaults=(None, None))
 
 

@@ -260,19 +260,23 @@ def laplace_affine_sum(s, a, b, sign):
 def assert_routes_enclose(routes, args, tol, ref, ref_err=0):
     """Each route(*args) ends within its tail_bound of ref, a high-precision
     Decimal or mpmath number good to ref_err, or fails typed as
-    "unattainable".  A small term budget keeps every call short: a run that
-    would grind toward the default budget fails here as TermBudgetError.
-    The difference is taken in ref's own type, so ref is not rounded."""
+    "unattainable"; returns the number of such refusals.  A small term
+    budget keeps every call short: a run that would grind toward the default
+    budget fails here as TermBudgetError.  The difference is taken in ref's
+    own type, so ref is not rounded."""
     exact = type(ref)
+    refused = 0
     for name, route in routes.items():
         try:
             with mock.patch.dict(os.environ, {"ZS_TERM_BUDGET": "20000"}):
                 r = route(*args)
         except DomainError as exc:
             assert "unattainable" in str(exc), (name, args)
+            refused += 1
             continue
         assert r.tail_bound <= tol, (name, args)
         assert abs(exact(r.value) - ref) <= exact(r.tail_bound) + ref_err, (name, args)
+    return refused
 
 
 def drift_hurwitz_core(s, alpha):

@@ -107,12 +107,14 @@ class TestBooleEnvelope:
 
 
 def _damped_zeta_reference(s, sign, c, X, h):
-    """sum over j >= 0 of (sign e^-c)^j zeta(s, X + jh) by mpmath at 30
+    """sum over j >= 0 of (sign e^-c)^j zeta(s, X + jh) by mpmath at 80
     digits, and the size of the rest it leaves out: the terms fall, so the
-    rest lies within the next term, over 1 - e^-c for the plus sign."""
+    rest lies within the next term, over 1 - e^-c for the plus sign.  Below
+    80 digits mpmath.zeta can miss in the 10th digit (at s = 24.62,
+    alpha = 380.82 it does at 40 to 60)."""
     import mpmath
 
-    with mpmath.workdps(30):
+    with mpmath.workdps(80):
         S, C, X0, H = map(mpmath.mpf, (s, c, X, h))
         total, j = mpmath.mpf(0), 0
         while True:
@@ -398,7 +400,8 @@ def test_laplace_reference_error_covers_its_rounding():
     mpmath = pytest.importorskip("mpmath")
     s, a, b, c = 1.02, 0.1, 0.5, 0.02
     value, err = quad_family_sum(s, a, b, c, Sign.PLUS, target=1e-13)
-    with mpmath.workdps(20):
+    # at 80 digits, where mpmath.zeta no longer misses (see _damped_zeta_reference)
+    with mpmath.workdps(80):
         S, A, B, C = map(mpmath.mpf, (s, a, b, c))
         # the terms from k = 2300 on add less than 1e-16
         ref = mpmath.fsum(mpmath.exp(-C * k) * mpmath.zeta(S, k * A + B) for k in range(2300))

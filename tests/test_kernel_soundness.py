@@ -9,11 +9,12 @@ from decimal import Decimal, localcontext
 
 import pytest
 
+import helpers
 import zetasums
 from helpers import (
     benchmark_requests, decimal_hurwitz, direct_hurwitz, drift_hurwitz_core, timed_outcome,
 )
-from zetasums import sums
+from zetasums import special, sums
 from zetasums.special import (
     EPS, _EM_STEPS, _FLOAT_N, _held, _hurwitz_core, _split, hurwitz_tail_bound,
 )
@@ -235,6 +236,49 @@ def test_held_walk_steps_round_as_the_inline_ones():
             inline = ratio * (s + k1) * (s + k2)
             assert f.hex() == inline.hex(), s
             assert (corr * f * z2).hex() == (corr * inline * z2).hex(), s
+
+
+def _slow_steps(s, rng):
+    """Walk steps to patch over _EM_STEPS for the passes at s: order r's
+    ratio is -q_r split^2 / ((s + 2r - 1)(s + 2r)), q_r uniform in
+    [0.5, 0.9], so each correction is q_r (split/z)^2 <= 0.9 of the one
+    before, with the true ratios' sign.  Where z < split + 1, as on every
+    explicit pass, all 12 orders run, and the last correction, over
+    0.5^12 (split/(split + 1))^24 of the first, sits far above the rounding
+    charge and shows in the bound."""
+    split = float(_split(s))
+    return tuple(
+        (-rng.uniform(0.5, 0.9) * split * split / ((s + k1) * (s + k2)), k1, k2)
+        for _, k1, k2 in _EM_STEPS
+    )
+
+
+def test_every_walk_step_rounding_reaches_the_output(monkeypatch):
+    # the true corrections fall so fast that a step's last bit almost never
+    # reaches a pass's output; under slowly shrinking ones it does.  The
+    # explicit passes, exact-lattice and compensated, inline and held, must
+    # then keep the drift pass's bits, whose walk has the kernel's arithmetic,
+    # and a pass without explicit terms must keep its bits from inline to held
+    rng = random.Random(30)
+    for _ in range(40):
+        s = 1.0 + math.exp(rng.uniform(math.log(1e-3), math.log(59.0)))
+        split = _split(s)
+        lattice = [float(rng.randrange(1, split)), rng.randrange(1, 4 * split) / 4.0]
+        off = [split * rng.random() for _ in range(2)]
+        short = [split * math.exp(rng.uniform(0.0, math.log(100.0))) for _ in range(2)]
+        with monkeypatch.context() as patch:
+            steps = _slow_steps(s, rng)
+            patch.setattr(special, "_EM_STEPS", steps)
+            patch.setattr(helpers, "_EM_STEPS", steps)
+            held = _held(s)
+            for alpha in lattice + off:
+                want = tuple(map(float.hex, drift_hurwitz_core(s, alpha)))
+                for record in (None, held):
+                    got = tuple(map(float.hex, _hurwitz_core(s, alpha, record)))
+                    assert got == want, (s, alpha, record is None)
+            for alpha in short:
+                got = tuple(map(float.hex, _hurwitz_core(s, alpha, held)))
+                assert got == tuple(map(float.hex, _hurwitz_core(s, alpha))), (s, alpha)
 
 
 def _underflow_draws(seed=24, n=40):
