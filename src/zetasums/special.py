@@ -388,12 +388,24 @@ def _tail_bound(s, alpha):
 
 
 def dirichlet_eta(s, tol):
-    """Alternating zeta (1 - 2^(1-s)) * zeta(s) for s > 1."""
+    """Alternating zeta (1 - 2^(1-s)) * zeta(s) for s > 1.
+
+    The kernel's bound covers zeta only.  The charge covers the rest, with
+    u = EPS/2 and y = (s - 1) log 2.  The computed argument of expm1 carries
+    relative error 2u (log(2.0) and the product; 1 - s is exact for s <= 2)
+    or 3u for s > 2, and expm1's slope moves F = 1 - 2^(1-s) by that times
+    y/(e^y - 1) of itself: at most 2u, and 2.08u for s > 2, where y > log 2.
+    expm1's own 1 ulp adds 2u of F, and the product factor * value u of
+    itself: 5.08u = 2.54 EPS in all.  factor * bound may fall short of F
+    times the kernel's bound by 5.08u of that bound, and the sum rounds by
+    u of itself: second order while the bound is small against the value,
+    and 3 EPS leaves 0.46 EPS of |factor * value| for them.
+    """
     _require_tol(tol)
     _require_s(s, 1.0, "dirichlet_eta")
     factor = -math.expm1((1.0 - s) * math.log(2.0))  # 1 - 2^(1-s), stable near s=1
     value, bound = _hurwitz_core(s, 1.0)
-    return _certified(factor * value, factor * bound + EPS * abs(factor * value), tol)
+    return _certified(factor * value, factor * bound + 3.0 * EPS * abs(factor * value), tol)
 
 
 # ---------------------------------------------------------------------------

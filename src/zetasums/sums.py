@@ -428,7 +428,7 @@ def _floor_count(spec, spacing=None):
     return _count_to(spacing * spec.a * x_star, spec.b)
 
 
-def _run_series(term, tail, tol, stop, method, count, over_budget, falling=True):
+def _run_series(term, tail, tol, stop, method, count, over_budget, falling=True, lattice=None):
     """Sum a series to the certified absolute tolerance tol.
 
     term(n) -> (contribution, error, probe) for term n >= 0; the probe is the
@@ -444,7 +444,10 @@ def _run_series(term, tail, tol, stop, method, count, over_budget, falling=True)
     bare zeta value falls along the lattice by far more than its rounding
     (s_pm_transformed's probe, a computed |Phi|, need not: it passes
     falling=False).  over_budget(budget=budget) gives the TermBudgetError
-    message, built only when one is raised.
+    message, built only when one is raised.  lattice = (s, h, x0, held)
+    serves a unit-weight sum: the loop then calls the kernel on
+    zeta(s, h*n + x0) itself, in place of term(n), which the up-front
+    probe still calls.
 
     A request no run within the budget can certify fails with
     UnattainableError at a failed check: once the terms' own
@@ -473,6 +476,8 @@ def _run_series(term, tail, tol, stop, method, count, over_budget, falling=True)
     n = 0
     next_check = 1 if stop is StopRule.EARLIEST else None
     far = None
+    if lattice is not None:
+        s, h, x0, held = lattice
     try:
         if stop is StopRule.TERM_FLOOR and count is not None and count >= budget:
             # one term of margin for the rounding in floor_crossing_arg
@@ -481,7 +486,11 @@ def _run_series(term, tail, tol, stop, method, count, over_budget, falling=True)
         while True:
             if n >= budget:
                 raise TermBudgetError(over_budget(budget=budget))
-            value, err, probe = term(n)
+            if lattice is None:
+                value, err, probe = term(n)
+            else:
+                value, err = _hurwitz_core(s, h * n + x0, held)
+                probe = value
             gross += abs(value)
             t = hi + value
             lo += (hi - t) + value if abs(hi) >= abs(value) else (value - t) + hi
@@ -594,4 +603,5 @@ def eval_direct(spec, *, stop=StopRule.EARLIEST):
         Method.DIRECT, count,
         lambda budget: f"direct evaluation of {family.value} exceeded the term budget "
         f"({budget}); a transformed or closed route may be cheaper",
+        lattice=(s, h, x0, held) if weight is _plain and not spec.m else None,
     )

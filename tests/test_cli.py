@@ -289,6 +289,7 @@ _BYTE_ERRORS = (
 _EVAL_BYTES_SHA256 = "ade7c5fbbb7ac73bc8617394ee7658315ea640f2d6f152f92ddbcae4cd84b8e2"
 
 
+@pytest.mark.pin
 def test_eval_bytes_are_pinned(capsys, monkeypatch):
     # every family and --method, --stop and --format, and the typed
     # refusals: a route change that moves any byte of eval's output fails
@@ -496,6 +497,7 @@ class TestTable:
                  "PASS 2.1 s=4.0 lhs=1.202056903 rhs=1.202056903 abs_diff=0 "
                  "budget=2.387862305e-15\n"),
     ])
+    @pytest.mark.pin
     def test_identity_table_bytes(self, capsys, fmt, want):
         code, out, err = run(capsys, "table", "--identity", "2.1", "--s-grid", "3:4:1",
                              "--format", fmt)

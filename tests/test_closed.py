@@ -515,6 +515,7 @@ def _term_lines(terms, rows):
         yield f"{c.hex()} {d} {alpha.hex()} {flag}"
 
 
+@pytest.mark.pin
 def test_builder_bits_are_pinned():
     h = hashlib.sha256()
     combos = {

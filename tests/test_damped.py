@@ -249,6 +249,7 @@ class TestBooleOrders:
             ("0x0.03f02a41341d0p-1022", "0x1.08734a9874fa0p-1020", False),
     }
 
+    @pytest.mark.pin
     @pytest.mark.parametrize("s, x0, hs", sorted(_EVEN_ORDER_STOPS))
     def test_unformed_even_order_still_stops_the_walk(self, s, x0, hs):
         value, err, done = _boole(_zeta_phi(s), s, 0.0, x0, hs, 0.0, 0.0)
@@ -267,6 +268,7 @@ _LERCH_MINUS_ONE_GOLDEN = {
 }
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("s, alpha, tol", sorted(_LERCH_MINUS_ONE_GOLDEN))
 def test_lerch_at_minus_one_keeps_its_bits(s, alpha, tol):
     value_hex, bound_hex = _LERCH_MINUS_ONE_GOLDEN[s, alpha, tol]
@@ -287,6 +289,7 @@ _ALT_TRANSFORMED_GOLDEN = {
 }
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("s, a, b, tol, stop", sorted(_ALT_TRANSFORMED_GOLDEN))
 def test_alternating_transformation_keeps_its_bits(s, a, b, tol, stop):
     r = kappa_ab_alt_transformed(s, a, b, Tolerance(tol), stop=StopRule[stop])
@@ -305,6 +308,7 @@ def test_exact_lattice_origin_is_charged_once():
     assert abs(mpmath.mpf(value) - ref) <= bound + ref_err
 
 
+@pytest.mark.pin
 def test_boole_sums_do_not_depend_on_the_python_version():
     # builtin sum() of floats is compensated from Python 3.12 on; Boole's
     # correction sums are plain left-to-right sums on every version, so this

@@ -147,6 +147,7 @@ def _kernel_draws(seed=22, n_per_kind=2_500, n_ulp_rows=40):
     return draws
 
 
+@pytest.mark.pin
 def test_exact_lattice_pass_keeps_the_drift_pass_bits():
     # about 20 000 draws; where z - N == alpha the kernel skips the rounding
     # compensation, which on that lattice only ever adds exact zeros.  The
@@ -253,6 +254,7 @@ def _slow_steps(s, rng):
     )
 
 
+@pytest.mark.pin
 def test_every_walk_step_rounding_reaches_the_output(monkeypatch):
     # the true corrections fall so fast that a step's last bit almost never
     # reaches a pass's output; under slowly shrinking ones it does.  The
@@ -316,6 +318,7 @@ def test_underflowed_explicit_pass_keeps_an_enclosure(s, alpha):
         assert bound <= 4.0 * EPS * value + 8.0 * 2.0 ** -1022
 
 
+@pytest.mark.pin
 def test_float_table_holds_every_explicit_term():
     # the compensated pass takes n from _FLOAT_N[:N], and a slice past the
     # table's end would drop terms without a word: the table holds each n
@@ -407,6 +410,7 @@ def test_plain_correction_sum_stays_inside_the_charge(kind, s, alpha):
 _KERNEL_DIGEST = "6aa4c800c483b32f8c112e97128c9c347e89accae6d427dced458b7d4aa0e661"
 
 
+@pytest.mark.pin
 def test_kernel_bits_over_a_seeded_grid():
     h = hashlib.sha256()
     draws = [(s, alpha) for _, s, alpha in _kernel_draws()] + _short_pass_draws()

@@ -1,7 +1,9 @@
 """Scalar special-function layer: values, brackets, and domain checks."""
 
 import math
-from decimal import Decimal
+import random
+import struct
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from zetasums import (
     DomainError,
     TermBudgetError,
     Tolerance,
+    UnattainableError,
     bernoulli_fraction,
     bernoulli_numbers,
     dirichlet_eta,
@@ -233,6 +236,53 @@ class TestDirichletEta:
         for s in (1.5, 2.5, 6.0):
             want = (1.0 - 2.0 ** (1.0 - s)) * riemann_zeta(s, T12)
             assert math.isclose(dirichlet_eta(s, T12), want, rel_tol=1e-13)
+
+    @staticmethod
+    def _floor_tol(s):
+        """The smallest tol dirichlet_eta(s, tol) certifies, by bisection over
+        the doubles from EPS, which it refuses, to 1e-12, which it certifies."""
+        to_int = lambda x: struct.unpack("<q", struct.pack("<d", x))[0]
+        to_tol = lambda i: Tolerance(struct.unpack("<d", struct.pack("<q", i))[0])
+        lo, hi = to_int(EPS), to_int(1e-12)
+        with pytest.raises(UnattainableError):
+            dirichlet_eta(s, to_tol(lo))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                dirichlet_eta(s, to_tol(mid))
+            except UnattainableError:
+                lo = mid
+            else:
+                hi = mid
+        return to_tol(hi)
+
+    def test_encloses_eta_at_its_floor(self, monkeypatch):
+        # at the smallest tol it certifies, against (1 - 2^(1-s)) zeta(s) in
+        # Decimal, with the kernel as it is and with kernels whose value sits
+        # at either end of its own bound, where the charge for the factor
+        # and the product is all that is left to cover them
+        import zetasums.special as special
+
+        rng = random.Random(31)
+        draws = [1.0 + 10.0 ** rng.uniform(-9.0, -2.0) for _ in range(12)]
+        draws += [1.01, 2.0, 60.0] + [rng.uniform(2.0, 60.0) for _ in range(12)]
+        kernel = special._hurwitz_core
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for s in draws:
+                zeta = decimal_hurwitz(s, 1.0, 40)
+                eta = (1 - Decimal(2) ** (1 - Decimal(s))) * zeta
+                _, bound = kernel(s, 1.0)
+                for side in (0, 1, -1):
+                    if side:
+                        v = float(zeta + side * Decimal(bound))
+                        if abs(Decimal(v) - zeta) > Decimal(bound):
+                            v = math.nextafter(v, -side * math.inf)
+                        monkeypatch.setattr(special, "_hurwitz_core",
+                                            lambda *args, v=v: (v, bound))
+                    tol = self._floor_tol(s)
+                    assert abs(Decimal(dirichlet_eta(s, tol)) - eta) <= Decimal(tol.abs_tol), (s, side)
+                monkeypatch.setattr(special, "_hurwitz_core", kernel)
 
 
 class TestLerchPhi:

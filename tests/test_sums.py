@@ -1,5 +1,6 @@
 """Direct summation engine: stopping rules and certified bounds."""
 
+import hashlib
 import math
 import random
 import time
@@ -247,6 +248,12 @@ class TestStoppingRules:
                 spec(Family.SHIFTED_ALT, 2.0, a=0.3, tol=tol), stop=stop),
             2.0, lambda tol: _floor_count(spec(Family.SHIFTED_ALT, 2.0, a=0.3, tol=tol)),
             (0.3, 1.0), _DIRECT_OVER("shifted-alt"),
+        ),
+        "general-ab direct": (
+            lambda tol, stop: eval_direct(
+                spec(Family.GENERAL_AB, 3.0, a=0.5, b=1.0, tol=tol), stop=stop),
+            3.0, lambda tol: _floor_count(spec(Family.GENERAL_AB, 3.0, a=0.5, b=1.0, tol=tol)),
+            (1.0, 0.5), _DIRECT_OVER("general-ab"),
         ),
         "general-ab transformed": (
             lambda tol, stop: kappa_ab_transformed(3.0, 0.5, 1.0, tol, stop=stop),
@@ -765,3 +772,45 @@ class TestLatticeTail:
             except OverflowError:
                 seen.add("orders stop")
         assert seen == {"capped", "fits", "underflow", "normal", "overflow", "orders stop"}
+
+
+# The unit-weight families run by eval_direct under both stop rules: the
+# direct lattice terms that no CI digest reaches at TERM_FLOOR (kappa,
+# moment and even-arg at m = 0, shifted) and general-ab.  One SHA-256 over
+# each result's value, terms_used and tail_bound, or a refusal's type and
+# message, at a 20 000-term budget: 10 of the 120 requests then refuse with
+# TermBudgetError and 2 as unattainable
+_UNIT_WEIGHT_DIGEST = "c3bb08ee2108a80668d01fe20a2cc18a2205a70bb9a142bae33ecea32bfe8320"
+
+
+def _unit_weight_draws(seed=31, per_family=12):
+    rng = random.Random(seed)
+    log_uniform = lambda lo, hi: math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    draws = []
+    for family, extra in (
+        (Family.KAPPA, lambda: {}), (Family.MOMENT, lambda: {"m": 0}),
+        (Family.EVEN_ARG_MOMENT, lambda: {"m": 0}),
+        (Family.SHIFTED, lambda: {"a": log_uniform(0.1, 4.0)}),
+        (Family.GENERAL_AB, lambda: {"a": log_uniform(0.1, 4.0), "b": log_uniform(0.1, 4.0)}),
+    ):
+        for _ in range(per_family):
+            s = 2.0 + rng.uniform(0.5, 4.0)
+            tol = Tolerance(log_uniform(1e-12, 1e-6))
+            draws.append(SumSpec(family=family, s=s, tol=tol, **extra()))
+    return draws
+
+
+@pytest.mark.pin
+def test_unit_weight_direct_bits_are_pinned(monkeypatch):
+    monkeypatch.setenv("ZS_TERM_BUDGET", "20000")
+    h = hashlib.sha256()
+    for sp in _unit_weight_draws():
+        for stop in StopRule:
+            try:
+                r = eval_direct(sp, stop=stop)
+            except ZetaSumsError as exc:
+                line = f"{type(exc).__name__} {exc}"
+            else:
+                line = f"{r.value.hex()} {r.terms_used} {r.tail_bound.hex()}"
+            h.update(f"{line}\n".encode())
+    assert h.hexdigest() == _UNIT_WEIGHT_DIGEST
